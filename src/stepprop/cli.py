@@ -241,7 +241,7 @@ def _cmd_oracle(args):
 # figure reproduction recipes
 # ---------------------------------------------------------------------------
 
-def _grid_abs2(model, T, lo, hi, n, threads=1):
+def _grid_abs2(model, T, lo, hi, n):
     xs = np.linspace(lo, hi, n)
     rows = []
     for x0 in xs:
@@ -444,8 +444,7 @@ def _recipes(out_dir, coarse):
         caus = _classical.find_caustic_saddle(md, bvp)
         topo = _classical.topological_saddle(md, bvp)
         sets = [real_s, real_s + [caus], real_s + [caus, topo]]
-        import numpy as _np
-        l_exact = _np.abs(_spec._transform("laplace", samples[0], samples[1], ss))
+        l_exact = np.abs(_spec._transform("laplace", samples[0], samples[1], ss))
         rows = []
         for s, le in zip(ss, l_exact):
             row = [s, le]

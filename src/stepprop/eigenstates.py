@@ -85,108 +85,105 @@ def _logsinh(w):
     return w + np.log1p(-np.exp(-2.0 * w)) - math.log(2.0)
 
 
-def _log_sech(ax):
-    """log(sech(ax)) for real ax, overflow-free."""
-    ax = np.abs(np.asarray(ax, dtype=float))
-    return -ax + math.log(2.0) - np.log1p(np.exp(-2.0 * ax))
-
-
-def _zpair(model: StepModel, x: float):
-    """(z, 1-z) with z = 1/(1+e^{2 alpha x}), both to full precision."""
-    y = 2.0 * model.alpha * x
-    if y >= 0:
-        e = math.exp(-y)
-        return e / (1.0 + e), 1.0 / (1.0 + e)
-    e = math.exp(y)
-    return 1.0 / (1.0 + e), e / (1.0 + e)
+def _heaviside_like(model):
+    """True when the eigenstates are the sharp-step (or free) plane waves."""
+    return model.family is Family.HEAVISIDE or model.V0 == 0.0
 
 
 # ---------------------------------------------------------------------------
-# full closed forms (vectorized over momentum arrays at fixed position)
+# closed forms, vectorized over momenta k and a scalar x or a row of x
 # ---------------------------------------------------------------------------
+#
+# Every branch is labelled by its transmitted momentum a, the eigenstate's
+# behaviour e^{i a x/hbar} on the right of the step:
+#
+#   a = i mu (branch 'c'),   a = p (branch 'plus'),   a = -p (branch 'minus').
+#
+# The 2F1 parameters, the exponent and the left plane-wave amplitudes k -/+ a
+# all follow from a, so the branch table is written once, in _branch.
 
-def _phi_ws_full(model, branch, k, q, x, conj=False):
-    """Woods-Saxon closed form; q = mu for 'c', q = p for 'plus'/'minus'."""
+def _branch(model, branch, k, q, conj):
+    """(i, k, a): the imaginary unit of the (conj) form, k, and the
+    transmitted momentum a of the branch."""
     i = -1j if conj else 1j
-    ah = model.alpha * model.hbar
-    h = model.hbar
     k = np.asarray(k, dtype=complex)
     q = np.asarray(q, dtype=complex)
+    if model.V0 == 0.0 and branch != "c":
+        # free particle: both scattering branches degenerate to plane waves
+        q = k
     if branch == "c":
-        nu = (i * k + q) / (2.0 * ah)
-        cpar = 1.0 + q / ah
-        expo = (i * k - q) * x / (2.0 * h)
-    elif branch == "plus":
-        nu = i * (k - q) / (2.0 * ah)
-        cpar = 1.0 - i * q / ah
-        expo = i * (k + q) * x / (2.0 * h)
-    elif branch == "minus":
-        nu = i * (k + q) / (2.0 * ah)
-        cpar = 1.0 + i * q / ah
-        expo = i * (k - q) * x / (2.0 * h)
-    else:
-        raise BranchMismatchError(f"unknown branch {branch!r}")
-    z, zc = _zpair(model, x)
-    pref = np.exp(-nu * math.log(2.0) + expo + nu * _log_sech(model.alpha * x))
-    return pref * hyp2f1_with_complement(1.0 + nu, nu, cpar, z, zc)
+        return i, k, i * q
+    if branch == "plus":
+        return i, k, q
+    if branch == "minus":
+        return i, k, -q
+    raise BranchMismatchError(f"unknown branch {branch!r}")
+
+
+def _ws_params(model, i, k, a):
+    """(nu, c, s): phi = 2^{-nu} e^{s x/2h} sech(alpha x)^nu 2F1(1+nu, nu; c; z)."""
+    ah = model.alpha * model.hbar
+    return i * (k - a) / (2.0 * ah), 1.0 - i * a / ah, i * (k + a)
+
+
+def _logistic(model, x):
+    """(z, 1-z, log sech(alpha x)) with z = 1/(1+e^{2 alpha x}), each to full
+    precision and without overflow; x is a scalar or an array."""
+    ax = model.alpha * np.asarray(x, dtype=float)
+    e = np.exp(-2.0 * np.abs(ax))
+    near, far = e / (1.0 + e), 1.0 / (1.0 + e)
+    right = ax >= 0
+    return (np.where(right, near, far), np.where(right, far, near),
+            -np.abs(ax) + math.log(2.0) - np.log1p(e))
+
+
+def _phi_ws_full(model, branch, k, q, x, conj=False):
+    """Woods-Saxon 2F1 form; q = mu for 'c', q = p for 'plus'/'minus'.
+
+    A scalar x uses the elementwise 2F1; a row of x uses the column x row
+    grid evaluation, split so that no row straddles z = 1/2.
+    """
+    i, k, a = _branch(model, branch, k, q, conj)
+    nu, cpar, s = _ws_params(model, i, k, a)
+    z, zc, logsech = _logistic(model, x)
+    pref = np.exp(-nu * math.log(2.0) + s * x / (2.0 * model.hbar) + nu * logsech)
+    if np.ndim(x) == 0:
+        return pref * hyp2f1_with_complement(1.0 + nu, nu, cpar, z, zc)
+    vals = np.empty(pref.shape, dtype=complex)
+    for cols in (z.ravel() > 0.5, z.ravel() <= 0.5):
+        if np.any(cols):
+            vals[:, cols] = hyp2f1_cols_rows(1.0 + nu, nu, cpar,
+                                             z[:, cols], zc[:, cols])
+    return pref * vals
 
 
 def _phi_ws_asym_left(model, branch, k, q, x, conj=False):
-    """x -> -inf plane-wave asymptotics with gamma coefficients, log space."""
-    i = -1j if conj else 1j
+    """x -> -inf plane waves (k - a) e^{-ikx/h}, (k + a) e^{ikx/h} with the
+    gamma-function coefficients of the z -> 1 limit, in log space."""
+    i, k, a = _branch(model, branch, k, q, conj)
+    nu, cpar, s = _ws_params(model, i, k, a)
     ah = model.alpha * model.hbar
     h = model.hbar
-    k = np.asarray(k, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    if branch == "c":
-        head = loggamma(1.0 + q / ah)
-        amp_in, amp_out = k - i * q, k + i * q
-        den_in = loggamma(1.0 - i * k / ah) + 2.0 * loggamma(1.0 + (i * k + q) / (2 * ah))
-        den_out = loggamma(1.0 + i * k / ah) + 2.0 * loggamma(1.0 - (i * k - q) / (2 * ah))
-    elif branch == "minus":
-        head = loggamma(1.0 + i * q / ah)
-        amp_in, amp_out = k + q, k - q
-        den_in = loggamma(1.0 - i * k / ah) + 2.0 * loggamma(1.0 + i * (k + q) / (2 * ah))
-        den_out = loggamma(1.0 + i * k / ah) + 2.0 * loggamma(1.0 - i * (k - q) / (2 * ah))
-    elif branch == "plus":
-        head = loggamma(1.0 - i * q / ah)
-        amp_in, amp_out = k - q, k + q
-        den_in = loggamma(1.0 - i * k / ah) + 2.0 * loggamma(1.0 + i * (k - q) / (2 * ah))
-        den_out = loggamma(1.0 + i * k / ah) + 2.0 * loggamma(1.0 - i * (k + q) / (2 * ah))
-    else:
-        raise BranchMismatchError(f"unknown branch {branch!r}")
-    logc = math.log(math.pi) + head - math.log(2.0 * ah) - _logsinh(math.pi * k / ah)
-    term_in = amp_in * np.exp(logc - den_in - i * k * x / h)
-    term_out = amp_out * np.exp(logc - den_out + i * k * x / h)
-    return term_in + term_out
+    logc = (math.log(math.pi) + loggamma(cpar) - math.log(2.0 * ah)
+            - _logsinh(math.pi * k / ah))
+    den_in = loggamma(1.0 - i * k / ah) + 2.0 * loggamma(1.0 + nu)
+    den_out = loggamma(1.0 + i * k / ah) + 2.0 * loggamma(1.0 - s / (2 * ah))
+    return ((k - a) * np.exp(logc - den_in - i * k * x / h)
+            + (k + a) * np.exp(logc - den_out + i * k * x / h))
 
 
-def _phi_ws_asym_right(model, branch, k, q, x, conj=False):
-    i = -1j if conj else 1j
+def _phi_right(model, branch, k, q, x, conj=False):
+    """Right of the step: e^{i a x/h}, for both families."""
+    i, k, a = _branch(model, branch, k, q, conj)
+    return np.exp(i * a * x / model.hbar)
+
+
+def _phi_heaviside_left(model, branch, k, q, x, conj=False):
+    """Left of the sharp step: ((k - a) e^{-ikx/h} + (k + a) e^{ikx/h}) / 2k."""
+    i, k, a = _branch(model, branch, k, q, conj)
     h = model.hbar
-    k = np.asarray(k, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    if branch == "c":
-        return np.exp(-q * x / h) + 0.0 * k
-    sign = 1.0 if branch == "plus" else -1.0
-    return np.exp(sign * i * q * x / h) + 0.0 * k
-
-
-def _phi_heaviside(model, branch, k, q, x, conj=False):
-    i = -1j if conj else 1j
-    h = model.hbar
-    k = np.asarray(k, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    if branch == "c":
-        if x <= 0:
-            return ((k - i * q) / (2 * k) * np.exp(-i * k * x / h)
-                    + (k + i * q) / (2 * k) * np.exp(i * k * x / h))
-        return np.exp(-q * x / h) + 0.0 * k
-    sign = 1.0 if branch == "plus" else -1.0
-    if x <= 0:
-        return ((k - sign * q) / (2 * k) * np.exp(-i * k * x / h)
-                + (k + sign * q) / (2 * k) * np.exp(i * k * x / h))
-    return np.exp(sign * i * q * x / h) + 0.0 * k
+    return ((k - a) / (2 * k) * np.exp(-i * k * x / h)
+            + (k + a) / (2 * k) * np.exp(i * k * x / h))
 
 
 def phi(model: StepModel, branch: str, k, q, x: float, conj: bool = False):
@@ -196,17 +193,33 @@ def phi(model: StepModel, branch: str, k, q, x: float, conj: bool = False):
     companion momentum (mu below the step, p above it); passing it explicitly
     keeps the analytic continuation single-valued on deformed contours.
     """
-    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
-        if model.V0 == 0.0 and branch != "c":
-            # free particle: both forms degenerate to plane waves
-            return _phi_heaviside(model, branch, k, k, x, conj)
-        return _phi_heaviside(model, branch, k, q, x, conj)
-    ax = model.alpha * x
-    if ax < -X_ASYM:
-        return _phi_ws_asym_left(model, branch, k, q, x, conj)
-    if ax > X_ASYM:
-        return _phi_ws_asym_right(model, branch, k, q, x, conj)
-    return _phi_ws_full(model, branch, k, q, x, conj)
+    if _heaviside_like(model):
+        form = _phi_heaviside_left if x <= 0 else _phi_right
+    else:
+        ax = model.alpha * x
+        form = (_phi_ws_asym_left if ax < -X_ASYM
+                else _phi_right if ax > X_ASYM else _phi_ws_full)
+    return form(model, branch, k, q, x, conj)
+
+
+def phi_grid(model: StepModel, branch: str, k, q, xs, conj: bool = False):
+    """Eigenstate matrix phi[k_i, x_j]; same dispatch rules as :func:`phi`."""
+    k = np.asarray(k, dtype=complex).reshape(-1, 1)
+    q = np.asarray(q, dtype=complex).reshape(-1, 1)
+    xs = np.asarray(xs, dtype=float).reshape(1, -1)
+    if _heaviside_like(model):
+        left = xs.ravel() <= 0
+        regions = ((left, _phi_heaviside_left), (~left, _phi_right))
+    else:
+        ax = model.alpha * xs.ravel()
+        cols_l, cols_r = ax < -X_ASYM, ax > X_ASYM
+        regions = ((cols_l, _phi_ws_asym_left), (cols_r, _phi_right),
+                   (~(cols_l | cols_r), _phi_ws_full))
+    out = np.empty((k.shape[0], xs.shape[1]), dtype=complex)
+    for cols, form in regions:
+        if np.any(cols):
+            out[:, cols] = form(model, branch, k, q, xs[:, cols], conj)
+    return out
 
 
 def eigenstate_ws(model: StepModel, branch: str, k: float, x: float) -> complex:
@@ -236,7 +249,7 @@ def eigenstate_ws_asymptotic(model: StepModel, branch: str, k: float, x: float,
     if side == "left":
         return complex(_phi_ws_asym_left(model, branch, k, q, x))
     if side == "right":
-        return complex(_phi_ws_asym_right(model, branch, k, q, x))
+        return complex(_phi_right(model, branch, k, q, x))
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -250,7 +263,7 @@ def scatter_amplitudes(model: StepModel, k: float) -> ScatterAmplitudes:
     if ms.E < model.V0:
         raise BranchMismatchError("scattering amplitudes require E >= V0")
     p = ms.p.real
-    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
+    if _heaviside_like(model):
         return ScatterAmplitudes(R=(k - p) / (k + p),
                                  T=2.0 * math.sqrt(k * p) / (k + p))
     ah = model.alpha * model.hbar
@@ -277,7 +290,7 @@ def scatter_rates(model: StepModel, k):
     if np.any(above):
         ka = k[above]
         p = np.sqrt(ka * ka - kc * kc)
-        if model.family is Family.HEAVISIDE or model.V0 == 0.0:
+        if _heaviside_like(model):
             R2[above] = ((ka - p) / (ka + p)) ** 2
             T2[above] = 4.0 * ka * p / (ka + p) ** 2
         else:
@@ -300,7 +313,7 @@ def log_reflection_rate(model: StepModel, k: float) -> float:
     if not (ms.E > model.V0):
         return 0.0
     p = ms.p.real
-    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
+    if _heaviside_like(model):
         return 2.0 * math.log((k - p) / (k + p))
     ah = model.alpha * model.hbar
     ls = lambda w: float(np.real(_logsinh(complex(w))))
@@ -339,7 +352,7 @@ def _log_ncc(model, k, mu):
 
 def ncc_analytic(model, k, mu):
     """N^cc as an analytic function of (k, mu); real positive on the axis."""
-    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
+    if _heaviside_like(model):
         return math.pi * model.m * model.V0 / (np.asarray(k, complex) ** 2)
     return np.exp(_log_ncc(model, np.asarray(k, complex), np.asarray(mu, complex)))
 
@@ -348,7 +361,7 @@ def npm_analytic(model, k, p, conj=False):
     """N^{+-} (or its i -> -i partner) as an analytic function of (k, p)."""
     k = np.asarray(k, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
+    if _heaviside_like(model):
         return math.pi * model.m * model.V0 / (k * k) + 0.0 * p
     i = -1j if conj else 1j
     ah = model.alpha * model.hbar
@@ -364,7 +377,7 @@ def npp_analytic(model, k, p):
     """N^{++} via the sinh product identity, analytic and overflow-free."""
     k = np.asarray(k, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
+    if _heaviside_like(model):
         return math.pi * (p / k + (k * k + p * p) / (2.0 * k * k))
     ah = model.alpha * model.hbar
     lg = (np.log(2.0 * math.pi * p / k)
@@ -382,7 +395,7 @@ def norm_combos(model, k, p):
     """
     k = np.asarray(k, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
+    if _heaviside_like(model):
         npp = npp_analytic(model, k, p)
         npm = npm_analytic(model, k, p)
         return npp + npm, npp - npm
@@ -436,8 +449,7 @@ def orthonormal_state(model: StepModel, branch: str, k: float, x) -> complex:
         if k >= kc:
             raise BranchMismatchError("branch 'c' requires k < sqrt(2 m V0)")
         ncc = float(np.real(ncc_analytic(model, k, ms.mu.real)))
-        vals = np.array([phi(model, "c", k, ms.mu.real, float(xx)) for xx in xs])
-        out = vals / math.sqrt(model.hbar * ncc)
+        out = phi_grid(model, "c", k, ms.mu.real, xs)[0] / math.sqrt(model.hbar * ncc)
     elif branch in ("plus", "minus"):
         if k <= kc:
             raise BranchMismatchError("branches '+'/'-' require k > sqrt(2 m V0)")
@@ -446,84 +458,11 @@ def orthonormal_state(model: StepModel, branch: str, k: float, x) -> complex:
         cp, cm = norm_combos(model, k, p)
         combo = cp if branch == "plus" else cm
         sgn = 1.0 if branch == "plus" else -1.0
-        vals_p = np.array([phi(model, "plus", k, p, float(xx)) for xx in xs])
-        vals_m = np.array([phi(model, "minus", k, p, float(xx)) for xx in xs])
+        vals_p = phi_grid(model, "plus", k, p, xs)[0]
+        vals_m = phi_grid(model, "minus", k, p, xs)[0]
         out = (vals_p + sgn * eta * vals_m) / np.sqrt(2.0 * model.hbar * np.real(combo))
     else:
         raise BranchMismatchError(f"unknown branch {branch!r}")
     if np.isscalar(x) or np.asarray(x).shape == ():
         return complex(out[0])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# grid evaluation (momentum column x position row), used by packet evolution
-# ---------------------------------------------------------------------------
-
-def phi_grid(model: StepModel, branch: str, k, q, xs, conj: bool = False):
-    """Eigenstate matrix phi[k_i, x_j]; same dispatch rules as :func:`phi`."""
-    k = np.asarray(k, dtype=complex).reshape(-1, 1)
-    q = np.asarray(q, dtype=complex).reshape(-1, 1)
-    xs = np.asarray(xs, dtype=float).reshape(1, -1)
-    out = np.empty((k.shape[0], xs.shape[1]), dtype=complex)
-    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
-        qq = k if (model.V0 == 0.0 and branch != "c") else q
-        i = -1j if conj else 1j
-        h = model.hbar
-        left = xs <= 0
-        if branch == "c":
-            lft = ((k - i * qq) / (2 * k) * np.exp(-i * k * xs / h)
-                   + (k + i * qq) / (2 * k) * np.exp(i * k * xs / h))
-            rgt = np.exp(-qq * xs / h) + 0.0 * k
-        else:
-            sign = 1.0 if branch == "plus" else -1.0
-            lft = ((k - sign * qq) / (2 * k) * np.exp(-i * k * xs / h)
-                   + (k + sign * qq) / (2 * k) * np.exp(i * k * xs / h))
-            rgt = np.exp(sign * i * qq * xs / h) + 0.0 * k
-        return np.where(left, lft, rgt)
-    ax = model.alpha * xs.ravel()
-    cols_l = ax < -X_ASYM
-    cols_r = ax > X_ASYM
-    cols_m = ~(cols_l | cols_r)
-    if np.any(cols_l):
-        out[:, cols_l] = _phi_ws_asym_left(model, branch, k, q,
-                                           xs[:, cols_l], conj)
-    if np.any(cols_r):
-        out[:, cols_r] = _phi_ws_asym_right(model, branch, k, q,
-                                            xs[:, cols_r], conj)
-    if np.any(cols_m):
-        i = -1j if conj else 1j
-        ah = model.alpha * model.hbar
-        h = model.hbar
-        if branch == "c":
-            nu = (i * k + q) / (2.0 * ah)
-            cpar = 1.0 + q / ah
-            fac = (i * k - q) / (2.0 * h)
-        elif branch == "plus":
-            nu = i * (k - q) / (2.0 * ah)
-            cpar = 1.0 - i * q / ah
-            fac = i * (k + q) / (2.0 * h)
-        else:
-            nu = i * (k + q) / (2.0 * ah)
-            cpar = 1.0 + i * q / ah
-            fac = i * (k - q) / (2.0 * h)
-        xm = xs[:, cols_m]
-        y = 2.0 * model.alpha * xm
-        ey = np.exp(-np.abs(y))
-        small_side = ey / (1.0 + ey)
-        big_side = 1.0 / (1.0 + ey)
-        z = np.where(y >= 0, small_side, big_side)
-        zc = np.where(y >= 0, big_side, small_side)
-        logsech = (-np.abs(model.alpha * xm) + math.log(2.0)
-                   - np.log1p(np.exp(-2.0 * np.abs(model.alpha * xm))))
-        pref = np.exp(-nu * math.log(2.0) + fac * xm + nu * logsech)
-        vals = np.empty((k.shape[0], xm.shape[1]), dtype=complex)
-        left = (z.ravel() > 0.5)
-        if np.any(left):
-            vals[:, left] = hyp2f1_cols_rows(1.0 + nu, nu, cpar,
-                                             z[:, left], zc[:, left])
-        if np.any(~left):
-            vals[:, ~left] = hyp2f1_cols_rows(1.0 + nu, nu, cpar,
-                                              z[:, ~left], zc[:, ~left])
-        out[:, cols_m] = pref * vals
     return out

@@ -38,6 +38,10 @@ class QuadratureError(StepPropError):
     """Adaptive quadrature could not meet the tolerance within its budget."""
 
 
+class NonFiniteError(StepPropError):
+    """A spectral weight or a propagated amplitude came out inf or nan."""
+
+
 class BranchDegenerateError(StepPropError):
     """Classical implicit solution evaluated at a degenerate energy (E = 0 or V0)."""
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .eigenstates import (ncc_analytic, norm_combos, npm_analytic,
                           npp_analytic, phi, phi_grid)
-from .errors import ValidationError
+from .errors import NonFiniteError, ValidationError
 from .potential import StepModel
 from .quadrature import integrate_adaptive
 
@@ -70,34 +70,46 @@ class PropagatorSample:
     n_evals: int
 
 
+def _kernel_pairs(model, k, q, above):
+    """The spectral kernel as a bilinear form in the eigenstates.
+
+    Returns (branches, [(b1, b0, coef)]) with w = sum coef phi_b1(x1)
+    phi_b0(x0)^*, the conjugates taken as their analytic i -> -i forms.  Below the step the
+    only pair is (c, c) with coef 1/(hbar N^cc).  Above it the +-
+    orthonormal combinations are expanded so that no absolute value appears:
+
+        (+,+), (-,-): N^{++}/D,   (+,-): -Nbar^{+-}/D,   (-,+): -N^{+-}/D,
+
+    with D = hbar (N^{++} + |N^{+-}|)(N^{++} - |N^{+-}|) in the stable
+    factorized combinations.
+    """
+    h = model.hbar
+    if not above:
+        return ("c",), [("c", "c", 1.0 / (h * ncc_analytic(model, k, q)))]
+    combo_p, combo_m = norm_combos(model, k, q)
+    denom = h * combo_p * combo_m
+    npp = npp_analytic(model, k, q) / denom
+    return ("plus", "minus"), [
+        ("plus", "plus", npp), ("minus", "minus", npp),
+        ("plus", "minus", -npm_analytic(model, k, q, conj=True) / denom),
+        ("minus", "plus", -npm_analytic(model, k, q) / denom)]
+
+
+def _spectral_weight(model, k, q, x0, x1, above):
+    branches, pairs = _kernel_pairs(model, k, q, above)
+    out = {b: phi(model, b, k, q, x1) for b in branches}
+    bar = {b: phi(model, b, k, q, x0, conj=True) for b in branches}
+    return sum(coef * out[b1] * bar[b0] for b1, b0, coef in pairs)
+
+
 def spectral_weight_below(model, k, mu, x0, x1):
     """Below-threshold kernel w_c, analytic in (k, mu)."""
-    num = (phi(model, "c", k, mu, x1)
-           * phi(model, "c", k, mu, x0, conj=True))
-    return num / (model.hbar * ncc_analytic(model, k, mu))
+    return _spectral_weight(model, k, mu, x0, x1, above=False)
 
 
 def spectral_weight_above(model, k, p, x0, x1):
-    """Above-threshold kernel w_pm, analytic in (k, p).
-
-    The +- orthonormal combinations are expanded so that only analytic
-    closed forms appear (no absolute values):
-
-        w_pm = (A N^{++} - Nbar^{+-} P - N^{+-} Q) / ((N^{++})^2 - N^{+-}Nbar^{+-})
-
-    with A, P, Q the eigenstate products and the denominator factorized into
-    the stable combinations N^{++} +/- |N^{+-}|.
-    """
-    pp1 = phi(model, "plus", k, p, x1)
-    pp0b = phi(model, "plus", k, p, x0, conj=True)
-    pm1 = phi(model, "minus", k, p, x1)
-    pm0b = phi(model, "minus", k, p, x0, conj=True)
-    a_term = pp1 * pp0b + pm1 * pm0b
-    b_term = (npm_analytic(model, k, p, conj=True) * pp1 * pm0b
-              + npm_analytic(model, k, p) * pm1 * pp0b)
-    combo_p, combo_m = norm_combos(model, k, p)
-    return ((a_term * npp_analytic(model, k, p) - b_term)
-            / (model.hbar * combo_p * combo_m))
+    """Above-threshold kernel w_pm, analytic in (k, p)."""
+    return _spectral_weight(model, k, p, x0, x1, above=True)
 
 
 def free_propagator(model: StepModel, x0: float, x1: float, T: float) -> complex:
@@ -310,80 +322,44 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
     the packet is expanded once in the orthonormal basis (overlaps on the
     x_grid via Simpson weights) and resummed at the output points.  x_grid
     must be uniform and resolve the packet; k_max bounds the packet's
-    momentum support.
+    momentum support.  A non-finite result raises NonFiniteError.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     psi0 = np.asarray(psi0, dtype=complex)
+    psi_w = _simpson_weights(x_grid.size, x_grid[1] - x_grid[0]) * psi0
     x_out = np.asarray(x_out, dtype=float)
-    dx = x_grid[1] - x_grid[0]
-    wx = _simpson_weights(x_grid.size, dx)
     m, h = model.m, model.hbar
     kc = model.k_threshold
-    psi_T = np.zeros(x_out.size, dtype=complex)
-
-    def accumulate(branches, ks, qs, wk):
-        nonlocal psi_T
-        phase = np.exp(-1j * ks * ks * T / (2 * m * h))
-        for branch in branches:
-            bar = phi_grid(model, branch, ks, qs, x_grid, conj=True)
-            coef = bar @ (wx * psi0)
-            outm = phi_grid(model, branch, ks, qs, x_out)
-            psi_T = psi_T + ((wk * phase * coef)[None, :] @ outm).ravel()
-
-    chunk = 256
-
+    # legs (above, k, q, dk weight); each drops its first node, where the
+    # weight vanishes (k = 0 below, Jacobian q/k = 0 above) and the
+    # normalizations are singular
+    legs = []
     if kc > 0.0:
         us = np.linspace(0.0, math.pi / 2, n_below)
         wu = _simpson_weights(n_below, us[1] - us[0])
-        # drop the k = 0 endpoint node: its weight vanishes quadratically
-        # and the eigenstate normalization is singular there
         us, wu = us[1:], wu[1:]
-        ks_all = kc * np.sin(us)
-        mus_all = kc * np.cos(us)
-        ncc = np.real(ncc_analytic(model, ks_all + 0j, mus_all + 0j))
-        wk_all = wu * kc * np.cos(us) / (h * ncc)
-        phase_all = np.exp(-1j * ks_all ** 2 * T / (2 * m * h))
-        for lo in range(0, ks_all.size, chunk):
-            sl = slice(lo, min(lo + chunk, ks_all.size))
-            ks, mus = ks_all[sl], mus_all[sl]
-            bar = phi_grid(model, "c", ks, mus, x_grid, conj=True)
-            coef = bar @ (wx * psi0)
-            outm = phi_grid(model, "c", ks, mus, x_out)
-            psi_T += ((wk_all[sl] * phase_all[sl] * coef)[None, :] @ outm).ravel()
+        legs.append((False, kc * np.sin(us), kc * np.cos(us),
+                     wu * kc * np.cos(us)))
+    qs = np.linspace(0.0, math.sqrt(max(k_max * k_max - kc * kc, 1.0)), n_above)
+    wq = _simpson_weights(n_above, qs[1] - qs[0])
+    qs, wq = qs[1:], wq[1:]
+    ks = np.sqrt(kc * kc + qs ** 2)
+    legs.append((True, ks, qs, wq * qs / ks))
 
-    qs_all = np.linspace(0.0, math.sqrt(max(k_max * k_max - kc * kc, 1.0)),
-                         n_above)
-    wq_all = _simpson_weights(n_above, qs_all[1] - qs_all[0])
-    if kc == 0.0:
-        # free case: drop the k = 0 node (plane-wave label k > 0)
-        qs_all, wq_all = qs_all[1:], wq_all[1:]
-    ks_all = np.sqrt(kc * kc + qs_all ** 2)
-    phase_all = np.exp(-1j * ks_all ** 2 * T / (2 * m * h))
-    jac_all = np.where(ks_all > 0, qs_all / ks_all, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        npp = npp_analytic(model, ks_all + 0j, qs_all + 0j)
-        npm = npm_analytic(model, ks_all + 0j, qs_all + 0j)
-        npm_b = npm_analytic(model, ks_all + 0j, qs_all + 0j, conj=True)
-        combo_p, combo_m = norm_combos(model, ks_all + 0j, qs_all + 0j)
-        denom = h * combo_p * combo_m
-        w_pp_all = npp / denom
-        w_pm_all = npm / denom
-        w_pm_b_all = npm_b / denom
-    for arr in (w_pp_all, w_pm_all, w_pm_b_all):
-        arr[~np.isfinite(arr)] = 0.0
-    row_all = wq_all * phase_all * jac_all
-    for lo in range(0, n_above, chunk):
-        sl = slice(lo, min(lo + chunk, n_above))
-        ks, qs = ks_all[sl], qs_all[sl]
-        pp_bar = phi_grid(model, "plus", ks, qs, x_grid, conj=True)
-        pm_bar = phi_grid(model, "minus", ks, qs, x_grid, conj=True)
-        pp_out = phi_grid(model, "plus", ks, qs, x_out)
-        pm_out = phi_grid(model, "minus", ks, qs, x_out)
-        cp_bar = pp_bar @ (wx * psi0)
-        cm_bar = pm_bar @ (wx * psi0)
-        row = row_all[sl]
-        psi_T += ((row * w_pp_all[sl] * cp_bar)[None, :] @ pp_out).ravel()
-        psi_T += ((row * w_pp_all[sl] * cm_bar)[None, :] @ pm_out).ravel()
-        psi_T -= ((row * w_pm_b_all[sl] * cm_bar)[None, :] @ pp_out).ravel()
-        psi_T -= ((row * w_pm_all[sl] * cp_bar)[None, :] @ pm_out).ravel()
+    psi_T = np.zeros(x_out.size, dtype=complex)
+    chunk = 256
+    for above, ks_all, qs_all, wk_all in legs:
+        rows = wk_all * np.exp(-1j * ks_all ** 2 * T / (2 * m * h))
+        for lo in range(0, ks_all.size, chunk):
+            sl = slice(lo, lo + chunk)
+            ks, qs = ks_all[sl] + 0j, qs_all[sl] + 0j
+            branches, pairs = _kernel_pairs(model, ks, qs, above)
+            overlap = {b: phi_grid(model, b, ks, qs, x_grid, conj=True) @ psi_w
+                       for b in branches}
+            outm = {b: phi_grid(model, b, ks, qs, x_out) for b in branches}
+            for b1, b0, coef in pairs:
+                psi_T += (rows[sl] * coef * overlap[b0]) @ outm[b1]
+    # a non-finite weight, overlap or eigenstate value propagates to here
+    if not np.all(np.isfinite(psi_T)):
+        raise NonFiniteError("non-finite amplitude in packet evolution")
     return psi_T

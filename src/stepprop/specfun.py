@@ -173,22 +173,21 @@ def hyp2f1_with_complement(a, b, c, z, zc):
     if np.any(hi):
         ah, bh, ch, zch = a[hi], b[hi], c[hi], zc[hi]
         w = ch - ah - bh
-        wdist = np.abs(w - np.round(w.real))
-        degen = (np.abs(w.imag) < DEGENERATE_EPS) & (wdist < DEGENERATE_EPS)
+        m_int = np.round(w.real)
+        degen = ((np.abs(w.imag) < DEGENERATE_EPS)
+                 & (np.abs(w - m_int) < DEGENERATE_EPS))
+        reg, log = ~degen, degen & (m_int == 0)
+        # nudge integer m != 0 off the integer; only m = 0 arises from the
+        # eigenstate parameter family (c-a-b = -ik/(alpha*hbar))
+        nudge = degen & (m_int != 0)
         res = np.empty(ah.shape, dtype=complex)
-        reg = ~degen
         if np.any(reg):
             res[reg] = _transformed(ah[reg], bh[reg], ch[reg], zch[reg])
-        if np.any(degen):
-            m_int = np.round(w[degen].real)
-            if np.any(m_int != 0):
-                # nudge off the integer; only the m = 0 case arises from the
-                # eigenstate parameter family (c-a-b = -ik/(alpha*hbar))
-                shift = np.where(m_int == 0, 0.0, DEGENERATE_EPS)
-                res[degen] = _transformed(ah[degen] - shift, bh[degen],
-                                          ch[degen], zch[degen])
-            else:
-                res[degen] = _log_form(ah[degen], bh[degen], zch[degen])
+        if np.any(log):
+            res[log] = _log_form(ah[log], bh[log], zch[log])
+        if np.any(nudge):
+            res[nudge] = _transformed(ah[nudge] - DEGENERATE_EPS, bh[nudge],
+                                      ch[nudge], zch[nudge])
         out[hi] = res
     if out.shape == ():
         return complex(out)

@@ -211,12 +211,31 @@ def test_windowed_orthogonality_growth(heaviside_unit):
     assert cross_200 < same_200 / math.sqrt(200.0)     # grows slower than sqrt(L)
 
 
-def test_phi_grid_matches_scalar(ws_unit):
-    ks = np.array([1.3 * KC, 1.9 * KC])
-    ps = np.sqrt(ks ** 2 - 2.0)
-    xs = np.array([-35.0, -2.0, 0.5, 35.0])
-    grid = eig.phi_grid(ws_unit, "plus", ks, ps, xs)
-    for i, k in enumerate(ks):
-        for j, x in enumerate(xs):
-            ref = eig.phi(ws_unit, "plus", complex(k), complex(ps[i]), float(x))
-            assert grid[i, j] == pytest.approx(complex(ref), rel=1e-12)
+# positions in all three Woods-Saxon regions (|alpha x| > X_ASYM on both
+# sides, z on both sides of 1/2) and on both sides of the sharp step
+PHI_XS = np.array([-45.0, -30.5, -12.0, -0.4, 0.0, 0.3, 7.0, 30.5, 40.0])
+
+
+@pytest.mark.parametrize("conj", [False, True])
+@pytest.mark.parametrize("branch", ["c", "plus", "minus"])
+@pytest.mark.parametrize("family, V0", [(Family.WOODS_SAXON, 1.0),
+                                        (Family.HEAVISIDE, 1.0),
+                                        (Family.WOODS_SAXON, 0.0)],
+                         ids=["ws", "heaviside", "free"])
+def test_phi_grid_matches_scalar(family, V0, branch, conj):
+    md = StepModel(family, 1, V0, 1, 1)
+    kc = md.k_threshold
+    if branch == "c":
+        # a real node of the below-threshold leg and two nodes on the energy
+        # propagator's detour arc below a pole at k = 0.5 kc
+        k = np.array([0.6 + 0j, 0.5 + 0.2 * np.exp(1.2j * math.pi),
+                      0.5 + 0.2 * np.exp(1.8j * math.pi)]) * max(kc, 1.0)
+        q = np.sqrt(kc * kc - k * k)
+    else:
+        # nodes of the deformed above-threshold contour p = t e^{-i theta}
+        q = np.exp(-0.1j) * np.array([0.05, 0.7, 3.0])
+        k = np.sqrt(kc * kc + q * q)
+    grid = eig.phi_grid(md, branch, k, q, PHI_XS, conj)
+    for j, x in enumerate(PHI_XS):
+        ref = eig.phi(md, branch, k, q, float(x), conj)
+        assert grid[:, j] == pytest.approx(ref, rel=1e-12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stepprop.errors import NonFiniteError
 from stepprop.oracle import gaussian_packet
 from stepprop.potential import Family, StepModel
 from stepprop.propagator import (QuadratureConfig, energy_propagator,
@@ -112,3 +113,12 @@ def test_evolve_packet_norm_conservation(ws_unit):
     psi_t = evolve_packet_spectral(ws_unit, xs, psi0, out, T=2.0, k_max=6.0)
     norm = math.sqrt(float(np.trapezoid(np.abs(psi_t) ** 2, out)))
     assert norm == pytest.approx(1.0, abs=1e-4)
+
+
+def test_evolve_packet_non_finite_raises(ws_unit):
+    xs = np.linspace(-8.0, 8.0, 161)
+    psi0 = gaussian_packet(xs, center=-2.0, sigma=1.0, k_mean=1.2)
+    psi0[80] = np.nan
+    with pytest.raises(NonFiniteError):
+        evolve_packet_spectral(ws_unit, xs, psi0, xs[::8], T=1.0,
+                               n_below=33, n_above=65)

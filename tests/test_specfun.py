@@ -95,6 +95,17 @@ def test_hyp2f1_degenerate_logarithmic_case():
     assert abs(v_degen - v_near) < 2e-6 * abs(v_degen)
 
 
+def test_hyp2f1_mixed_degenerate_batch():
+    # c = a+b (logarithmic form) and c = a+b+1 (integer m != 0) in one batch
+    # must each get their own branch
+    mpmath = pytest.importorskip("mpmath")
+    a, b = 0.3 + 0.2j, 0.5 - 0.1j
+    vals = hyp2f1([a, a], [b, b], [a + b, a + b + 1], 0.8)
+    for v, c in zip(vals, (a + b, a + b + 1)):
+        ref = complex(mpmath.hyp2f1(a, b, c, 0.8))
+        assert abs(v - ref) < 1e-7 * abs(ref)
+
+
 def test_hyp2f1_domain_errors():
     with pytest.raises(ValueError):
         hyp2f1(1.0, 1.0, 2.0, 1.5)
