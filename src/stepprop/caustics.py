@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 from .classical import (BoundarySpec, SaddleKind, _bounce_minimum,
                         caustic_saddle_curve, caustic_triangle_vertices,
                         heaviside_three_path_region, solve_real_paths)
-from .errors import InsideCausticError, UnsupportedFamilyError
+from .errors import InsideCausticError, StepPropError, UnsupportedFamilyError
 from .potential import Family, StepModel, potential_derivatives
 
 __all__ = ["integrate_ivp", "caustic_curve", "cusp_points", "stokes_lines",
@@ -169,7 +169,7 @@ def stokes_lines(model: StepModel, T: float, x0_values, x1_limit: float = None):
         xs = np.linspace(limit, limit * 0.2, 60)
         try:
             saddles = caustic_saddle_curve(model, float(x0), T, xs)
-        except Exception:
+        except StepPropError:
             continue
         prev = None
         for key in sorted(saddles, reverse=True):
@@ -202,11 +202,8 @@ def relevance_flag(model: StepModel, bvp: BoundarySpec) -> bool:
         s_dir = m * (bvp.x1 - bvp.x0) ** 2 / (2 * T)
         return s_refl >= s_dir
     if bvp.x0 < 0 and bvp.x1 < 0:
-        try:
-            from .classical import find_caustic_saddle
-            sad = find_caustic_saddle(model, bvp)
-        except Exception:
-            return False
+        from .classical import find_caustic_saddle
+        sad = find_caustic_saddle(model, bvp)
         direct = [s for s in solve_real_paths(model, bvp)
                   if s.kind is SaddleKind.DIRECT]
         if not direct:

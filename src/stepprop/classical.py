@@ -25,7 +25,12 @@ Van Vleck factors come from implicit differentiation of the time relation:
 
     d2S/dx0 dx1 = 1 / (v0 v1 dT/dE),
 
-with signed endpoint velocities (verified against finite differences of S).
+with signed endpoint velocities and the closed-form energy derivative
+
+    dt/dE = sqrt(m/2)/alpha [ (1/y0 - A0)/(2 r0^3) - (1/y1 - A1)/(2 r1^3) ],
+
+where y0, y1 are the signed roots in A0 = arctanh(y0), A1 = arctanh(y1) on
+the tracked sheet, r0 = sqrt(E - V0), r1 = sqrt(E); the i*pi winding drops out.
 """
 from __future__ import annotations
 
@@ -114,14 +119,17 @@ def _pv(s: int, y: complex, log_u: complex) -> complex:
 
 
 class _ArcTerm:
-    """One arctanh(sqrt(w)) term continued on its (sign, winding) lattice."""
+    """One arctanh(y) term, y = s sqrt(w), continued on its (sign, winding)
+    lattice; keeps the signed root y for the energy derivative."""
 
-    __slots__ = ("s", "n", "val")
+    __slots__ = ("s", "n", "y", "val")
 
     def __init__(self, w, log_u, init_sign):
         self.s = init_sign
         self.n = 0
-        self.val = _pv(self.s, cmath.sqrt(_canon(w)), log_u)
+        y = cmath.sqrt(_canon(w))
+        self.y = init_sign * y
+        self.val = _pv(init_sign, y, log_u)
 
     def step(self, w, log_u):
         y = cmath.sqrt(_canon(w))
@@ -134,11 +142,12 @@ class _ArcTerm:
                 if best is None or d < best[0]:
                     best = (d, s, self.n + dn, cand)
         _, self.s, self.n, self.val = best
+        self.y = self.s * y
         return self.val
 
     def clone(self):
         c = _ArcTerm.__new__(_ArcTerm)
-        c.s, c.n, c.val = self.s, self.n, self.val
+        c.s, c.n, c.y, c.val = self.s, self.n, self.y, self.val
         return c
 
 
@@ -186,6 +195,17 @@ def _t_s(model: StepModel, E: complex, state: EndpointState):
     c_t = math.sqrt(model.m / 2.0) / model.alpha
     c_s = math.sqrt(2.0 * model.m) / model.alpha
     return c_t * (a0 / r0 - a1 / r1), c_s * (r0 * a0 - r1 * a1)
+
+
+def _dt_dE(model: StepModel, E: complex, state: EndpointState):
+    """dt/dE on the sheet that state, already stepped to E, carries; from
+    dA0/dE = 1/(2 y0 (E - V0)), dA1/dE = 1/(2 y1 E), singular where y = 0."""
+    a0, a1 = state.a0, state.a1
+    r0 = cmath.sqrt(_canon(E - model.V0))
+    r1 = cmath.sqrt(_canon(E))
+    c_t = math.sqrt(model.m / 2.0) / model.alpha
+    return c_t * ((1.0 / a0.y - a0.val) / (2.0 * r0 ** 3)
+                  - (1.0 / a1.y - a1.val) / (2.0 * r1 ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +272,20 @@ def _speed(model, E, x):
     return cmath.sqrt(2.0 * (E - complex(potential_value(model, x))) / model.m)
 
 
-def _vv_from_relation(time_fn, model, E, x0, x1, v0, v1, h=1e-7):
-    """vv = 1/(v0 v1 dT/dE) with a real central-difference derivative."""
-    scale = max(abs(E), 1e-3)
-    dT = (time_fn(model, E + h * scale, x0, x1)
-          - time_fn(model, E - h * scale, x0, x1)) / (2 * h * scale)
-    dT = complex(dT).real
+def _real_vv(model, kind, E, x0, x1):
+    """vv = 1/(v0 v1 dT/dE) of the real direct or bounce path at energy E."""
+    s0, s1 = EndpointState(model, x0, E), EndpointState(model, x1, E)
+    v0, v1 = abs(_speed(model, E, x0)), abs(_speed(model, E, x1))
+    if kind is SaddleKind.DIRECT:
+        # T = |Re(t1 - t0)|, travelled in the direction of x1 - x0
+        t_sign = math.copysign(1.0, (_t_s(model, E, s1)[0]
+                                     - _t_s(model, E, s0)[0]).real)
+        dT = t_sign * (_dt_dE(model, E, s1) - _dt_dE(model, E, s0)).real
+        sgn = 1.0 if x1 >= x0 else -1.0
+        v0, v1 = sgn * v0, sgn * v1
+    else:
+        # T = -(t0 + t1); the bounce leaves x0 forward and returns to x1
+        dT, v1 = _dtb_state(model, E, s0, s1).real, -v1
     if abs(dT) < 1e-12:
         raise CausticDivergenceError("dT/dE vanishes: configuration on a caustic")
     return 1.0 / (v0 * v1 * dT)
@@ -451,12 +479,9 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
     E_dir = _solve_direct_ws(model, bvp)
     if E_dir is not None:
         S = float(_s_direct(model, E_dir, x0, x1, T).real)
-        sgn = 1.0 if x1 >= x0 else -1.0
-        v0 = sgn * abs(_speed(model, E_dir, x0))
-        v1 = sgn * abs(_speed(model, E_dir, x1))
-        vv = _vv_from_relation(_t_direct, model, E_dir, x0, x1, v0, v1)
-        out.append(_real_saddle(model, SaddleKind.DIRECT, E_dir, S,
-                                complex(vv).real, maslov=0))
+        vv = _real_vv(model, SaddleKind.DIRECT, E_dir, x0, x1)
+        out.append(_real_saddle(model, SaddleKind.DIRECT, E_dir, S, vv,
+                                maslov=0))
     roots = _solve_bounces_ws(model, bvp)
     if roots:
         if len(roots) >= 2:
@@ -470,11 +495,8 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
             picked = [(roots[0], kind, nu)]
         for E, kind, nu in picked:
             S = float(_s_bounce(model, E, x0, x1, T).real)
-            v0 = abs(_speed(model, E, x0))
-            v1 = -abs(_speed(model, E, x1))
-            tb = lambda mdl, e, a, b: float(_t_bounce(mdl, e, a, b).real)
-            vv = _vv_from_relation(tb, model, E, x0, x1, v0, v1)
-            out.append(_real_saddle(model, kind, E, S, complex(vv).real, nu))
+            vv = _real_vv(model, kind, E, x0, x1)
+            out.append(_real_saddle(model, kind, E, S, vv, nu))
     if not out:
         raise RootBracketError("no real classical path found", table=None)
     return out
@@ -485,17 +507,7 @@ def van_vleck(model: StepModel, saddle: ClassicalSaddle, bvp: BoundarySpec):
     if model.family is Family.HEAVISIDE or saddle.kind in (
             SaddleKind.CAUSTIC, SaddleKind.TOPOLOGICAL):
         return saddle.vv
-    E = saddle.E.real
-    x0, x1 = bvp.x0, bvp.x1
-    if saddle.kind is SaddleKind.DIRECT:
-        sgn = 1.0 if x1 >= x0 else -1.0
-        v0 = sgn * abs(_speed(model, E, x0))
-        v1 = sgn * abs(_speed(model, E, x1))
-        return _vv_from_relation(_t_direct, model, E, x0, x1, v0, v1)
-    v0 = abs(_speed(model, E, x0))
-    v1 = -abs(_speed(model, E, x1))
-    tb = lambda mdl, e, a, b: float(_t_bounce(mdl, e, a, b).real)
-    return _vv_from_relation(tb, model, E, x0, x1, v0, v1)
+    return _real_vv(model, saddle.kind, saddle.E.real, bvp.x0, bvp.x1)
 
 
 # ---------------------------------------------------------------------------
@@ -538,28 +550,30 @@ def _tb_state(model, E, s0, s1):
     return -(t0 + t1)
 
 
+def _dtb_state(model, E, s0, s1):
+    """dT/dE of the bounce relation on the sheets s0, s1 carry at E."""
+    return -(_dt_dE(model, E, s0) + _dt_dE(model, E, s1))
+
+
 def _newton_tracked(model, E, s0, s1, T, tol=1e-13, itmax=80):
     """Damped complex Newton on the branch-carried bounce relation."""
+    c0, c1 = s0.clone(), s1.clone()
+    F0 = _tb_state(model, E, c0, c1) - T
     for _ in range(itmax):
-        F0 = _tb_state(model, E, s0.clone(), s1.clone()) - T
         if abs(F0) < tol * max(T, 1.0):
-            _tb_state(model, E, s0, s1)  # commit branch state at the root
+            # commit branch state at the root
+            s0.a0, s0.a1, s1.a0, s1.a1 = c0.a0, c0.a1, c1.a0, c1.a1
             return E
-        h = 1e-7 * max(1.0, abs(E))
-        probes = [_tb_state(model, E + h * ph, s0.clone(), s1.clone()) - T
-                  for ph in (1, 1j, -1, -1j)]
-        dF = ((probes[0] - probes[2]) / (2 * h)
-              + (probes[1] - probes[3]) / (2j * h)) * 0.5
+        dF = _dtb_state(model, E, c0, c1)
         if dF == 0:
             raise NewtonError("vanishing derivative in complex Newton")
         step = -F0 / dF
         lam = 1.0
         for _ in range(50):
-            trial0, trial1 = s0.clone(), s1.clone()
-            if abs(_tb_state(model, E + lam * step, trial0, trial1) - T) < abs(F0):
-                E = E + lam * step
-                s0.a0, s0.a1 = trial0.a0, trial0.a1
-                s1.a0, s1.a1 = trial1.a0, trial1.a1
+            t0, t1 = c0.clone(), c1.clone()
+            F = _tb_state(model, E + lam * step, t0, t1) - T
+            if abs(F) < abs(F0):
+                E, F0, c0, c1 = E + lam * step, F, t0, t1
                 break
             lam *= 0.5
         else:
@@ -567,15 +581,12 @@ def _newton_tracked(model, E, s0, s1, T, tol=1e-13, itmax=80):
     raise NewtonError("complex Newton did not converge")
 
 
-def _saddle_from_state(model, E, s0, s1, T, branch_sign=-1.0):
-    _, sa0 = _t_s(model, E, s0.clone())
-    _, sa1 = _t_s(model, E, s1.clone())
+def _saddle_from_state(model, E, s0, s1, T):
+    """Complex bounce saddle on the sheets that s0, s1 carry at E."""
+    _, sa0 = _t_s(model, E, s0)
+    _, sa1 = _t_s(model, E, s1)
     S = -E * T - (sa0 + sa1)
-    h = 1e-7 * max(1.0, abs(E))
-    probes = [_tb_state(model, E + h * ph, s0.clone(), s1.clone())
-              for ph in (1, 1j, -1, -1j)]
-    dT = ((probes[0] - probes[2]) / (2 * h)
-          + (probes[1] - probes[3]) / (2j * h)) * 0.5
+    dT = _dtb_state(model, E, s0, s1)
     if abs(dT) < 1e-12:
         raise CausticDivergenceError("dT/dE ~ 0 on the fold")
     v0 = _speed(model, E, s0.x)
@@ -584,7 +595,7 @@ def _saddle_from_state(model, E, s0, s1, T, branch_sign=-1.0):
     relevant = S.imag >= 0
     return ClassicalSaddle(kind=SaddleKind.CAUSTIC, E=complex(E), S=complex(S),
                            vv=complex(vv), relevant=bool(relevant),
-                           sqrt_vv=complex(branch_sign * cmath.sqrt(vv)))
+                           sqrt_vv=complex(-cmath.sqrt(vv)))
 
 
 def caustic_saddle(model: StepModel, bvp: BoundarySpec, seed: complex):
@@ -680,11 +691,6 @@ def caustic_saddle_curve(model: StepModel, x0: float, T: float, x1_values,
 # topological saddle
 # ---------------------------------------------------------------------------
 
-def _re_time_above(model, E, x0, x1):
-    """Re of the continued bounce time at real E > V0 (principal sheet)."""
-    return float(_t_bounce(model, complex(E), x0, x1).real)
-
-
 def topological_saddle(model: StepModel, bvp: BoundarySpec) -> ClassicalSaddle:
     """Real-energy reflecting saddle with E > V0.
 
@@ -699,24 +705,18 @@ def topological_saddle(model: StepModel, bvp: BoundarySpec) -> ClassicalSaddle:
     from scipy.optimize import brentq
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
     V0 = model.V0
+    # Re of the continued bounce time on the principal sheet, minus T
+    f = lambda e: float(_t_bounce(model, complex(e), x0, x1).real) - T
     grid = V0 * (1.0 + np.geomspace(1e-10, 50.0, 1200))
-    vals = np.array([_re_time_above(model, E, x0, x1) for E in grid])
-    crossings = np.where(np.diff(np.sign(vals - T)) != 0)[0]
+    vals = np.array([f(E) for E in grid])
+    crossings = np.where(np.diff(np.sign(vals)) != 0)[0]
     if crossings.size == 0:
         raise NoTopologicalSaddleError(
             "Re T(E) never reaches T for E > V0 (minimum-energy condition)")
     i = crossings[0]
-    E = brentq(lambda e: _re_time_above(model, e, x0, x1) - T,
-               grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-    s_cont = complex(_s_bounce(model, complex(E), x0, x1, T))
+    E = brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+    sad = _saddle_from_state(model, E, EndpointState(model, x0, E),
+                             EndpointState(model, x1, E), T)
     im_s = math.pi * math.sqrt(2.0 * model.m * (E - V0)) / (2.0 * model.alpha)
-    S = complex(s_cont.real, im_s)
-    h = 1e-7 * max(1.0, E)
-    dT = (complex(_t_bounce(model, complex(E + h), x0, x1))
-          - complex(_t_bounce(model, complex(E - h), x0, x1))) / (2 * h)
-    v0 = _speed(model, complex(E), x0)
-    v1 = -_speed(model, complex(E), x1)
-    vv = 1.0 / (v0 * v1 * dT)
-    return ClassicalSaddle(kind=SaddleKind.TOPOLOGICAL, E=complex(E), S=S,
-                           vv=complex(vv), relevant=True,
-                           sqrt_vv=complex(-cmath.sqrt(complex(vv))))
+    return replace(sad, kind=SaddleKind.TOPOLOGICAL,
+                   S=complex(sad.S.real, im_s), relevant=True)

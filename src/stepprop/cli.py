@@ -534,16 +534,9 @@ def _heaviside_path_samples(model, saddle, x0, x1, T, n=200):
 def _complex_shoot(model, x0, x1, T, itmax=40):
     """Complex-v0 Newton shot for the bounce continuation (diagnostic)."""
     from scipy.integrate import solve_ivp
+    rhs = _caustics._rhs(model)
 
     def final(v0):
-        def rhs(t, y):
-            x, v, J, Jp = y[0], y[1], y[2], y[3]
-            # analytic continuation of the smooth step at complex positions
-            V = model.V0 * 0.5 * (1.0 + np.tanh(model.alpha * x))
-            vp = 2 * model.alpha * V * (1 - V / model.V0) if model.V0 else 0.0
-            vpp = 2 * model.alpha * vp * (1 - 2 * V / model.V0) if model.V0 else 0.0
-            return [v, -vp / model.m, Jp, -vpp * J / model.m]
-
         sol = solve_ivp(rhs, (0, T), [complex(x0), complex(v0), 0j, 1 + 0j],
                         rtol=1e-9, atol=1e-11)
         return sol.y[0, -1], sol.y[2, -1]

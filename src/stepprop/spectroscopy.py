@@ -142,14 +142,22 @@ def detect_peaks(grid, values, prominence_factor: float = 0.04,
     return out
 
 
+#: output points per block of the transform kernel, which holds
+#: _TRANSFORM_BLOCK x len(omegas) complex values at a time
+_TRANSFORM_BLOCK = 1024
+
+
 def _transform(kind, omegas, g_values, out_grid):
     row = _kernel_row(omegas, g_values)
-    out_grid = np.asarray(out_grid, dtype=float)
-    if kind == "fourier":
-        kernel = np.exp(1j * np.outer(out_grid, omegas))
-    else:
-        kernel = np.exp(-np.outer(out_grid, omegas))
-    return np.trapezoid(kernel * row[None, :], omegas, axis=1)
+    out_grid = np.asarray(out_grid, dtype=float).ravel()
+    sign = 1j if kind == "fourier" else -1.0
+    out = np.empty(out_grid.size, dtype=complex)
+    for i in range(0, out_grid.size, _TRANSFORM_BLOCK):
+        block = out_grid[i:i + _TRANSFORM_BLOCK]
+        kernel = np.exp(sign * np.outer(block, omegas))
+        out[i:i + block.size] = np.trapezoid(kernel * row[None, :], omegas,
+                                             axis=1)
+    return out
 
 
 def fourier_spectrum(model: StepModel, bvp: BoundarySpec, window: OmegaWindow,

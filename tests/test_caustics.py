@@ -5,7 +5,7 @@ import pytest
 
 from stepprop import caustics as ca
 from stepprop import classical as cl
-from stepprop.errors import InsideCausticError
+from stepprop.errors import InsideCausticError, NewtonError
 from stepprop.potential import Family, StepModel, potential_value
 
 
@@ -99,6 +99,26 @@ def test_relevance_flag_regions(heaviside_unit):
 
 def test_relevance_flag_smooth_reflecting_side(ws_steep):
     assert ca.relevance_flag(ws_steep, cl.BoundarySpec(-5.0, -9.25, 10.0))
+
+
+def test_relevance_flag_propagates_solver_failure(ws_steep, monkeypatch):
+    # a failed caustic solve is an error, not a "not relevant" answer
+    def fail(model, bvp):
+        raise NewtonError("complex Newton did not converge")
+
+    monkeypatch.setattr(cl, "find_caustic_saddle", fail)
+    with pytest.raises(NewtonError):
+        ca.relevance_flag(ws_steep, cl.BoundarySpec(-5.0, -9.25, 10.0))
+
+
+def test_stokes_lines_propagates_programming_errors(ws_unit, monkeypatch):
+    # only stepprop's numerical failures skip a row
+    def broken(*args, **kwargs):
+        raise TypeError("broken continuation")
+
+    monkeypatch.setattr(ca, "caustic_saddle_curve", broken)
+    with pytest.raises(TypeError):
+        ca.stokes_lines(ws_unit, 10.0, [-3.0], x1_limit=-9.0)
 
 
 def test_stokes_relevant_wedge_on_smooth_row(ws_unit):

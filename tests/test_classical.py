@@ -199,6 +199,25 @@ def test_van_vleck_finite_difference(ws_unit):
         assert cl.van_vleck(ws_unit, sad, bvp) == pytest.approx(sad.vv, rel=1e-6)
 
 
+def test_direct_van_vleck_far_from_the_step(ws_steep):
+    # the direct path at BVP_REFL stays far left of the alpha = 5 step,
+    # where vv = -m/T holds to rounding
+    (direct,) = [s for s in cl.solve_real_paths(ws_steep, BVP_REFL)
+                 if s.kind is cl.SaddleKind.DIRECT]
+    assert abs(direct.vv.real + ws_steep.m / BVP_REFL.T) <= 1e-12
+
+
+@pytest.mark.parametrize("E", [1.08 + 0.19j, 0.7 + 0.05j, 1.3 + 0.3j])
+def test_bounce_time_derivative_closed_form(ws_steep, E):
+    s0 = cl.EndpointState(ws_steep, BVP_REFL.x0, E)
+    s1 = cl.EndpointState(ws_steep, BVP_REFL.x1, E)
+    cl._tb_state(ws_steep, E, s0, s1)
+    h = 1e-5 * abs(E)
+    fd = (cl._tb_state(ws_steep, E + h, s0.clone(), s1.clone())
+          - cl._tb_state(ws_steep, E - h, s0.clone(), s1.clone())) / (2 * h)
+    assert cl._dtb_state(ws_steep, E, s0, s1) == pytest.approx(fd, rel=1e-7)
+
+
 def test_caustic_merger_energies(ws_unit):
     # approaching the fold along x1, the two bounce energies coalesce
     x0, T = -4.0, 10.0

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from stepprop.cli import main
+from stepprop.cli import _complex_shoot, main
+from stepprop.potential import Family, StepModel
 
 WS = json.dumps({"family": "woods_saxon", "m": 1.0, "V0": 1.0,
                  "alpha": 1.0, "hbar": 1.0})
@@ -100,10 +101,34 @@ def test_spectrum_csv(tmp_path):
     assert len(rows) == 41
 
 
-def test_reproduce_fig1(tmp_path):
-    rc = main(["reproduce", "fig1", "--out-dir", str(tmp_path), "--coarse"])
+# the files each recipe writes, with their headers
+RECIPE_FILES = {
+    "fig1": {"fig1_potentials.csv": ["alpha", "x", "V"]},
+    "fig8": {"fig8a_time_vs_energy.csv": ["x1", "E", "T_direct", "T_bounce"],
+             "fig8b_paths.csv": ["alpha", "kind", "t", "x"]},
+    "fig11": {"fig11_complex_energy_map.csv": ["ReE", "ImE", "ReT", "ImT"]},
+    "fig14": {"fig14_c0_circle.csv": ["theta", "Re_t", "Im_t"]},
+}
+
+
+@pytest.mark.parametrize("recipe", list(RECIPE_FILES))
+def test_reproduce_recipe(tmp_path, recipe):
+    rc = main(["reproduce", recipe, "--out-dir", str(tmp_path), "--coarse"])
     assert rc == 0
-    assert (tmp_path / "fig1_potentials.csv").exists()
+    for name, expected in RECIPE_FILES[recipe].items():
+        config, header, rows = _read_csv(tmp_path / name)
+        assert config["recipe"] == name.split("_")[0]
+        assert header == expected
+        assert rows
+
+
+def test_complex_shoot_root():
+    # complex initial velocity of the continued bounce at (x0, x1, T) =
+    # (-4, -6.75, 10), fig10's far end, on the smooth step's own equations
+    md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
+    root = _complex_shoot(md, -4.0, -6.75, 10.0)
+    assert root == pytest.approx(1.3073022770551364 - 0.33345368411016685j,
+                                 rel=1e-9)
 
 
 def test_reproduce_unknown_recipe(tmp_path, capsys):

@@ -137,3 +137,15 @@ def test_omega_window_validation():
         sp.OmegaWindow(A=-1.0, B=2.0)
     with pytest.raises(Exception):
         sp.OmegaWindow(A=1.0, B=2.0, n_omega=8)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "laplace"])
+def test_transform_blocks_match_dense_kernel(kind):
+    # a grid spanning three kernel blocks gives the dense-kernel result
+    omegas, gv, _ = sp.synthetic_omega_samples(
+        sp.OmegaWindow(A=1.0, B=12.0, n_omega=64), [-3.0 + 0.1j], [1.0])
+    grid = np.linspace(0.0, 4.0, 2 * sp._TRANSFORM_BLOCK + 37)
+    sign = 1j if kind == "fourier" else -1.0
+    dense = np.trapezoid(np.exp(sign * np.outer(grid, omegas))
+                         * sp._kernel_row(omegas, gv)[None, :], omegas, axis=1)
+    np.testing.assert_array_equal(sp._transform(kind, omegas, gv, grid), dense)
