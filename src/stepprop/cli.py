@@ -100,6 +100,13 @@ def _cmd_rates(args):
     return 0
 
 
+#: x1 points per propagate call of the propagate command.  Columns of a
+#: row agree with one-point calls to rounding, not bit for bit, so the row
+#: is cut into blocks that do not depend on --threads, which only decides
+#: which process integrates each block.
+ROW_BLOCK = 16
+
+
 def _propagate_job(job):
     return propagate(*job)
 
@@ -108,15 +115,16 @@ def _cmd_propagate(args):
     model = _parse_model(args.model)
     xs = _parse_range(args.x1_range)
     cfg = QuadratureConfig(theta=args.theta)
-    jobs = [(model, args.x0, float(x1), args.T, cfg) for x1 in xs]
+    jobs = [(model, args.x0, xs[i:i + ROW_BLOCK], args.T, cfg)
+            for i in range(0, xs.size, ROW_BLOCK)]
     if args.threads > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=args.threads) as ex:
-            samples = list(ex.map(_propagate_job, jobs, chunksize=4))
+            blocks = list(ex.map(_propagate_job, jobs))
     else:
-        samples = [_propagate_job(j) for j in jobs]
+        blocks = [_propagate_job(j) for j in jobs]
     rows = [(s.x0, s.x1, s.T, s.G.real, s.G.imag, abs(s.G) ** 2, s.est_error)
-            for s in samples]
+            for block in blocks for s in block.samples]
     _write_rows(args.out, ("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"),
                 rows, {"command": "propagate", "model": model.to_dict(),
                        "x0": args.x0, "x1_range": args.x1_range, "T": args.T,
@@ -182,15 +190,17 @@ def _cmd_wkb(args):
     model = _parse_model(args.model)
     xs = _parse_range(args.x1_range)
     hbar = args.hbar if args.hbar else model.hbar
+    if args.calibrate:
+        from dataclasses import replace as _replace
+        g_exact = propagate(_replace(model, hbar=hbar), args.x0, xs,
+                            args.T).G
     rows = []
-    for x1 in xs:
+    for j, x1 in enumerate(xs):
         bvp = _classical.BoundarySpec(args.x0, float(x1), args.T)
         saddles = _saddle_set(model, bvp, args.saddles)
         if args.calibrate:
-            from dataclasses import replace as _replace
-            g = propagate(_replace(model, hbar=hbar),
-                          args.x0, float(x1), args.T).G
-            saddles = fix_complex_saddle_phase(model, bvp, saddles, g, hbar)
+            saddles = fix_complex_saddle_phase(model, bvp, saddles,
+                                               g_exact[j], hbar)
         G = wkb_propagator(model, bvp, saddles, hbar)
         rows.append((args.x0, x1, args.T, G.real, G.imag, abs(G) ** 2, 0.0))
     _write_rows(args.out, ("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"),
@@ -245,9 +255,8 @@ def _grid_abs2(model, T, lo, hi, n):
     xs = np.linspace(lo, hi, n)
     rows = []
     for x0 in xs:
-        for x1 in xs:
-            s = propagate(model, float(x0), float(x1), T)
-            rows.append((x0, x1, abs(s.G) ** 2))
+        G = propagate(model, float(x0), xs, T).G
+        rows += [(x0, x1, abs(g) ** 2) for x1, g in zip(xs, G)]
     return rows
 
 
@@ -369,9 +378,8 @@ def _recipes(out_dir, coarse):
         sad1 = fix_complex_saddle_phase(md, probe, sad0, gp, hb)
         flip = -1.0 if sad1[-1].sqrt_vv != sad0[-1].sqrt_vv else 1.0
         rows = []
-        for x1 in xs:
+        for x1, g in zip(xs, propagate(mdh, -5.0, xs, 10.0).G):
             bvp = _classical.BoundarySpec(-5.0, float(x1), 10.0)
-            g = propagate(mdh, -5.0, float(x1), 10.0).G
             real_s = _classical.solve_real_paths(md, bvp)
             caus = _classical.find_caustic_saddle(md, bvp)
             caus = caus.with_sqrt_vv(complex(flip * caus.sqrt_vv))

@@ -34,12 +34,13 @@ import numpy as np
 
 from .eigenstates import (ncc_analytic, norm_combos, npm_analytic,
                           npp_analytic, phi, phi_grid)
-from .errors import NonFiniteError, ValidationError
+from .errors import NonFiniteError, QuadratureError, ValidationError
 from .potential import StepModel
 from .quadrature import integrate_adaptive
 
-__all__ = ["QuadratureConfig", "PropagatorSample", "propagate",
-           "energy_propagator", "free_propagator", "evolve_packet_spectral"]
+__all__ = ["QuadratureConfig", "PropagatorSample", "PropagatorRow",
+           "propagate", "energy_propagator", "free_propagator",
+           "evolve_packet_spectral"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,33 @@ class PropagatorSample:
     n_evals: int
 
 
+@dataclass(frozen=True)
+class PropagatorRow:
+    """G(x1_j, x0; T) along a row of x1 from one shared quadrature per leg.
+
+    ``est_errors[j]`` is the error estimate of column j and ``est_error``
+    the row's largest; ``n_evals`` counts the integrand nodes the row shared.
+    """
+
+    x0: float
+    x1: np.ndarray
+    T: float
+    G: np.ndarray
+    est_errors: np.ndarray
+    n_evals: int
+
+    @property
+    def est_error(self) -> float:
+        return float(np.max(self.est_errors, initial=0.0))
+
+    @property
+    def samples(self) -> list:
+        """One PropagatorSample per column, each with the shared n_evals."""
+        return [PropagatorSample(self.x0, float(x1), self.T, complex(g),
+                                 float(e), self.n_evals)
+                for x1, g, e in zip(self.x1, self.G, self.est_errors)]
+
+
 def _kernel_pairs(model, k, q, above):
     """The spectral kernel as a bilinear form in the eigenstates.
 
@@ -96,20 +124,17 @@ def _kernel_pairs(model, k, q, above):
 
 
 def _spectral_weight(model, k, q, x0, x1, above):
+    """Kernel w_c (below the step, q = mu) or w_pm (above, q = p), analytic
+    in (k, q).  Shape k.shape for a float x1, and (k.size, x1.size) for a
+    1-D row of x1, whose eigenstates come from phi_grid."""
     branches, pairs = _kernel_pairs(model, k, q, above)
-    out = {b: phi(model, b, k, q, x1) for b in branches}
     bar = {b: phi(model, b, k, q, x0, conj=True) for b in branches}
-    return sum(coef * out[b1] * bar[b0] for b1, b0, coef in pairs)
-
-
-def spectral_weight_below(model, k, mu, x0, x1):
-    """Below-threshold kernel w_c, analytic in (k, mu)."""
-    return _spectral_weight(model, k, mu, x0, x1, above=False)
-
-
-def spectral_weight_above(model, k, p, x0, x1):
-    """Above-threshold kernel w_pm, analytic in (k, p)."""
-    return _spectral_weight(model, k, p, x0, x1, above=True)
+    if np.ndim(x1) == 0:
+        out = {b: phi(model, b, k, q, x1) for b in branches}
+        return sum(coef * out[b1] * bar[b0] for b1, b0, coef in pairs)
+    out = {b: phi_grid(model, b, k, q, x1) for b in branches}
+    return sum(np.reshape(coef, (-1, 1)) * out[b1] * bar[b0][:, None]
+               for b1, b0, coef in pairs)
 
 
 def free_propagator(model: StepModel, x0: float, x1: float, T: float) -> complex:
@@ -121,71 +146,123 @@ def free_propagator(model: StepModel, x0: float, x1: float, T: float) -> complex
                    * np.exp(1j * m * (x1 - x0) ** 2 / (2 * h * T)))
 
 
-def _below_leg(model, x0, x1, kern, cfg):
-    """Integral over k in [0, kc] via k = kc sin(u)."""
+def _below_leg(model, x0, x1, T, cfg):
+    """Integral over k in [0, kc] via k = kc sin(u); one value per column
+    (a float x1 is one column)."""
     kc = model.k_threshold
+    m, h = model.m, model.hbar
     if kc == 0.0:
-        return 0.0 + 0.0j, 0.0, 0
+        return np.zeros(np.size(x1), dtype=complex), np.zeros(np.size(x1)), 0
 
     def f(us):
         k = kc * np.sin(us)
         mu = kc * np.cos(us)
-        w = spectral_weight_below(model, k + 0j, mu + 0j, x0, x1)
-        return w * kern(k * k + 0j) * kc * np.cos(us)
+        w = _spectral_weight(model, k + 0j, mu + 0j, x0, x1, False)
+        phase = np.exp(-1j * k * k * T / (2.0 * m * h)) * kc * np.cos(us)
+        return w.reshape(us.size, -1) * phase[:, None]
 
     return integrate_adaptive(f, 0.0, math.pi / 2, cfg.abs_tol, cfg.rel_tol)
 
 
 def _above_leg_deformed(model, x0, x1, T, cfg):
-    """Deformed above-threshold leg for the real-time propagator."""
+    """Deformed above-threshold leg for the real-time propagator.
+
+    The rotated ray is cut into blocks of width max(1.5 damp, 1).  A column
+    stops at the second quiet block in a row (|value| below the quiet level)
+    that ends beyond its reach, its stationary point plus four damping
+    lengths.  The first call integrates every block up to the first that
+    ends beyond the row's largest reach, and two more: the stop fell on one
+    of those two on every sweep measured, and a quiet block costs one
+    panel level inside the call where a further call costs a whole
+    refinement pass.  Further blocks follow one at a time for the columns
+    that have not stopped.  A column that reaches its cap
+    k_max_factor * max(kc, k_star, damp, 1) first raises QuadratureError.
+    """
     kc = model.k_threshold
     m, h = model.m, model.hbar
     rot = np.exp(-1j * cfg.theta)
 
-    def f(ts):
-        p = rot * ts
-        k = np.sqrt(kc * kc + p * p)
-        w = spectral_weight_above(model, k, p, x0, x1)
-        return w * np.exp(-1j * k * k * T / (2 * m * h)) * (p / k) * rot
+    def integrand(cols):
+        def f(ts):
+            p = rot * ts
+            k = np.sqrt(kc * kc + p * p)
+            w = _spectral_weight(model, k, p, x0, cols, True)
+            phase = np.exp(-1j * k * k * T / (2 * m * h)) * (p / k) * rot
+            return w.reshape(ts.size, -1) * phase[:, None]
+        return f
 
+    x1s = np.atleast_1d(x1)
     # Gaussian damping scale of the rotated phase plus the stationary point
     damp = math.sqrt(2.0 * m * h / (T * math.sin(2.0 * cfg.theta)))
-    k_star = m * (abs(x0) + abs(x1)) / T
+    k_star = m * (abs(x0) + np.abs(x1s)) / T
+    reach = k_star + 4 * damp
     block = max(1.5 * damp, 1.0)
-    t_cap = cfg.k_max_factor * max(kc, k_star, damp, 1.0)
-    total = 0.0 + 0.0j
-    err = 0.0
-    n_evals = 0
-    lo = 0.0
-    quiet = 0
-    while lo < t_cap:
-        val, e, ne = integrate_adaptive(f, lo, lo + block,
-                                        cfg.abs_tol, cfg.rel_tol)
-        total += val
-        err += e
+    t_cap = cfg.k_max_factor * np.maximum(max(kc, damp, 1.0), k_star)
+    quiet_level = max(1e-13, cfg.abs_tol * 1e-2)
+    n_first = int(np.max(reach) // block) + 3
+    edges = block * np.arange(n_first + 1)
+    vals, errs, n_evals = integrate_adaptive(
+        integrand(x1), edges[:-1], edges[1:], cfg.abs_tol, cfg.rel_tol)
+    while True:
+        # block j stops a column when it and block j-1 are quiet and it ends
+        # beyond the column's reach
+        n = len(vals)
+        quiet = np.abs(vals) < quiet_level
+        stops = np.zeros(quiet.shape, dtype=bool)
+        stops[1:] = quiet[1:] & quiet[:-1]
+        stops &= block * np.arange(1, n + 1)[:, None] > reach
+        done = np.any(stops, axis=0)
+        last = np.where(done, np.argmax(stops, axis=0), n)
+        capped = last * block >= t_cap
+        if np.any(capped):
+            c = int(np.argmax(capped))
+            raise QuadratureError(
+                f"above-threshold leg at x1 = {float(x1s[c])!r} reached its "
+                f"cap t = {float(t_cap[c])!r} without two quiet blocks")
+        if np.all(done):
+            break
+        cols = x1 if np.ndim(x1) == 0 else x1s[~done]
+        v, e, ne = integrate_adaptive(integrand(cols), n * block,
+                                      (n + 1) * block, cfg.abs_tol,
+                                      cfg.rel_tol)
+        vals = np.vstack([vals, np.zeros(x1s.size, dtype=complex)])
+        errs = np.vstack([errs, np.zeros(x1s.size)])
+        vals[n, ~done], errs[n, ~done] = v, e
         n_evals += ne
-        lo += block
-        if abs(val) < max(1e-13, cfg.abs_tol * 1e-2):
-            quiet += 1
-            if quiet >= 2 and lo > k_star + 4 * damp:
-                return total, err + abs(val), n_evals
-        else:
-            quiet = 0
-    return total, err + 10 * cfg.abs_tol, n_evals
+    cols = np.arange(x1s.size)
+    total = np.cumsum(vals, axis=0)[last, cols]
+    err = np.cumsum(errs, axis=0)[last, cols] + np.abs(vals[last, cols])
+    return total, err, n_evals
 
 
-def propagate(model: StepModel, x0: float, x1: float, T: float,
-              cfg: QuadratureConfig | None = None) -> PropagatorSample:
-    """Real-time propagator G(x1, x0; T) with quadrature diagnostics."""
+def propagate(model: StepModel, x0: float, x1, T: float,
+              cfg: QuadratureConfig | None = None):
+    """Real-time propagator G(x1, x0; T) with quadrature diagnostics.
+
+    x1 is a float (returns a PropagatorSample) or a 1-D row (returns a
+    PropagatorRow).  A row shares one adaptive refinement front per leg
+    among its columns; each column keeps the panel tree, tolerance and
+    stopping rule of a one-point call, so it agrees with one to rounding.
+    """
     cfg = cfg or QuadratureConfig()
-    if T <= 0:
-        return PropagatorSample(x0, x1, T, 0.0 + 0.0j, 0.0, 0)
-    m, h = model.m, model.hbar
-    kern = lambda k2: np.exp(-1j * k2 * T / (2.0 * m * h))
-    g_below, e_below, n_below = _below_leg(model, x0, x1, kern, cfg)
-    g_above, e_above, n_above = _above_leg_deformed(model, x0, x1, T, cfg)
-    return PropagatorSample(x0, x1, T, complex(g_below + g_above),
-                            float(e_below + e_above), n_below + n_above)
+    row = np.ndim(x1) != 0
+    if row:
+        x1 = np.asarray(x1, dtype=float)
+        if x1.ndim != 1:
+            raise ValidationError("x1 must be a float or a 1-D row")
+    else:
+        x1 = float(x1)
+    if T <= 0 or np.size(x1) == 0:
+        G, err, n_evals = (np.zeros(np.size(x1), dtype=complex),
+                           np.zeros(np.size(x1)), 0)
+    else:
+        g_below, e_below, n_below = _below_leg(model, x0, x1, T, cfg)
+        g_above, e_above, n_above = _above_leg_deformed(model, x0, x1, T, cfg)
+        G, err = g_below + g_above, e_below + e_above
+        n_evals = n_below + n_above
+    if row:
+        return PropagatorRow(x0, x1, T, G, err, n_evals)
+    return PropagatorSample(x0, x1, T, complex(G[0]), float(err[0]), n_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +306,11 @@ def energy_propagator(model: StepModel, x0: float, x1: float, E: float,
         if np.any(below):
             kb = karr[below]
             mu = np.sqrt(kc * kc - kb * kb)
-            out[below] = spectral_weight_below(model, kb, mu, x0, x1)
+            out[below] = _spectral_weight(model, kb, mu, x0, x1, False)
         if np.any(~below):
             ka = karr[~below]
             p = np.sqrt(ka * ka - kc * kc)
-            out[~below] = spectral_weight_above(model, ka, p, x0, x1)
+            out[~below] = _spectral_weight(model, ka, p, x0, x1, True)
         return out - _free_weight(model, karr, x0, x1)
 
     def den(karr):

@@ -5,6 +5,12 @@ parent value agrees with the sum of its two children, which doubles as the
 error estimate.  The integrand is evaluated in batches (all nodes of all
 pending panels at once) so that vectorized special-function evaluation is
 amortized across the whole refinement front.
+
+One call may integrate several intervals and several integrand columns.
+Each (interval, column) pair keeps its own panel tree, tolerance scale,
+acceptance and panel budget, exactly as a one-interval, one-column call
+would; only the node evaluation is shared, one f call per level covering
+every panel that any pair still refines.
 """
 from __future__ import annotations
 
@@ -13,61 +19,98 @@ import numpy as np
 from .errors import QuadratureError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+_CWEIGHTS = _WEIGHTS.astype(complex)
 
 
-def _panel_values(f, panels):
-    """Evaluate f on the GL nodes of every (lo, hi) panel in one batch."""
-    los = np.array([p[0] for p in panels])
-    his = np.array([p[1] for p in panels])
+def _panel_values(f, los, his):
+    """Evaluate f on the GL nodes of every (lo, hi) panel in one batch.
+
+    Returns the (panel, column) integrals and whether f returned one
+    column (shape (n,)) rather than a column axis."""
     mids = 0.5 * (los + his)
     half = 0.5 * (his - los)
     xs = (mids[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    vals = np.asarray(f(xs), dtype=complex).reshape(len(panels), _NODES.size)
-    return (half * (vals @ _WEIGHTS)).astype(complex)
+    vals = np.asarray(f(xs), dtype=complex)
+    one_col = vals.ndim == 1
+    vals = vals.reshape(los.size, _NODES.size, -1)
+    return half[:, None] * np.matmul(_CWEIGHTS, vals), one_col
 
 
-def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-9,
+def _halves(lo, hi):
+    """Interleaved children (lo, mid), (mid, hi) of every panel."""
+    mid = 0.5 * (lo + hi)
+    c_lo = np.empty(2 * lo.size)
+    c_hi = np.empty(2 * lo.size)
+    c_lo[0::2], c_lo[1::2] = lo, mid
+    c_hi[0::2], c_hi[1::2] = mid, hi
+    return c_lo, c_hi
+
+
+def integrate_adaptive(f, a, b, abs_tol: float = 1e-9,
                        rel_tol: float = 1e-8, max_panels: int = 20_000):
     """Integrate complex-valued f over [a, b].
 
-    f maps a real node array to complex values; any complex path is the
-    caller's parametrization.  Returns (value, error_estimate, n_evals).
+    f maps a real node array of shape (n,) to complex values of shape (n,)
+    or (n, m) (m integrand columns); any complex path is the caller's
+    parametrization.  a and b are floats or equal-length 1-D arrays of
+    interval ends.  Returns (value, error_estimate, n_evals): value and
+    error have shape a.shape + (m,) ((m,) dropped when f returns (n,)), so
+    a one-interval, one-column call returns a complex and a float.  n_evals
+    counts the shared integrand nodes.
     """
-    if b == a:
-        return 0.0 + 0.0j, 0.0, 0
-    parents = [(a, b)]
-    parent_vals = _panel_values(f, parents)
-    total = 0.0 + 0.0j
-    err = 0.0
-    n_evals = _NODES.size
-    n_accepted = 0
-    while parents:
-        if n_accepted + len(parents) > max_panels:
-            raise QuadratureError(
-                f"panel budget {max_panels} exhausted (interval [{a}, {b}])")
-        children = []
-        for lo, hi in parents:
-            mid = 0.5 * (lo + hi)
-            children.append((lo, mid))
-            children.append((mid, hi))
-        child_vals = _panel_values(f, children)
-        n_evals += 2 * len(parents) * _NODES.size
-        next_parents = []
-        next_vals = []
-        scale = max(abs(total), float(np.sum(np.abs(child_vals))))
-        for i, (lo, hi) in enumerate(parents):
-            pair = child_vals[2 * i] + child_vals[2 * i + 1]
-            delta = abs(parent_vals[i] - pair)
-            tol = max(abs_tol, rel_tol * max(scale, abs(pair)))
-            if delta <= tol or (hi - lo) < 1e-14 * (b - a):
-                total += pair
-                err += delta
-                n_accepted += 1
-            else:
-                next_parents.append(children[2 * i])
-                next_parents.append(children[2 * i + 1])
-                next_vals.append(child_vals[2 * i])
-                next_vals.append(child_vals[2 * i + 1])
-        parents = next_parents
-        parent_vals = np.array(next_vals, dtype=complex)
+    a_arr, b_arr = np.atleast_1d(np.asarray(a, float), np.asarray(b, float))
+    width = b_arr - a_arr
+    owner = np.flatnonzero(width != 0)            # interval of each panel
+    los, his = a_arr[owner], b_arr[owner]
+    one_col = True
+    parent_vals = np.zeros((0, 1), dtype=complex)
+    if owner.size:
+        parent_vals, one_col = _panel_values(f, los, his)
+    n_evals = owner.size * _NODES.size
+    n_col = parent_vals.shape[1]
+    total = np.zeros((a_arr.size, n_col), dtype=complex)
+    err = np.zeros((a_arr.size, n_col))
+    n_accepted = np.zeros((a_arr.size, n_col), dtype=np.int64)
+    live = np.ones((owner.size, n_col), dtype=bool)  # pairs still refining
+    while owner.size:
+        # a pair's pending panels never outnumber the front
+        if owner.size + n_accepted.max() > max_panels:
+            pending = np.zeros(total.shape, dtype=np.int64)
+            np.add.at(pending, owner, live)
+            over = n_accepted + pending > max_panels
+            if np.any(over):
+                i = int(np.argwhere(over)[0, 0])
+                raise QuadratureError(
+                    f"panel budget {max_panels} exhausted "
+                    f"(interval [{a_arr[i]}, {b_arr[i]}])")
+        c_lo, c_hi = _halves(los, his)
+        child_vals, _ = _panel_values(f, c_lo, c_hi)
+        n_evals += c_lo.size * _NODES.size
+        left, right = child_vals[0::2], child_vals[1::2]
+        # tolerance scale of each pair: max(|total|, sum |child|) over the
+        # pair's own live panels
+        scale = np.zeros(total.shape)
+        np.add.at(scale, owner,
+                  np.where(live, np.abs(left) + np.abs(right), 0.0))
+        scale = np.maximum(np.abs(total), scale)[owner]
+        pair = left + right
+        delta = np.abs(parent_vals - pair)
+        tol = np.maximum(abs_tol, rel_tol * np.maximum(scale, np.abs(pair)))
+        narrow = (his - los) < 1e-14 * width[owner]
+        accept = live & ((delta <= tol) | narrow[:, None])
+        # np.add.at sums in panel order, as a sequential loop would; a
+        # pair's values on panels it does not refine are never read
+        np.add.at(total, owner, np.where(accept, pair, 0.0))
+        np.add.at(err, owner, np.where(accept, delta, 0.0))
+        np.add.at(n_accepted, owner, accept)
+        live &= ~accept
+        keep = np.repeat(np.any(live, axis=1), 2)
+        los, his = c_lo[keep], c_hi[keep]
+        owner = np.repeat(owner, 2)[keep]
+        live = np.repeat(live, 2, axis=0)[keep]
+        parent_vals = child_vals[keep]
+    shape = np.shape(a) + (() if one_col else (n_col,))
+    total, err = total.reshape(shape), err.reshape(shape)
+    if not shape:
+        return complex(total), float(err), n_evals
     return total, err, n_evals

@@ -206,7 +206,9 @@ def _series_cols_rows(a_col, b_col, c_col, z_row):
     The term factorizes, term_n(col, row) = P_n(col) z_row^n, so the sum is
     a single matrix product P @ Z with P built by the coefficient recurrence
     and Z by a row power recurrence.  Mathematically identical to the
-    elementwise loop, but the heavy arithmetic is one BLAS call.
+    elementwise loop, but the heavy arithmetic is one BLAS call.  Each cell
+    is checked for cancellation against the largest term bound of its
+    parameter column, max_n |P_n(col)| z_max^n.
     """
     a = np.asarray(a_col, dtype=complex).reshape(-1)
     b = np.asarray(b_col, dtype=complex).reshape(-1)
@@ -214,8 +216,6 @@ def _series_cols_rows(a_col, b_col, c_col, z_row):
     z = np.asarray(z_row, dtype=float).reshape(-1)
     z_max = float(np.max(z)) if z.size else 0.0
     coeffs = [np.ones(a.size, dtype=complex)]
-    bound = 1.0
-    peak = 1.0
     quiet = 0
     n = 0
     while n < MAX_TERMS:
@@ -223,7 +223,6 @@ def _series_cols_rows(a_col, b_col, c_col, z_row):
         coeffs.append(nxt)
         n += 1
         bound = float(np.max(np.abs(nxt))) * z_max ** n
-        peak = max(peak, bound)
         if bound <= 0.5 * SERIES_TOL:
             quiet += 1
             if quiet >= 2:
@@ -239,10 +238,15 @@ def _series_cols_rows(a_col, b_col, c_col, z_row):
     for j in range(1, len(coeffs)):
         Z[j] = Z[j - 1] * z
     out = P @ Z.astype(complex)
-    scale = max(float(np.median(np.abs(out))), 1e-6)
-    if np.finfo(float).eps * peak / scale > CANCEL_TOL:
+    # per-cell estimate eps * peak / |value|, largest at each column's
+    # smallest value
+    peak = np.max(np.abs(P) * z_max ** np.arange(len(coeffs)), axis=1)
+    smallest = np.min(np.abs(out), axis=1, initial=np.inf)
+    est = np.finfo(float).eps * peak / (smallest + 1e-300)
+    if np.any(est > CANCEL_TOL):
         raise SeriesConvergenceError(
-            "2F1 grid series lost too many digits to cancellation")
+            "2F1 grid series lost too many digits to cancellation "
+            f"(estimated relative error {float(np.max(est)):.2e})")
     return out
 
 

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from stepprop.cli import _complex_shoot, main
+from stepprop.cli import ROW_BLOCK, _complex_shoot, _grid_abs2, main
 from stepprop.potential import Family, StepModel
+from stepprop.propagator import propagate
 
 WS = json.dumps({"family": "woods_saxon", "m": 1.0, "V0": 1.0,
                  "alpha": 1.0, "hbar": 1.0})
@@ -136,10 +137,23 @@ def test_reproduce_unknown_recipe(tmp_path, capsys):
 
 
 def test_propagate_threads_deterministic(tmp_path):
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "par.csv"
-    base = ["propagate", "--model", HV, "--x0=-4", "--x1-range=-7:-5:5",
-            "--T", "10"]
-    assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--threads", "2", "--out", str(out2)]) == 0
-    assert out1.read_text() == out2.read_text()
+    # one block, and a row longer than one block
+    for n in (5, ROW_BLOCK + 3):
+        out1 = tmp_path / f"serial{n}.csv"
+        out2 = tmp_path / f"par{n}.csv"
+        base = ["propagate", "--model", HV, "--x0=-4",
+                f"--x1-range=-7:-5:{n}", "--T", "10"]
+        assert main(base + ["--out", str(out1)]) == 0
+        assert main(base + ["--threads", "2", "--out", str(out2)]) == 0
+        assert out1.read_text() == out2.read_text()
+        assert len(_read_csv(out1)[2]) == n
+
+
+def test_grid_abs2_matches_one_point_calls():
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0)
+    rows = _grid_abs2(md, 10.0, -8.0, 2.0, 3)
+    xs = np.linspace(-8.0, 2.0, 3)
+    assert [(r[0], r[1]) for r in rows] == [(a, b) for a in xs for b in xs]
+    for x0, x1, abs2 in rows:
+        ref = abs(propagate(md, float(x0), float(x1), 10.0).G) ** 2
+        assert abs(abs2 - ref) <= 1e-14

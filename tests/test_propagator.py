@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stepprop.errors import NonFiniteError
+from stepprop.errors import NonFiniteError, QuadratureError
 from stepprop.oracle import gaussian_packet
 from stepprop.potential import Family, StepModel
 from stepprop.propagator import (QuadratureConfig, energy_propagator,
@@ -48,6 +48,51 @@ def test_heaviside_limit_of_ws_propagator():
         g_ws = propagate(ws, x0, x1, 10.0).G
         g_h = propagate(hv, x0, x1, 10.0).G
         assert abs(g_ws - g_h) < 1e-3
+
+
+ROW_CASES = {
+    # (family, V0, alpha, hbar), x0, row of x1
+    "ws1": ((Family.WOODS_SAXON, 1.0, 1.0, 1.0), -4.3,
+            [-8.0, -6.0, -4.3, -1.0, 0.5, 2.0]),
+    "ws1_hbar05": ((Family.WOODS_SAXON, 1.0, 1.0, 0.5), -3.0,
+                   [-7.5, -3.0, -0.4, 1.8]),
+    # |alpha x| > 30 on both sides, and the 2F1 region between
+    "ws5": ((Family.WOODS_SAXON, 1.0, 5.0, 1.0), -2.0,
+            [-8.0, -6.5, -2.0, 0.5, 6.5, 8.0]),
+    "ws50": ((Family.WOODS_SAXON, 1.0, 50.0, 1.0), -3.0,
+             [-4.0, -0.7, -0.2, 0.3, 0.7, 2.0]),
+    "heaviside": ((Family.HEAVISIDE, 1.0, 1.0, 1.0), 1.5,
+                  [-5.0, -1.0, 0.0, 1.5, 4.0]),
+    "free": ((Family.WOODS_SAXON, 0.0, 1.0, 1.0), -1.0, [-6.0, -1.0, 3.0]),
+    "one_point": ((Family.WOODS_SAXON, 1.0, 1.0, 1.0), -4.0, [-6.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_row_columns_match_one_point_calls(case):
+    (family, v0, alpha, hbar), x0, xs = ROW_CASES[case]
+    md = StepModel(family, m=1.0, V0=v0, alpha=alpha, hbar=hbar)
+    row = propagate(md, x0, np.array(xs), 10.0)
+    assert row.G.shape == (len(xs),) and row.n_evals > 0
+    assert row.est_error == max(s.est_error for s in row.samples)
+    for x1, s in zip(xs, row.samples):
+        one = propagate(md, x0, x1, 10.0)
+        assert (s.x0, s.x1, s.T) == (one.x0, one.x1, one.T)
+        assert abs(s.G - one.G) <= 1e-14
+        assert abs(s.est_error - one.est_error) <= 1e-14
+
+
+def test_row_zero_for_nonpositive_time(ws_unit):
+    row = propagate(ws_unit, -1.0, np.array([-2.0, 0.5]), 0.0)
+    assert np.all(row.G == 0.0) and row.est_error == 0.0
+    assert row.n_evals == 0
+
+
+def test_contour_cap_raises_instead_of_padding(ws_unit):
+    # the cap t = 1.01 max(kc, k*, damp, 1) ends before two quiet blocks
+    with pytest.raises(QuadratureError, match="x1 = -6.0"):
+        propagate(ws_unit, -4.0, -6.0, 10.0,
+                  QuadratureConfig(k_max_factor=1.01))
 
 
 def test_quadrature_diagnostics_populated(ws_unit):

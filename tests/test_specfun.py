@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepprop.errors import GammaPoleError, SeriesConvergenceError
-from stepprop.specfun import gamma, hyp2f1, hyp2f1_with_complement, log_gamma
+from stepprop.specfun import (gamma, hyp2f1, hyp2f1_cols_rows,
+                              hyp2f1_with_complement, log_gamma)
 
 # arbitrary-precision reference values computed offline (40-digit arithmetic)
 LOGGAMMA_3_4I = -1.7566267846037841105 + 4.7426644380346579282j
@@ -118,3 +119,18 @@ def test_hyp2f1_cancellation_guard():
     # precision; the implementation must refuse rather than degrade
     with pytest.raises(SeriesConvergenceError):
         hyp2f1(1 + 200j, 200j, 1 + 150j, 0.499)
+
+
+def test_grid_cancellation_guard_is_per_cell():
+    # 2F1(-30, 1; 1; z) = (1 - z)^30 is 9.3e-10 at z = 1/2 with terms up to
+    # 2.9e4: one cancelling parameter column among benign ones must raise,
+    # even though the grid's typical value is of order one
+    benign_a = np.linspace(0.1, 1.2, 10)
+    a = np.append(benign_a, -30.0).reshape(-1, 1)
+    b = np.ones_like(a)
+    c = np.append(benign_a + 1.5, 1.0).reshape(-1, 1)
+    z = np.array([[0.1, 0.3, 0.5]])
+    vals = hyp2f1_cols_rows(a[:-1], b[:-1], c[:-1], z, 1.0 - z)
+    assert np.all(np.abs(vals) > 0.5)
+    with pytest.raises(SeriesConvergenceError):
+        hyp2f1_cols_rows(a, b, c, z, 1.0 - z)
