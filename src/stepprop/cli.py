@@ -15,6 +15,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +47,11 @@ def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"range must be 'start:stop:count', got {text!r}")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValidationError(f"range {text!r} needs two numbers and an "
+                              "integer count") from None
     if n < 1:
         raise ValidationError("range count must be >= 1")
     return np.linspace(a, b, n)
@@ -191,9 +197,7 @@ def _cmd_wkb(args):
     xs = _parse_range(args.x1_range)
     hbar = args.hbar if args.hbar else model.hbar
     if args.calibrate:
-        from dataclasses import replace as _replace
-        g_exact = propagate(_replace(model, hbar=hbar), args.x0, xs,
-                            args.T).G
+        g_exact = propagate(replace(model, hbar=hbar), args.x0, xs, args.T).G
     rows = []
     for j, x1 in enumerate(xs):
         bvp = _classical.BoundarySpec(args.x0, float(x1), args.T)
@@ -250,6 +254,32 @@ def _cmd_oracle(args):
 # ---------------------------------------------------------------------------
 # figure reproduction recipes
 # ---------------------------------------------------------------------------
+#
+# Each recipe is a generator of (file name, header, rows, config) records;
+# _cmd_reproduce writes them.
+
+_WS1 = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
+_WS5 = StepModel(Family.WOODS_SAXON, 1, 1, 5, 1)
+_HV = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
+
+#: |G|^2 grid figures: (model, swept model key, values, file name stem)
+_GRIDS = {
+    "fig3": (_WS1, "hbar", (1.0, 0.5, 0.25), "ws_absG2_hbar"),
+    "fig4": (_HV, "hbar", (1.0, 0.5, 0.25), "heaviside_absG2_hbar"),
+    "fig5": (_HV, "V0", (0.25, 0.5, 1.0), "heaviside_V0_"),
+    "fig6": (_WS1, "V0", (1.0, 1.5, 2.0), "ws_V0_"),
+}
+
+#: contour figures; both write the left-contour t(v) rows
+_CONTOURS = {"fig12": "fig12_left_contour.csv",
+             "fig13": "fig13_right_contour.csv"}
+
+
+def _alpha_sweep(*alphas):
+    """(label, model) pairs: the unit smooth step at each alpha, then the
+    Heaviside step."""
+    return [(a, replace(_WS1, alpha=a)) for a in alphas] + [("heaviside", _HV)]
+
 
 def _grid_abs2(model, T, lo, hi, n):
     xs = np.linspace(lo, hi, n)
@@ -260,283 +290,213 @@ def _grid_abs2(model, T, lo, hi, n):
     return rows
 
 
-def _recipes(out_dir, coarse):
+def _bands(model, x0, x1s, n_omega):
+    """(x1, tau, |F|^2) rows of the Fourier spectrum along a row of x1."""
+    window = _spec.OmegaWindow(1.0, 12.0, n_omega)
+    taus = np.linspace(-2.0, 14.0, 481)
+    rows = []
+    for x1 in x1s:
+        bvp = _classical.BoundarySpec(x0, float(x1), 10.0)
+        series = _spec.fourier_spectrum(model, bvp, window, taus)
+        rows += [(x1, t, v) for t, v in zip(series.grid, series.values)]
+    return rows
+
+
+def _recipes(coarse):
     n2d = 21 if coarse else 41
     nline = 81 if coarse else 201
 
-    def path(name):
-        return os.path.join(out_dir, name)
+    def grid(fig, model, key, values, stem):
+        for v in values:
+            md = replace(model, **{key: v})
+            yield (f"{fig}_{stem}{v}.csv", ("x0", "x1", "absG2"),
+                   _grid_abs2(md, 10.0, -8.0, 2.0, n2d),
+                   {"recipe": fig, key: v})
+
+    def contour(fig, name):
+        E, rows = 2.0, []
+        for v in np.linspace(1e-4, E - 1e-4, 600):
+            t = _t_of_v(_WS1, E, complex(v), -1)
+            rows.append((v, t.real, t.imag))
+        yield (name, ("v", "Re_t", "Im_t"), rows,
+               {"recipe": fig, "E": E, "alpha": 1.0})
 
     def fig1():
         xs = np.linspace(-3, 3, 601)
         rows = []
-        for a in (1, 3, 5, 7, 9):
-            md = StepModel(Family.WOODS_SAXON, 1, 1, a, 1)
-            for x in xs:
-                rows.append((a, x, float(potential_value(md, x))))
-        hv = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
-        for x in xs:
-            rows.append(("heaviside", x, float(potential_value(hv, x))))
-        _write_rows(path("fig1_potentials.csv"), ("alpha", "x", "V"), rows,
-                    {"recipe": "fig1"})
+        for a, md in _alpha_sweep(1, 3, 5, 7, 9):
+            rows += [(a, x, float(potential_value(md, x))) for x in xs]
+        yield ("fig1_potentials.csv", ("alpha", "x", "V"), rows,
+               {"recipe": "fig1"})
 
     def fig2():
         ks = np.linspace(math.sqrt(2) + 1e-6, 10, 400)
         rows = []
-        for a in (0.1, 1, 2, 3, 4):
-            md = StepModel(Family.WOODS_SAXON, 1, 1, a, 1)
+        for a, md in _alpha_sweep(0.1, 1, 2, 3, 4):
             r2, t2 = scatter_rates(md, ks)
             rows += [(a, k, r, t) for k, r, t in zip(ks, r2, t2)]
-        hv = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
-        r2, t2 = scatter_rates(hv, ks)
-        rows += [("heaviside", k, r, t) for k, r, t in zip(ks, r2, t2)]
-        _write_rows(path("fig2_rates.csv"), ("alpha", "k", "R2", "T2"), rows,
-                    {"recipe": "fig2"})
-
-    def fig3():
-        for hb in (1.0, 0.5, 0.25):
-            md = StepModel(Family.WOODS_SAXON, 1, 1, 1, hb)
-            rows = _grid_abs2(md, 10.0, -8.0, 2.0, n2d)
-            _write_rows(path(f"fig3_ws_absG2_hbar{hb}.csv"),
-                        ("x0", "x1", "absG2"), rows,
-                        {"recipe": "fig3", "hbar": hb})
-
-    def fig4():
-        for hb in (1.0, 0.5, 0.25):
-            md = StepModel(Family.HEAVISIDE, 1, 1, 1, hb)
-            rows = _grid_abs2(md, 10.0, -8.0, 2.0, n2d)
-            _write_rows(path(f"fig4_heaviside_absG2_hbar{hb}.csv"),
-                        ("x0", "x1", "absG2"), rows,
-                        {"recipe": "fig4", "hbar": hb})
-
-    def fig5():
-        for v0 in (0.25, 0.5, 1.0):
-            md = StepModel(Family.HEAVISIDE, 1, v0, 1, 1)
-            rows = _grid_abs2(md, 10.0, -8.0, 2.0, n2d)
-            _write_rows(path(f"fig5_heaviside_V0_{v0}.csv"),
-                        ("x0", "x1", "absG2"), rows,
-                        {"recipe": "fig5", "V0": v0})
-
-    def fig6():
-        for v0 in (1.0, 1.5, 2.0):
-            md = StepModel(Family.WOODS_SAXON, 1, v0, 1, 1)
-            rows = _grid_abs2(md, 10.0, -8.0, 2.0, n2d)
-            _write_rows(path(f"fig6_ws_V0_{v0}.csv"),
-                        ("x0", "x1", "absG2"), rows,
-                        {"recipe": "fig6", "V0": v0})
+        yield ("fig2_rates.csv", ("alpha", "k", "R2", "T2"), rows,
+               {"recipe": "fig2"})
 
     def fig7():
-        md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
         xs = np.linspace(-20, 20, 801)
         rows = []
-        for label, branch, k in (("c", "c", 0.95 * math.sqrt(2)),
-                                 ("plus", "plus", 1.5 * math.sqrt(2))):
+        for branch, k in (("c", 0.95 * math.sqrt(2)),
+                          ("plus", 1.5 * math.sqrt(2))):
             for x in xs:
-                v = eigenstate_ws(md, branch, k, float(x))
-                rows.append((label, x, v.real, v.imag))
-        _write_rows(path("fig7_eigenstates.csv"),
-                    ("branch", "x", "Re", "Im"), rows, {"recipe": "fig7"})
+                v = eigenstate_ws(_WS1, branch, k, float(x))
+                rows.append((branch, x, v.real, v.imag))
+        yield ("fig7_eigenstates.csv", ("branch", "x", "Re", "Im"), rows,
+               {"recipe": "fig7"})
 
     def fig8():
-        md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
         rows = []
-        es = np.geomspace(1e-3, 0.999, 400)
         for x1 in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0):
-            for E in es:
+            for E in np.geomspace(1e-3, 0.999, 400):
                 try:
-                    td = _classical._t_direct(md, float(E), -5.0, x1)
-                    tb = float(_classical._t_bounce(md, float(E), -5.0, x1).real)
+                    td = _classical._t_direct(_WS1, float(E), -5.0, x1)
+                    tb = _classical._t_bounce(_WS1, float(E), -5.0, x1)
+                    tb = float(tb.real)
                 except StepPropError:
                     continue
                 rows.append((x1, E, td, tb))
-        _write_rows(path("fig8a_time_vs_energy.csv"),
-                    ("x1", "E", "T_direct", "T_bounce"), rows,
-                    {"recipe": "fig8a"})
+        yield ("fig8a_time_vs_energy.csv", ("x1", "E", "T_direct", "T_bounce"),
+               rows, {"recipe": "fig8a"})
         # paths for (x0, x1, T) = (-4, -3, 10)
+        bvp = _classical.BoundarySpec(-4.0, -3.0, 10.0)
         rows = []
-        for a in (1.0, 5.0):
-            mda = StepModel(Family.WOODS_SAXON, 1, 1, a, 1)
-            bvp = _classical.BoundarySpec(-4.0, -3.0, 10.0)
-            for s in _classical.solve_real_paths(mda, bvp):
-                xs_t = _path_samples(mda, s, bvp)
-                rows += [(a, s.kind.value, t, x) for t, x in xs_t]
-        hv = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
-        for s in _classical.heaviside_paths(hv, _classical.BoundarySpec(-4.0, -3.0, 10.0)):
-            xs_t = _heaviside_path_samples(hv, s, -4.0, -3.0, 10.0)
-            rows += [("heaviside", s.kind.value, t, x) for t, x in xs_t]
-        _write_rows(path("fig8b_paths.csv"), ("alpha", "kind", "t", "x"),
-                    rows, {"recipe": "fig8b"})
+        for a, md in _alpha_sweep(1.0, 5.0):
+            for s in _classical.solve_real_paths(md, bvp):
+                rows += [(a, s.kind.value, t, x)
+                         for t, x in _path_samples(md, s, bvp)]
+        yield ("fig8b_paths.csv", ("alpha", "kind", "t", "x"), rows,
+               {"recipe": "fig8b"})
 
     def fig9():
-        md = StepModel(Family.WOODS_SAXON, 1, 1, 5, 1)
         hb = 0.1
         xs = np.linspace(-10.0, -8.0, nline)
         probe = _classical.BoundarySpec(-5.0, -9.0, 10.0)
-        mdh = StepModel(Family.WOODS_SAXON, 1, 1, 5, hb)
+        mdh = replace(_WS5, hbar=hb)
         gp = propagate(mdh, -5.0, -9.0, 10.0).G
-        sad0 = _saddle_set(md, probe, "real+caustic")
-        sad1 = fix_complex_saddle_phase(md, probe, sad0, gp, hb)
+        sad0 = _saddle_set(_WS5, probe, "real+caustic")
+        sad1 = fix_complex_saddle_phase(_WS5, probe, sad0, gp, hb)
         flip = -1.0 if sad1[-1].sqrt_vv != sad0[-1].sqrt_vv else 1.0
         rows = []
         for x1, g in zip(xs, propagate(mdh, -5.0, xs, 10.0).G):
             bvp = _classical.BoundarySpec(-5.0, float(x1), 10.0)
-            real_s = _classical.solve_real_paths(md, bvp)
-            caus = _classical.find_caustic_saddle(md, bvp)
+            real_s = _classical.solve_real_paths(_WS5, bvp)
+            caus = _classical.find_caustic_saddle(_WS5, bvp)
             caus = caus.with_sqrt_vv(complex(flip * caus.sqrt_vv))
-            w_real = wkb_propagator(md, bvp, real_s, hb)
-            w_both = wkb_propagator(md, bvp, real_s + [caus], hb)
+            w_real = wkb_propagator(_WS5, bvp, real_s, hb)
+            w_both = wkb_propagator(_WS5, bvp, real_s + [caus], hb)
             rows.append((x1, g.real, g.imag, w_real.real, w_real.imag,
                          w_both.real, w_both.imag))
-        _write_rows(path("fig9_wkb_comparison.csv"),
-                    ("x1", "ReG", "ImG", "ReWKBreal", "ImWKBreal",
-                     "ReWKBboth", "ImWKBboth"), rows,
-                    {"recipe": "fig9", "hbar": hb})
+        yield ("fig9_wkb_comparison.csv",
+               ("x1", "ReG", "ImG", "ReWKBreal", "ImWKBreal", "ReWKBboth",
+                "ImWKBboth"), rows, {"recipe": "fig9", "hbar": hb})
 
     def fig10():
-        md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
         rows = []
         for x1 in np.arange(-6.75, -3.94, 0.05):
-            root = _complex_shoot(md, -4.0, float(x1), 10.0)
+            root = _complex_shoot(_WS1, -4.0, float(x1), 10.0)
             if root is not None:
                 rows.append((x1, root.real, root.imag))
-        _write_rows(path("fig10_complex_v0.csv"), ("x1", "Re_v0", "Im_v0"),
-                    rows, {"recipe": "fig10"})
+        yield ("fig10_complex_v0.csv", ("x1", "Re_v0", "Im_v0"), rows,
+               {"recipe": "fig10"})
 
     def fig11():
-        md = StepModel(Family.WOODS_SAXON, 1, 1, 5, 1)
         rows = []
         for er in np.linspace(0.7, 1.6, 61):
             for ei in np.linspace(0.0, 0.5, 41):
                 E = complex(er, ei if ei > 0 else 1e-9)
-                tb = _classical._t_bounce(md, E, -5.0, -9.25)
+                tb = _classical._t_bounce(_WS5, E, -5.0, -9.25)
                 rows.append((er, ei, tb.real, tb.imag))
-        _write_rows(path("fig11_complex_energy_map.csv"),
-                    ("ReE", "ImE", "ReT", "ImT"), rows, {"recipe": "fig11"})
-
-    def fig12():
-        _contour_diag(path("fig12_left_contour.csv"), E=2.0, alpha=1.0)
-
-    def fig13():
-        _contour_diag(path("fig13_right_contour.csv"), E=2.0, alpha=1.0)
+        yield ("fig11_complex_energy_map.csv", ("ReE", "ImE", "ReT", "ImT"),
+               rows, {"recipe": "fig11"})
 
     def fig14():
-        md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
         E = 2.0
-        a = _matching_point(md, E)
+        a = _matching_point(_WS1, E)
         rows = []
         for th in np.linspace(-math.pi + 1e-3, math.pi - 1e-3, 400):
             v = (E - a) * np.exp(1j * th) / 2.0 + (E + a) / 2.0
-            t = _t_of_v(md, E, v)
+            t = _t_of_v(_WS1, E, v, -1)
             rows.append((th, t.real, t.imag))
-        _write_rows(path("fig14_c0_circle.csv"), ("theta", "Re_t", "Im_t"),
-                    rows, {"recipe": "fig14", "a": a})
+        yield ("fig14_c0_circle.csv", ("theta", "Re_t", "Im_t"), rows,
+               {"recipe": "fig14", "a": a})
 
     def fig15():
-        md = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
         bvp = _classical.BoundarySpec(5.0, 4.0, 10.0)
         window = _spec.OmegaWindow(1.0, 12.0, 1024 if coarse else 2048)
-        samples = _spec.propagator_omega_samples(md, bvp, window)
-        taus = np.linspace(0.0, 15.0, 901)
-        series = _spec.fourier_spectrum(md, bvp, window, taus, samples)
-        rows = list(zip(series.grid, series.values))
-        _write_rows(path("fig15_rr_spectrum.csv"), ("tau", "absF2"), rows,
-                    {"recipe": "fig15"})
+        series = _spec.fourier_spectrum(_HV, bvp, window,
+                                        np.linspace(0.0, 15.0, 901))
+        yield ("fig15_rr_spectrum.csv", ("tau", "absF2"),
+               list(zip(series.grid, series.values)), {"recipe": "fig15"})
 
     def fig16():
-        md = StepModel(Family.WOODS_SAXON, 1, 1, 5, 1)
         bvp = _classical.BoundarySpec(-5.0, -9.25, 10.0)
         window = _spec.OmegaWindow(1.0, 12.0, 512 if coarse else 1024)
-        samples = _spec.propagator_omega_samples(md, bvp, window)
         ss = np.linspace(0.0, 1.5, 241)
-        real_s = _classical.solve_real_paths(md, bvp)
-        caus = _classical.find_caustic_saddle(md, bvp)
-        topo = _classical.topological_saddle(md, bvp)
-        sets = [real_s, real_s + [caus], real_s + [caus, topo]]
-        l_exact = np.abs(_spec._transform("laplace", samples[0], samples[1], ss))
-        rows = []
-        for s, le in zip(ss, l_exact):
-            row = [s, le]
-            for st in sets:
-                row.append(abs(_spec.wkb_model_laplace(st, window, [s])[0]))
-            rows.append(tuple(row))
-        _write_rows(path("fig16_laplace_residue.csv"),
-                    ("s", "absL", "model_real", "model_real_caustic",
-                     "model_all"), rows, {"recipe": "fig16"})
+        l_exact = np.sqrt(_spec.laplace_spectrum(_WS5, bvp, window, ss).values)
+        real_s = _classical.solve_real_paths(_WS5, bvp)
+        caus = _classical.find_caustic_saddle(_WS5, bvp)
+        topo = _classical.topological_saddle(_WS5, bvp)
+        models = [np.abs(_spec.wkb_model_laplace(st, window, ss))
+                  for st in (real_s, real_s + [caus], real_s + [caus, topo])]
+        yield ("fig16_laplace_residue.csv",
+               ("s", "absL", "model_real", "model_real_caustic", "model_all"),
+               list(zip(ss, l_exact, *models)), {"recipe": "fig16"})
 
     def fig17():
-        md = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
-        window = _spec.OmegaWindow(1.0, 12.0, 512 if coarse else 1024)
-        taus = np.linspace(-2.0, 14.0, 481)
-        for x0 in (-5.0, 5.0):
-            rows = []
-            for x1 in np.linspace(-12.0, -0.5, 24 if coarse else 48) + (0 if x0 < 0 else 12.5):
-                bvp = _classical.BoundarySpec(x0, float(x1), 10.0)
-                samples = _spec.propagator_omega_samples(md, bvp, window)
-                series = _spec.fourier_spectrum(md, bvp, window, taus, samples)
-                rows += [(x1, t, v) for t, v in zip(series.grid, series.values)]
-            tag = "left" if x0 < 0 else "right"
-            _write_rows(path(f"fig17_bands_{tag}.csv"), ("x1", "tau", "absF2"),
-                        rows, {"recipe": "fig17", "x0": x0})
+        for x0, tag, shift in ((-5.0, "left", 0.0), (5.0, "right", 12.5)):
+            x1s = np.linspace(-12.0, -0.5, 24 if coarse else 48) + shift
+            yield (f"fig17_bands_{tag}.csv", ("x1", "tau", "absF2"),
+                   _bands(_HV, x0, x1s, 512 if coarse else 1024),
+                   {"recipe": "fig17", "x0": x0})
 
     def fig18():
-        md = StepModel(Family.WOODS_SAXON, 1, 1, 5, 1)
-        window = _spec.OmegaWindow(1.0, 12.0, 256 if coarse else 512)
-        taus = np.linspace(-2.0, 14.0, 481)
-        rows = []
-        for x1 in np.linspace(-12.0, -0.5, 16 if coarse else 32):
-            bvp = _classical.BoundarySpec(-5.0, float(x1), 10.0)
-            samples = _spec.propagator_omega_samples(md, bvp, window)
-            series = _spec.fourier_spectrum(md, bvp, window, taus, samples)
-            rows += [(x1, t, v) for t, v in zip(series.grid, series.values)]
-        _write_rows(path("fig18_bands_smooth.csv"), ("x1", "tau", "absF2"),
-                    rows, {"recipe": "fig18"})
+        x1s = np.linspace(-12.0, -0.5, 16 if coarse else 32)
+        yield ("fig18_bands_smooth.csv", ("x1", "tau", "absF2"),
+               _bands(_WS5, -5.0, x1s, 256 if coarse else 512),
+               {"recipe": "fig18"})
 
-    return {f"fig{i}": fn for i, fn in enumerate(
-        (fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10,
-         fig11, fig12, fig13, fig14, fig15, fig16, fig17, fig18), start=1)}
+    recipes = {fn.__name__: fn for fn in (
+        fig1, fig2, fig7, fig8, fig9, fig10, fig11, fig14, fig15, fig16,
+        fig17, fig18)}
+    recipes.update({fig: partial(grid, fig, *spec)
+                    for fig, spec in _GRIDS.items()})
+    recipes.update({fig: partial(contour, fig, name)
+                    for fig, name in _CONTOURS.items()})
+    return {f"fig{i}": recipes[f"fig{i}"] for i in range(1, 19)}
 
 
 def _path_samples(model, saddle, bvp, n=200):
-    from scipy.integrate import solve_ivp
-    from .potential import potential_derivatives
-    sgn = (np.sign(bvp.x1 - bvp.x0) or 1.0) if saddle.kind.value == "direct" else 1.0
-    E = saddle.E.real
-    v0 = sgn * math.sqrt(max(2 * (E - float(potential_value(model, bvp.x0))), 0.0)
-                         / model.m)
-
-    def rhs(t, y):
-        _, vp, _ = potential_derivatives(model, y[0])
-        return [y[1], -vp / model.m]
-
-    ts = np.linspace(0, bvp.T, n)
-    sol = solve_ivp(rhs, (0, bvp.T), [bvp.x0, v0], t_eval=ts,
-                    rtol=1e-10, atol=1e-12)
-    return list(zip(sol.t, sol.y[0]))
-
-
-def _heaviside_path_samples(model, saddle, x0, x1, T, n=200):
-    m, V0 = model.m, model.V0
+    """(t, x) samples of a real path: closed-form legs on the Heaviside
+    step, the equations of motion of caustics._rhs on the smooth one."""
+    x0, x1, T = bvp.x0, bvp.x1, bvp.T
     ts = np.linspace(0, T, n)
     kind = saddle.kind.value
-    if kind == "direct":
-        return [(t, x0 + t * (x1 - x0) / T) for t in ts]
-    if kind == "low_bounce":
-        u = abs(x0) + abs(x1)
-        tc = T * abs(x0) / u
-        return [(t, x0 + t * u / T if t <= tc else abs(x0) - t * u / T)
-                for t in ts]
-    v = math.sqrt(2 * V0 / m)
-    t1 = abs(x0) / v
-    t2 = T - abs(x1) / v
-    out = []
-    for t in ts:
-        if t <= t1:
-            out.append((t, x0 + v * t))
-        elif t < t2:
-            out.append((t, 0.0))
+    if model.family is Family.HEAVISIDE:
+        if kind == "direct":
+            xs = x0 + ts * (x1 - x0) / T
+        elif kind == "low_bounce":
+            u = abs(x0) + abs(x1)
+            xs = np.where(ts <= T * abs(x0) / u, x0 + ts * u / T,
+                          abs(x0) - ts * u / T)
         else:
-            out.append((t, x1 + v * (T - t)))
-    return out
+            v = math.sqrt(2 * model.V0 / model.m)
+            xs = np.where(ts <= abs(x0) / v, x0 + v * ts,
+                          np.where(ts < T - abs(x1) / v, 0.0,
+                                   x1 + v * (T - ts)))
+        return list(zip(ts, xs))
+    from scipy.integrate import solve_ivp
+    sgn = (np.sign(x1 - x0) or 1.0) if kind == "direct" else 1.0
+    E = saddle.E.real
+    v0 = sgn * math.sqrt(max(2 * (E - float(potential_value(model, x0))), 0.0)
+                         / model.m)
+    sol = solve_ivp(_caustics._rhs(model), (0, T), [x0, v0, 0.0, 1.0],
+                    t_eval=ts, rtol=1e-10, atol=1e-12)
+    return list(zip(sol.t, sol.y[0]))
 
 
 def _complex_shoot(model, x0, x1, T, itmax=40):
@@ -561,54 +521,36 @@ def _complex_shoot(model, x0, x1, T, itmax=40):
     return None
 
 
-def _t_of_v(model, E, v):
-    """Implicit t as a function of the potential value v (contour diagnostics)."""
-    w0 = (E - v) / (E - model.V0)
-    w1 = (E - v) / E
-    r0 = np.sqrt(complex(E - model.V0))
-    r1 = np.sqrt(complex(E))
+def _t_of_v(model, E, v, s0):
+    """Implicit t as a function of the potential value v (contour
+    diagnostics), on the sheet A0 = arctanh(s0 sqrt(w0)), s0 = +-1."""
+    y = np.sqrt(complex((E - v) / (E - model.V0)))
+    # negate rather than multiply: s0 * y would flip the sign of a zero
+    # imaginary part, and with it the side of the arctanh cut
+    a0 = np.arctanh(-y if s0 < 0 else y)
+    a1 = np.arctanh(np.sqrt(complex((E - v) / E)))
     c = math.sqrt(model.m / 2.0) / model.alpha
-    return c * (np.arctanh(-np.sqrt(complex(w0))) / r0
-                - np.arctanh(np.sqrt(complex(w1))) / r1)
+    return c * (a0 / np.sqrt(complex(E - model.V0)) - a1 / np.sqrt(complex(E)))
 
 
 def _matching_point(model, E):
-    """Real-axis reflection point a with Re[t(a)] = 0 (E > V0)."""
+    """Real-axis reflection point a with Re[t(a)] = 0 (E > V0), on the
+    A0 = arctanh(+sqrt(w0)) sheet."""
     from scipy.optimize import brentq
-
-    def f(x):
-        v = float(potential_value(model, x))
-        w0 = (E - v) / (E - model.V0)
-        w1 = (E - v) / E
-        re0 = float(np.arctanh(1.0 / math.sqrt(w0)))
-        a1 = float(np.arctanh(math.sqrt(w1)))
-        c = math.sqrt(model.m / 2.0) / model.alpha
-        return c * (re0 / math.sqrt(E - model.V0) - a1 / math.sqrt(E))
-
-    return brentq(f, -6.0, -1e-6, xtol=1e-12)
-
-
-def _contour_diag(outpath, E, alpha):
-    md = StepModel(Family.WOODS_SAXON, 1, 1, alpha, 1)
-    rows = []
-    for v in np.linspace(1e-4, E - 1e-4, 600):
-        t = _t_of_v(md, E, complex(v))
-        rows.append((v, t.real, t.imag))
-    _write_rows(outpath, ("v", "Re_t", "Im_t"), rows,
-                {"recipe": os.path.basename(outpath), "E": E, "alpha": alpha})
+    return brentq(lambda x: _t_of_v(
+        model, E, float(potential_value(model, x)), 1).real,
+        -6.0, -1e-6, xtol=1e-12)
 
 
 def _cmd_reproduce(args):
-    os.makedirs(args.out_dir, exist_ok=True)
-    recipes = _recipes(args.out_dir, args.coarse)
-    if args.figure == "all":
-        for name, fn in recipes.items():
-            fn()
-        return 0
-    if args.figure not in recipes:
+    recipes = _recipes(args.coarse)
+    if args.figure != "all" and args.figure not in recipes:
         raise ValidationError(f"unknown recipe {args.figure!r}; "
                               f"choose from {sorted(recipes)} or 'all'")
-    recipes[args.figure]()
+    os.makedirs(args.out_dir, exist_ok=True)
+    for fig in recipes if args.figure == "all" else [args.figure]:
+        for name, header, rows, config in recipes[fig]():
+            _write_rows(os.path.join(args.out_dir, name), header, rows, config)
     return 0
 
 
@@ -618,78 +560,59 @@ def build_parser():
     p = argparse.ArgumentParser(prog="stepprop",
                                 description="step-potential propagator toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-    model_kw = dict(required=True, help="model JSON (inline or file path)")
+    saddle_sets = ("real", "real+caustic", "real+caustic+topological")
 
-    q = sub.add_parser("rates", help="reflection/transmission rates CSV")
-    q.add_argument("--model", **model_kw)
+    def command(name, func, help, fmt=True):
+        q = sub.add_parser(name, help=help)
+        q.set_defaults(func=func)
+        q.add_argument("--model", required=True,
+                       help="model JSON (inline or file path)")
+        q.add_argument("--out", default=None)
+        if fmt:
+            q.add_argument("--format", choices=("csv", "json"), default="csv")
+        return q
+
+    q = command("rates", _cmd_rates, "reflection/transmission rates CSV")
     q.add_argument("--k-range", default="1.5:10:200")
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.set_defaults(func=_cmd_rates)
 
-    q = sub.add_parser("propagate", help="real-time propagator sweep")
-    q.add_argument("--model", **model_kw)
+    q = command("propagate", _cmd_propagate, "real-time propagator sweep")
     q.add_argument("--x0", type=float, required=True)
     q.add_argument("--x1-range", required=True)
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--theta", type=float, default=0.1)
     q.add_argument("--threads", type=int, default=1)
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.set_defaults(func=_cmd_propagate)
 
-    q = sub.add_parser("energy", help="energy propagator sweep")
-    q.add_argument("--model", **model_kw)
+    q = command("energy", _cmd_energy, "energy propagator sweep")
     q.add_argument("--x0", type=float, required=True)
     q.add_argument("--x1", type=float, required=True)
     q.add_argument("--E-range", required=True)
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.set_defaults(func=_cmd_energy)
 
-    q = sub.add_parser("classical", help="classical saddles as JSON")
-    q.add_argument("--model", **model_kw)
+    q = command("classical", _cmd_classical, "classical saddles as JSON",
+                fmt=False)
     q.add_argument("--x0", type=float, required=True)
     q.add_argument("--x1", type=float, required=True)
     q.add_argument("--T", type=float, required=True)
-    q.add_argument("--saddles", default="real",
-                   choices=("real", "real+caustic", "real+caustic+topological"))
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_classical)
+    q.add_argument("--saddles", default="real", choices=saddle_sets)
 
-    q = sub.add_parser("caustics", help="caustic curve points CSV")
-    q.add_argument("--model", **model_kw)
+    q = command("caustics", _cmd_caustics, "caustic curve points CSV")
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--x0-range", required=True)
     q.add_argument("--n-scan", type=int, default=400)
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.set_defaults(func=_cmd_caustics)
 
-    q = sub.add_parser("stokes", help="Stokes line points CSV")
-    q.add_argument("--model", **model_kw)
+    q = command("stokes", _cmd_stokes, "Stokes line points CSV")
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--x0-range", required=True)
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.set_defaults(func=_cmd_stokes)
 
-    q = sub.add_parser("wkb", help="WKB propagator sweep")
-    q.add_argument("--model", **model_kw)
+    q = command("wkb", _cmd_wkb, "WKB propagator sweep")
     q.add_argument("--x0", type=float, required=True)
     q.add_argument("--x1-range", required=True)
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--hbar", type=float, default=None)
-    q.add_argument("--saddles", default="real+caustic",
-                   choices=("real", "real+caustic", "real+caustic+topological"))
+    q.add_argument("--saddles", default="real+caustic", choices=saddle_sets)
     q.add_argument("--calibrate", action="store_true",
                    help="pin complex-saddle Stokes signs against exact G")
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.set_defaults(func=_cmd_wkb)
 
-    q = sub.add_parser("spectrum", help="Fourier/Laplace action spectroscopy")
-    q.add_argument("--model", **model_kw)
+    q = command("spectrum", _cmd_spectrum, "Fourier/Laplace action spectroscopy")
     q.add_argument("--x0", type=float, required=True)
     q.add_argument("--x1", type=float, required=True)
     q.add_argument("--T", type=float, required=True)
@@ -700,12 +623,8 @@ def build_parser():
     q.add_argument("--tau-range", default="0:15:601")
     q.add_argument("--s-range", default="0:2:241")
     q.add_argument("--threads", type=int, default=1)
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.set_defaults(func=_cmd_spectrum)
 
-    q = sub.add_parser("oracle", help="Crank-Nicolson packet evolution")
-    q.add_argument("--model", **model_kw)
+    q = command("oracle", _cmd_oracle, "Crank-Nicolson packet evolution")
     q.add_argument("--center", type=float, default=-15.0)
     q.add_argument("--sigma", type=float, default=1.0)
     q.add_argument("--k-mean", type=float, default=1.2)
@@ -715,9 +634,6 @@ def build_parser():
     q.add_argument("--n-x", type=int, default=8192)
     q.add_argument("--dt", type=float, default=0.005)
     q.add_argument("--absorbing-width", type=float, default=0.0)
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.set_defaults(func=_cmd_oracle)
 
     q = sub.add_parser("reproduce", help="figure-data reproduction recipes")
     q.add_argument("figure", help="fig1..fig18 or 'all'")

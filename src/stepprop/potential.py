@@ -72,7 +72,11 @@ class StepModel:
             raise ValidationError(f"unknown family {cfg['family']!r}") from None
         for k in ("m", "V0", "alpha", "hbar"):
             if k in kwargs:
-                kwargs[k] = float(kwargs[k])
+                try:
+                    kwargs[k] = float(kwargs[k])
+                except (TypeError, ValueError):
+                    raise ValidationError(f"model key {k!r} must be a number, "
+                                          f"got {cfg[k]!r}") from None
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

@@ -260,6 +260,13 @@ def propagate(model: StepModel, x0: float, x1, T: float,
         g_above, e_above, n_above = _above_leg_deformed(model, x0, x1, T, cfg)
         G, err = g_below + g_above, e_below + e_above
         n_evals = n_below + n_above
+        # cancellation between panels can leave an error larger than G
+        bad = (err > np.abs(G)) & (err > cfg.abs_tol)
+        if np.any(bad):
+            c = int(np.argmax(bad))
+            raise QuadratureError(
+                f"G at x1 = {float(np.atleast_1d(x1)[c])!r} is meaningless: "
+                f"|G| = {float(abs(G[c]))!r}, est_error = {float(err[c])!r}")
     if row:
         return PropagatorRow(x0, x1, T, G, err, n_evals)
     return PropagatorSample(x0, x1, T, complex(G[0]), float(err[0]), n_evals)

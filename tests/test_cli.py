@@ -53,6 +53,17 @@ def test_unknown_model_key_exits_2(capsys):
     assert record["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--model", HV, "--k-range", "a:b:3"],
+    ["rates", "--model", HV, "--k-range", "1:2:2.5"],
+    ["rates", "--model", json.dumps({"family": "heaviside", "hbar": "x"})],
+], ids=["range_not_numbers", "range_fractional_count", "model_not_number"])
+def test_malformed_number_exits_2(argv, capsys):
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+
+
 def test_numerical_failure_exits_3(capsys):
     # no topological saddle exists at very long T: machine-readable exit 3
     rc = main(["classical", "--model", json.dumps(
@@ -102,13 +113,29 @@ def test_spectrum_csv(tmp_path):
     assert len(rows) == 41
 
 
-# the files each recipe writes, with their headers
+# the files each recipe writes, with their headers; fig9, fig10, fig17 and
+# fig18 take 12-60 s even at --coarse and are left out
+GRID = ["x0", "x1", "absG2"]
+CONTOUR = ["v", "Re_t", "Im_t"]
 RECIPE_FILES = {
     "fig1": {"fig1_potentials.csv": ["alpha", "x", "V"]},
+    "fig2": {"fig2_rates.csv": ["alpha", "k", "R2", "T2"]},
+    "fig3": {f"fig3_ws_absG2_hbar{h}.csv": GRID for h in (1.0, 0.5, 0.25)},
+    "fig4": {f"fig4_heaviside_absG2_hbar{h}.csv": GRID
+             for h in (1.0, 0.5, 0.25)},
+    "fig5": {f"fig5_heaviside_V0_{v}.csv": GRID for v in (0.25, 0.5, 1.0)},
+    "fig6": {f"fig6_ws_V0_{v}.csv": GRID for v in (1.0, 1.5, 2.0)},
+    "fig7": {"fig7_eigenstates.csv": ["branch", "x", "Re", "Im"]},
     "fig8": {"fig8a_time_vs_energy.csv": ["x1", "E", "T_direct", "T_bounce"],
              "fig8b_paths.csv": ["alpha", "kind", "t", "x"]},
     "fig11": {"fig11_complex_energy_map.csv": ["ReE", "ImE", "ReT", "ImT"]},
+    "fig12": {"fig12_left_contour.csv": CONTOUR},
+    "fig13": {"fig13_right_contour.csv": CONTOUR},
     "fig14": {"fig14_c0_circle.csv": ["theta", "Re_t", "Im_t"]},
+    "fig15": {"fig15_rr_spectrum.csv": ["tau", "absF2"]},
+    "fig16": {"fig16_laplace_residue.csv": ["s", "absL", "model_real",
+                                            "model_real_caustic",
+                                            "model_all"]},
 }
 
 
@@ -121,6 +148,7 @@ def test_reproduce_recipe(tmp_path, recipe):
         assert config["recipe"] == name.split("_")[0]
         assert header == expected
         assert rows
+    assert sorted(os.listdir(tmp_path)) == sorted(RECIPE_FILES[recipe])
 
 
 def test_complex_shoot_root():
@@ -133,7 +161,10 @@ def test_complex_shoot_root():
 
 
 def test_reproduce_unknown_recipe(tmp_path, capsys):
-    assert main(["reproduce", "fig99", "--out-dir", str(tmp_path)]) == 2
+    out_dir = tmp_path / "new"
+    assert main(["reproduce", "fig99", "--out-dir", str(out_dir)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not out_dir.exists()
 
 
 def test_propagate_threads_deterministic(tmp_path):

@@ -95,6 +95,16 @@ def test_contour_cap_raises_instead_of_padding(ws_unit):
                   QuadratureConfig(k_max_factor=1.01))
 
 
+def test_meaningless_G_raises():
+    # at WS alpha=5, hbar=1/6, T=5 the panels of (x0, x1) = (-1, 35) cancel
+    # to |G| ~ 327 with est_error ~ 3e7; a row reports the same column
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 5.0, 1.0 / 6.0)
+    for x1 in (35.0, np.array([3.0, 35.0])):
+        with pytest.raises(QuadratureError,
+                           match=r"x1 = 35\.0 .*\|G\| = .*est_error = "):
+            propagate(md, -1.0, x1, 5.0)
+
+
 def test_quadrature_diagnostics_populated(ws_unit):
     s = propagate(ws_unit, -4.0, -6.0, 10.0)
     assert s.est_error >= 0 and s.n_evals > 0
