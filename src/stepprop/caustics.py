@@ -143,7 +143,7 @@ def inside_caustic(model: StepModel, bvp: BoundarySpec) -> bool:
     _, t_min = _bounce_minimum(model, bvp.x0, bvp.x1)
     if t_min >= bvp.T:
         return False
-    # three paths need the direct one as well
+    # a T_b minimum below T is not enough: count the real paths
     return len(solve_real_paths(model, bvp)) >= 3
 
 

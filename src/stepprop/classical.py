@@ -48,9 +48,9 @@ from .potential import Family, StepModel, potential_value
 
 __all__ = ["BoundarySpec", "SaddleKind", "ClassicalSaddle", "turning_point",
            "time_of_flight", "reduced_action", "heaviside_paths",
-           "solve_real_paths", "van_vleck", "caustic_saddle",
-           "find_caustic_saddle", "caustic_saddle_curve", "topological_saddle",
-           "bounce_fold", "caustic_triangle_vertices",
+           "solve_real_paths", "van_vleck", "find_caustic_saddle",
+           "caustic_saddle_curve", "topological_saddle", "bounce_fold",
+           "caustic_triangle_vertices",
            "heaviside_three_path_region"]
 
 
@@ -435,12 +435,14 @@ def _solve_direct_ws(model, bvp):
 
 
 def _solve_bounces_ws(model, bvp):
-    """Bounce-energy roots of T_b(E) = T on (E_floor, V0).
+    """Bounce-energy roots of T_b(E) = T on (E_floor, V0), each with its
+    Maslov index, the number of T_b extrema below the root.
 
-    The bounce branch dips to a single minimum and rises to the lingering
-    divergence at E -> V0, so roots are bracketed around the minimum (a
-    fixed scan would miss the arbitrarily narrow dip near a fold)."""
-    from scipy.optimize import brentq
+    The bounce branch rises from the energy floor to a local maximum, dips
+    to a minimum and rises to the lingering divergence at E -> V0, so roots
+    are bracketed around these extrema (a fixed scan would miss the
+    arbitrarily narrow dip near a fold)."""
+    from scipy.optimize import brentq, minimize_scalar
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
     if model.V0 == 0.0:
         return []
@@ -452,9 +454,19 @@ def _solve_bounces_ws(model, bvp):
     if t_min > T:
         return []
     f = lambda E: float(_t_bounce(model, E, x0, x1).real) - T
+    root = lambda a, b: brentq(f, a, b, xtol=1e-16, rtol=8.9e-16)
     roots = []
-    if f(e_lo) > 0 and e_lo < e_star:
-        roots.append(brentq(f, e_lo, e_star, xtol=1e-16, rtol=8.9e-16))
+    if e_lo < e_star and f(e_lo) > 0:
+        roots.append((root(e_lo, e_star), 1))
+    elif e_lo < e_star:
+        # T_b(floor) <= T: the rise to the local maximum may still cross T
+        r = minimize_scalar(lambda u: -f(floor + math.exp(u)),
+                            bounds=(math.log(e_lo - floor),
+                                    math.log(e_star - floor)),
+                            method="bounded", options={"xatol": 1e-10})
+        e_max = floor + math.exp(r.x)
+        if -r.fun > 0:
+            roots += [(root(e_lo, e_max), 0), (root(e_max, e_star), 1)]
     # rising branch toward the lingering divergence at V0
     hi = e_star
     for j in range(2, 50):
@@ -465,9 +477,9 @@ def _solve_bounces_ws(model, bvp):
         if f(hi) > 0:
             break
     else:
-        return sorted(roots)
-    roots.append(brentq(f, e_star, hi, xtol=1e-16, rtol=8.9e-16))
-    return sorted(roots)
+        return roots
+    roots.append((root(e_star, hi), 2))
+    return roots
 
 
 def solve_real_paths(model: StepModel, bvp: BoundarySpec):
@@ -482,21 +494,11 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
         vv = _real_vv(model, SaddleKind.DIRECT, E_dir, x0, x1)
         out.append(_real_saddle(model, SaddleKind.DIRECT, E_dir, S, vv,
                                 maslov=0))
-    roots = _solve_bounces_ws(model, bvp)
-    if roots:
-        if len(roots) >= 2:
-            picked = [(roots[0], SaddleKind.LOW_BOUNCE, 1),
-                      (roots[-1], SaddleKind.HIGH_BOUNCE, 2)]
-        else:
-            # single bounce root: classify by its side of the time minimum
-            e_star, _ = _bounce_minimum(model, x0, x1)
-            kind, nu = ((SaddleKind.HIGH_BOUNCE, 2) if roots[0] > e_star
-                        else (SaddleKind.LOW_BOUNCE, 1))
-            picked = [(roots[0], kind, nu)]
-        for E, kind, nu in picked:
-            S = float(_s_bounce(model, E, x0, x1, T).real)
-            vv = _real_vv(model, kind, E, x0, x1)
-            out.append(_real_saddle(model, kind, E, S, vv, nu))
+    for E, nu in _solve_bounces_ws(model, bvp):
+        kind = SaddleKind.HIGH_BOUNCE if nu == 2 else SaddleKind.LOW_BOUNCE
+        S = float(_s_bounce(model, E, x0, x1, T).real)
+        vv = _real_vv(model, kind, E, x0, x1)
+        out.append(_real_saddle(model, kind, E, S, vv, nu))
     if not out:
         raise RootBracketError("no real classical path found", table=None)
     return out
@@ -598,20 +600,6 @@ def _saddle_from_state(model, E, s0, s1, T):
                            sqrt_vv=complex(-cmath.sqrt(vv)))
 
 
-def caustic_saddle(model: StepModel, bvp: BoundarySpec, seed: complex):
-    """Complex bounce saddle from a seed energy (upper half-plane).
-
-    The seed should come from continuation off the fold;
-    :func:`find_caustic_saddle` supplies it automatically.
-    """
-    if seed.imag < 0:
-        raise ValidationError("seed energy must lie in the upper half-plane")
-    s0 = EndpointState(model, bvp.x0, complex(seed))
-    s1 = EndpointState(model, bvp.x1, complex(seed))
-    E = _newton_tracked(model, complex(seed), s0, s1, bvp.T)
-    return _saddle_from_state(model, E, s0, s1, bvp.T)
-
-
 def _find_fold_x1(model, x0, T, x1_target):
     """Fold position between x1_target (outside) and the step."""
     g = lambda xv: _bounce_minimum(model, x0, xv)[1] - T
@@ -631,60 +619,71 @@ def _find_fold_x1(model, x0, T, x1_target):
     raise RootBracketError("fold caustic not bracketed along the x1 row")
 
 
-def _continuation_walk(model, x0, T, x1_target, checkpoints, n_steps):
-    """Walk the complex bounce root from the fold down to x1_target.
+# corrector iteration cap, and the smallest x1 step before the walk gives up
+_CORRECTOR_ITMAX = 8
+_MIN_STEP = 1e-7
 
-    Yields (x1, E, s0, s1) at every checkpoint (sorted from the fold out).
+
+def _continuation_walk(model, x0, T, checkpoints):
+    """Walk the complex bounce root from the fold out along the x1 row.
+
+    Yields (x1, E, s0, s1) at every checkpoint beyond the start point, the
+    nearest to the fold first.  A secant predictor and a capped Newton
+    corrector take adaptive steps that land exactly on each checkpoint; a
+    step is kept only if no arctanh term moved by pi/4 or more, so the
+    tracked sheet cannot jump.
     """
-    fold = _find_fold_x1(model, x0, T, x1_target)
-    offset = max(2e-3, 1e-3 * abs(fold))
-    x_start = fold - offset if x1_target < fold else fold + offset
-    E_min, T_min = _bounce_minimum(model, x0, x_start)
-    h = 1e-4 * model.V0
-    curv = (float(_t_bounce(model, E_min + h, x0, x_start).real)
-            - 2 * T_min
-            + float(_t_bounce(model, E_min - h, x0, x_start).real)) / h ** 2
-    if curv <= 0:
-        raise NewtonError("fold curvature not positive; seeding failed")
-    E = complex(E_min, math.sqrt(2.0 * max(T_min - T, 0.0) / curv))
+    fold = _find_fold_x1(model, x0, T, min(checkpoints))
+    x = fold - max(2e-3, 1e-3 * abs(fold))
+    E_min, _ = _bounce_minimum(model, x0, x)
     s0 = EndpointState(model, x0, E_min)
-    s1 = EndpointState(model, x_start, E_min)
-    _tb_state(model, E, s0, s1)
-    walk = np.unique(np.concatenate([
-        np.linspace(x_start, x1_target, max(n_steps, 50)),
-        np.asarray(checkpoints, dtype=float)]))
-    walk = walk[(walk <= x_start) & (walk >= x1_target)] if x1_target < x_start \
-        else walk[(walk >= x_start) & (walk <= x1_target)]
-    order = np.argsort(np.abs(walk - x_start))
-    marks = {round(float(c), 12) for c in checkpoints}
-    for xx in walk[order]:
-        s1.x = float(xx)
-        E = _newton_tracked(model, E, s0, s1, T)
-        if round(float(xx), 12) in marks:
-            yield float(xx), E, s0, s1
+    s1 = EndpointState(model, x, E_min)
+    # Just outside the fold T_b(E) ~ T_min + c (E - E_min)^2 / 2 with
+    # T_min > T, so the two roots are E_min +- i r.  Newton on a quadratic
+    # converges to the root on the seed's side of the perpendicular bisector
+    # of the roots, here the real axis: any seed E_min + i delta with
+    # delta > 0 finds E_min + i r.
+    E = _newton_tracked(model, complex(E_min, 1e-3 * model.V0), s0, s1, T)
+    x_prev, E_prev = fold, E  # zero slope: the first predictor is E itself
+    h = 0.05
+    for cp in sorted({float(c) for c in checkpoints if c <= x}, reverse=True):
+        while x > cp:
+            x_new = max(x - h, cp)
+            E_pred = E + (E - E_prev) * (x_new - x) / (x - x_prev)
+            t0, t1 = s0.clone(), s1.clone()
+            t1.x = x_new
+            try:
+                E_new = _newton_tracked(model, E_pred, t0, t1, T,
+                                        itmax=_CORRECTOR_ITMAX)
+            except NewtonError:
+                E_new = None
+            moved = [abs(a.val - b.val) for a, b in zip(
+                (t0.a0, t0.a1, t1.a0, t1.a1), (s0.a0, s0.a1, s1.a0, s1.a1))]
+            if E_new is None or max(moved) >= math.pi / 4:
+                h *= 0.5
+                if h < _MIN_STEP:
+                    raise NewtonError(f"continuation step fell below "
+                                      f"{_MIN_STEP:g} at x1 = {x:.6g}")
+                continue
+            x_prev, E_prev, x, E, s0, s1 = x, E, x_new, E_new, t0, t1
+            h *= 1.5
+        yield x, E, s0, s1
 
 
-def find_caustic_saddle(model: StepModel, bvp: BoundarySpec,
-                        n_steps: int = 500) -> ClassicalSaddle:
+def find_caustic_saddle(model: StepModel, bvp: BoundarySpec) -> ClassicalSaddle:
     """Caustic saddle at bvp via continuation from the fold caustic."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("caustic continuation needs the smooth step")
-    for _, E, s0, s1 in _continuation_walk(model, bvp.x0, bvp.T, bvp.x1,
-                                           [bvp.x1], n_steps):
+    for _, E, s0, s1 in _continuation_walk(model, bvp.x0, bvp.T, [bvp.x1]):
         return _saddle_from_state(model, E, s0, s1, bvp.T)
     raise NewtonError("continuation did not reach the target configuration")
 
 
-def caustic_saddle_curve(model: StepModel, x0: float, T: float, x1_values,
-                         n_steps_per_unit: int = 200):
-    """Caustic saddles along a row of x1 values sharing one continuation."""
-    xs = np.asarray(x1_values, dtype=float)
-    target = float(np.min(xs))
-    n_steps = max(int(n_steps_per_unit * (abs(target) + 1)), 200)
-    out = {}
-    for xx, E, s0, s1 in _continuation_walk(model, x0, T, target, xs, n_steps):
-        out[round(xx, 12)] = _saddle_from_state(model, E, s0, s1, T)
-    return out
+def caustic_saddle_curve(model: StepModel, x0: float, T: float, x1_values):
+    """Caustic saddles along a row of x1 values sharing one continuation,
+    keyed by x1."""
+    return {xx: _saddle_from_state(model, E, s0, s1, T)
+            for xx, E, s0, s1 in _continuation_walk(model, x0, T, x1_values)}
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def gamma(z):
     return np.exp(log_gamma(z))
 
 
-def _series(a, b, c, z, track_cancellation=True):
+def _series(a, b, c, z):
     """Raw power series sum with termwise convergence + cancellation guard."""
     a, b, c, z = np.broadcast_arrays(*_as_complex(a, b, c, z))
     total = np.ones(a.shape, dtype=complex)
@@ -87,12 +87,11 @@ def _series(a, b, c, z, track_cancellation=True):
     else:
         raise SeriesConvergenceError(
             f"2F1 series did not converge within {MAX_TERMS} terms")
-    if track_cancellation:
-        est = np.finfo(float).eps * peak / (np.abs(total) + 1e-300)
-        if np.any(est > CANCEL_TOL):
-            raise SeriesConvergenceError(
-                "2F1 series lost too many digits to cancellation "
-                f"(estimated relative error {float(np.max(est)):.2e})")
+    est = np.finfo(float).eps * peak / (np.abs(total) + 1e-300)
+    if np.any(est > CANCEL_TOL):
+        raise SeriesConvergenceError(
+            "2F1 series lost too many digits to cancellation "
+            f"(estimated relative error {float(np.max(est)):.2e})")
     return total
 
 

@@ -157,7 +157,8 @@ def test_criterion_06_real_path_census():
     assert _report(6, ok, f"{checked} grid points, {mis} misclassifications")
 
 
-def _ws50_caustic_points():
+@pytest.fixture(scope="module")
+def ws50_caustic_points():
     md = StepModel(Family.WOODS_SAXON, 1, 1, 50.0, 1)
     rows = np.concatenate([np.linspace(-13.5, -1.0, 24), [-0.6, -0.3]])
     return ca.caustic_curve(md, 10.0, rows, n_scan=220)
@@ -182,8 +183,8 @@ def _dist_to_triangle(points, L):
                    reason="spec defect: stated vertices are a factor 2 from "
                           "the closed-form path merger, and the alpha=50 "
                           "boundary-layer shift is ~0.4 >> 0.05")
-def test_criterion_07_caustic_triangle_as_stated():
-    pts = _ws50_caustic_points()
+def test_criterion_07_caustic_triangle_as_stated(ws50_caustic_points):
+    pts = ws50_caustic_points
     L_stated = math.sqrt(0.5) * 10.0
     d = _dist_to_triangle(pts, L_stated)
     haus = float(np.max(d))
@@ -193,8 +194,8 @@ def test_criterion_07_caustic_triangle_as_stated():
 
 
 @pytest.mark.slow
-def test_criterion_07_companion_corrected_triangle():
-    pts = _ws50_caustic_points()
+def test_criterion_07_companion_corrected_triangle(ws50_caustic_points):
+    pts = ws50_caustic_points
     L_true = math.sqrt(2.0) * 10.0
     d = _dist_to_triangle(pts, L_true)
     haus = float(np.max(d))
@@ -273,7 +274,7 @@ def test_criterion_09_wkb_residual_ordering():
         bvp = cl.BoundarySpec(-5.0, float(x1), 10.0)
         g = propagate(mdh, -5.0, float(x1), 10.0).G
         real_s = cl.solve_real_paths(WS5, bvp)
-        caus = cl.find_caustic_saddle(WS5, bvp, n_steps=300)
+        caus = cl.find_caustic_saddle(WS5, bvp)
         if flip:
             caus = caus.with_sqrt_vv(-caus.sqrt_vv)
         r_real.append(abs(g - wkb_propagator(WS5, bvp, real_s, hbar)))

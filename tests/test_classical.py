@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from stepprop import caustics as ca
 from stepprop import classical as cl
-from stepprop.errors import (BranchDegenerateError, NoTopologicalSaddleError,
-                             ValidationError)
+from stepprop.errors import (BranchDegenerateError, NewtonError,
+                             NoTopologicalSaddleError, ValidationError)
 from stepprop.potential import (Family, StepModel, potential_derivatives,
                                 potential_value)
 
@@ -238,6 +239,28 @@ def test_van_vleck_divergence_near_fold(ws_unit):
     assert max(vvs) > 1e2
 
 
+@pytest.mark.parametrize("x1, n_paths", [(-3.0, 3), (-2.0, 3), (-1.40, 3),
+                                         (-1.36, 3), (-1.30, 1)])
+def test_real_paths_match_ivp_near_step_side_caustic(ws_unit, x1, n_paths):
+    # toward the step T_b(E) rises from the energy floor to a local maximum
+    # before it dips; between x1 = -1.431 and the caustic at -1.326 the direct
+    # path has become a bounce and two more bounces lie on either side of
+    # that maximum
+    bvp = cl.BoundarySpec(-4.0, x1, 10.0)
+    sads = cl.solve_real_paths(ws_unit, bvp)
+    assert len(sads) == n_paths
+    assert ca.inside_caustic(ws_unit, bvp) == (n_paths == 3)
+    for sad in sads:
+        E = sad.E.real
+        v0 = math.sqrt(2.0 * (E - float(potential_value(ws_unit, bvp.x0))))
+        x_T, J = ca.integrate_ivp(ws_unit, bvp.x0, v0, bvp.T,
+                                  rtol=1e-12, atol=1e-12)
+        assert abs(x_T - x1) < 1e-9
+        assert sad.vv.real == pytest.approx(-ws_unit.m / J, rel=1e-8)
+        # each conjugate point along the path flips the sign of J(T)
+        assert np.sign(sad.vv.real) == (-1) ** (sad.maslov + 1)
+
+
 # ---------------------------------------------------------------------------
 # complex saddles (regression against the continuation machinery)
 # ---------------------------------------------------------------------------
@@ -258,12 +281,12 @@ def test_caustic_saddle_reference_configuration(ws_steep):
 
 
 def test_caustic_saddle_van_vleck_mixed_partial(ws_steep):
-    sad = cl.find_caustic_saddle(ws_steep, BVP_REFL, n_steps=300)
+    sad = cl.find_caustic_saddle(ws_steep, BVP_REFL)
     d = 1e-4
 
     def S_at(x0, x1):
         return cl.find_caustic_saddle(
-            ws_steep, cl.BoundarySpec(x0, x1, 10.0), n_steps=150).S
+            ws_steep, cl.BoundarySpec(x0, x1, 10.0)).S
 
     vv_fd = (S_at(BVP_REFL.x0 + d, BVP_REFL.x1 + d)
              - S_at(BVP_REFL.x0 + d, BVP_REFL.x1 - d)
@@ -283,6 +306,37 @@ def test_caustic_saddle_imaginary_part_vanishes_at_fold(ws_steep):
 def test_caustic_saddle_inside_raises(ws_steep):
     with pytest.raises(ValidationError):
         cl.find_caustic_saddle(ws_steep, cl.BoundarySpec(-3.0, -2.0, 10.0))
+
+
+@pytest.mark.parametrize("alpha, x0, lo, hi", [(1.0, -3.0, -9.0, -5.2),
+                                               (5.0, -5.0, -10.0, -8.0)])
+def test_caustic_saddle_curve_matches_single_calls(alpha, x0, lo, hi):
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    xs = np.linspace(lo, hi, 9)
+    row = cl.caustic_saddle_curve(md, x0, 10.0, xs)
+    assert sorted(row) == sorted(xs)
+    for x1, sad in row.items():
+        one = cl.find_caustic_saddle(md, cl.BoundarySpec(x0, x1, 10.0))
+        for a, b in ((sad.E, one.E), (sad.S, one.S), (sad.vv, one.vv)):
+            assert abs(a - b) <= 1e-11 * abs(b)
+
+
+def test_caustic_walk_gives_up_when_corrector_fails(ws_steep, monkeypatch):
+    # every corrector step fails: the step halves down to its floor and the
+    # walk raises instead of looping
+    newton = cl._newton_tracked
+    calls = []
+
+    def failing(model, E, s0, s1, T, tol=1e-13, itmax=80):
+        if itmax != cl._CORRECTOR_ITMAX:
+            return newton(model, E, s0, s1, T, tol, itmax)  # the fold seed
+        calls.append(E)
+        raise NewtonError("complex Newton did not converge")
+
+    monkeypatch.setattr(cl, "_newton_tracked", failing)
+    with pytest.raises(NewtonError, match="continuation step"):
+        cl.find_caustic_saddle(ws_steep, BVP_REFL)
+    assert 1 < len(calls) < 40
 
 
 def test_topological_saddle_reference_configuration(ws_steep):

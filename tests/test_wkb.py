@@ -55,7 +55,7 @@ def test_branch_continuity_along_row(ws_steep):
     for x1 in xs:
         bvp = cl.BoundarySpec(-5.0, float(x1), 10.0)
         sads = cl.solve_real_paths(ws_steep, bvp)
-        sads.append(cl.find_caustic_saddle(ws_steep, bvp, n_steps=200))
+        sads.append(cl.find_caustic_saddle(ws_steep, bvp))
         vals.append(wkb_propagator(ws_steep, bvp, sads, hbar))
     vals = np.array(vals)
     steps = np.abs(np.diff(vals))
