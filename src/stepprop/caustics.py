@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .classical import (BoundarySpec, SaddleKind, _bounce_minimum,
+from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _t_bounce,
                         caustic_saddle_curve, caustic_triangle_vertices,
                         heaviside_three_path_region, solve_real_paths)
 from .errors import InsideCausticError, StepPropError, UnsupportedFamilyError
@@ -140,8 +140,8 @@ def inside_caustic(model: StepModel, bvp: BoundarySpec) -> bool:
         return heaviside_three_path_region(model, bvp)
     if not (bvp.x0 < 0 and bvp.x1 < 0) or model.V0 == 0.0:
         return False
-    _, t_min = _bounce_minimum(model, bvp.x0, bvp.x1)
-    if t_min >= bvp.T:
+    E_min = _bounce_extrema(model, bvp.x0, bvp.x1)[2]
+    if E_min is None or _t_bounce(model, E_min, bvp.x0, bvp.x1).real >= bvp.T:
         return False
     # a T_b minimum below T is not enough: count the real paths
     return len(solve_real_paths(model, bvp)) >= 3

@@ -208,6 +208,14 @@ def _dt_dE(model: StepModel, E: complex, state: EndpointState):
                   - (1.0 / a1.y - a1.val) / (2.0 * r1 ** 3))
 
 
+def _d2t_dE2(model: StepModel, E: complex, state: EndpointState):
+    """d2t/dE2 on the sheet data of _dt_dE, by dy/dE = (1 - y^2)/(2 y r^2)."""
+    g = lambda a, r2: ((a.y ** -3 + 3.0 / a.y - 3.0 * a.val)
+                       / (4.0 * cmath.sqrt(r2) ** 5))
+    c_t = math.sqrt(model.m / 2.0) / model.alpha
+    return -c_t * (g(state.a0, _canon(E - model.V0)) - g(state.a1, _canon(E)))
+
+
 # ---------------------------------------------------------------------------
 # public closed-form operations
 # ---------------------------------------------------------------------------
@@ -434,52 +442,61 @@ def _solve_direct_ws(model, bvp):
                            table=(grid, vals))
 
 
-def _solve_bounces_ws(model, bvp):
-    """Bounce-energy roots of T_b(E) = T on (E_floor, V0), each with its
-    Maslov index, the number of T_b extrema below the root.
+_E_TOP = 1.0 - 1e-13  # T_b diverges at V0: bracket the bounce branch below
 
-    The bounce branch rises from the energy floor to a local maximum, dips
-    to a minimum and rises to the lingering divergence at E -> V0, so roots
-    are bracketed around these extrema (a fixed scan would miss the
-    arbitrarily narrow dip near a fold)."""
-    from scipy.optimize import brentq, minimize_scalar
+
+def _bounce_extrema(model, x0, x1):
+    """(e_lo, E_max, E_min): the local maximum and minimum of the bounce time
+    T_b(E) on (e_lo, V0), None where absent.
+
+    T_b rises from the energy floor (dT_b/dE ~ (E - floor)^-1/2), is concave,
+    then convex, and diverges at V0, so dT_b/dE is least where d2T_b/dE2
+    changes sign (or at e_lo).  If it is negative there, E_max lies below
+    (None if dT_b/dE < 0 at e_lo) and E_min above; if not, T_b is monotone.
+    A bracket end whose sign breaks this shape raises RootBracketError."""
+    from scipy.optimize import brentq
+    e_lo = max(_energy_floor(model, x0, x1) * (1 + 1e-10), 1e-12 * model.V0)
+    e_hi = model.V0 * _E_TOP
+    if e_lo >= e_hi:
+        return e_lo, None, None
+    def tb_deriv(dt):  # d/dE, d2/dE2 of T_b = -(t0 + t1) on fresh states
+        return lambda E: -sum(dt(model, E, EndpointState(model, x, E)).real
+                              for x in (x0, x1))
+    d1, d2 = tb_deriv(_dt_dE), tb_deriv(_d2t_dE2)
+    root = lambda f, a, b: brentq(f, a, b, xtol=1e-16, rtol=8.9e-16)
+    if not (d2(e_hi) > 0 and d1(e_hi) > 0):
+        raise RootBracketError(f"T_b not rising and convex at V0 (1 - 1e-13) "
+                               f"for (x0, x1) = ({x0:g}, {x1:g})")
+    e_inf = root(d2, e_lo, e_hi) if d2(e_lo) < 0 else e_lo
+    if d1(e_inf) >= 0:
+        return e_lo, None, None
+    e_max = root(d1, e_lo, e_inf) if d1(e_lo) > 0 else None
+    return e_lo, e_max, root(d1, e_inf, e_hi)
+
+
+def _solve_bounces_ws(model, bvp):
+    """Bounce-energy roots of T_b(E) = T on (E_floor, V0) as (E, maslov, kind).
+
+    T_b is monotone between e_lo, its extrema and the divergence at V0, so
+    each piece brackets at most one root, however narrow the dip near a fold.
+    The Maslov index counts conjugate points: 1 on the falling piece, which
+    ends at E_min, 0 on a rising one.  Roots above E_min are high bounces."""
+    from scipy.optimize import brentq
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
-    if model.V0 == 0.0:
+    e_lo, e_max, e_min = _bounce_extrema(model, x0, x1)
+    e_hi = model.V0 * _E_TOP
+    if e_lo >= e_hi:
         return []
-    floor = _energy_floor(model, x0, x1)
-    if floor >= model.V0:
-        return []
-    e_lo = max(floor * (1 + 1e-10), 1e-12 * model.V0)
-    e_star, t_min = _bounce_minimum(model, x0, x1)
-    if t_min > T:
-        return []
+    knots = [E for E in (e_lo, e_max, e_min, e_hi) if E is not None]
     f = lambda E: float(_t_bounce(model, E, x0, x1).real) - T
-    root = lambda a, b: brentq(f, a, b, xtol=1e-16, rtol=8.9e-16)
-    roots = []
-    if e_lo < e_star and f(e_lo) > 0:
-        roots.append((root(e_lo, e_star), 1))
-    elif e_lo < e_star:
-        # T_b(floor) <= T: the rise to the local maximum may still cross T
-        r = minimize_scalar(lambda u: -f(floor + math.exp(u)),
-                            bounds=(math.log(e_lo - floor),
-                                    math.log(e_star - floor)),
-                            method="bounded", options={"xatol": 1e-10})
-        e_max = floor + math.exp(r.x)
-        if -r.fun > 0:
-            roots += [(root(e_lo, e_max), 0), (root(e_max, e_star), 1)]
-    # rising branch toward the lingering divergence at V0
-    hi = e_star
-    for j in range(2, 50):
-        cand = model.V0 * (1.0 - 10.0 ** (-j))
-        if cand <= e_star:
-            continue
-        hi = cand
-        if f(hi) > 0:
-            break
-    else:
-        return roots
-    roots.append((root(e_star, hi), 2))
-    return roots
+    vals = [f(E) for E in knots]
+    if not vals[-1] > 0:
+        raise RootBracketError(f"T_b(V0 (1 - 1e-13)) < T = {T:g}: bounce "
+                               f"root not bracketed below V0")
+    return [(brentq(f, a, b, xtol=1e-16, rtol=8.9e-16), int(b == e_min),
+             SaddleKind.HIGH_BOUNCE if a == e_min else SaddleKind.LOW_BOUNCE)
+            for a, b, fa, fb in zip(knots, knots[1:], vals, vals[1:])
+            if fa * fb < 0]
 
 
 def solve_real_paths(model: StepModel, bvp: BoundarySpec):
@@ -494,8 +511,7 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
         vv = _real_vv(model, SaddleKind.DIRECT, E_dir, x0, x1)
         out.append(_real_saddle(model, SaddleKind.DIRECT, E_dir, S, vv,
                                 maslov=0))
-    for E, nu in _solve_bounces_ws(model, bvp):
-        kind = SaddleKind.HIGH_BOUNCE if nu == 2 else SaddleKind.LOW_BOUNCE
+    for E, nu, kind in _solve_bounces_ws(model, bvp):
         S = float(_s_bounce(model, E, x0, x1, T).real)
         vv = _real_vv(model, kind, E, x0, x1)
         out.append(_real_saddle(model, kind, E, S, vv, nu))
@@ -516,34 +532,35 @@ def van_vleck(model: StepModel, saddle: ClassicalSaddle, bvp: BoundarySpec):
 # fold caustic and complex continuation
 # ---------------------------------------------------------------------------
 
-def _bounce_minimum(model, x0, x1):
-    """(E*, Tmin) of the bounce branch at fixed endpoints."""
-    from scipy.optimize import minimize_scalar
-    floor = _energy_floor(model, x0, x1)
-    V0 = model.V0
-    lo = math.log10(max(1.0 - max(floor * (1 + 1e-10), 1e-10) / V0, 1e-13))
-
-    def fn(lg):
-        E = V0 * (1.0 - 10.0 ** lg)
-        return float(_t_bounce(model, E, x0, x1).real)
-
-    r = minimize_scalar(fn, bounds=(-13.0, lo), method="bounded",
-                        options={"xatol": 1e-13})
-    E_star = V0 * (1.0 - 10.0 ** r.x)
-    return E_star, float(r.fun)
-
-
 def bounce_fold(model: StepModel, x0: float, T: float,
                 x1_lo: float, x1_hi: float):
-    """x1 position of the fold caustic (bounce merger) at fixed x0, T.
-
-    Solves Tmin(x1) = T by bisection on [x1_lo, x1_hi]."""
-    from scipy.optimize import brentq
-
-    def g(x1):
-        return _bounce_minimum(model, x0, x1)[1] - T
-
-    return brentq(g, x1_lo, x1_hi, xtol=1e-11)
+    """x1 of the fold caustic (bounce merger) at fixed x0, T: Newton on
+    T_min(x1) = T_b(E_min) = T from x1_lo, which must lie outside the caustic
+    loop (else ValidationError), with slope -1/v1 as dT_b/dE = 0 at E_min.
+    T_min falls toward the step until E_min merges with E_max: an iterate out
+    of the bracket or past the merger is replaced by the bracket's midpoint,
+    and a bracket that closes on the merger raises RootBracketError."""
+    row = f"no fold on the row x0 = {x0:g}, T = {T:g}"
+    def newton_step(x1):  # (T_min - T) v1 > 0 outside the fold; nan past E_min
+        E_min = _bounce_extrema(model, x0, x1)[2]
+        if E_min is None:
+            return math.nan
+        return ((float(_t_bounce(model, E_min, x0, x1).real) - T)
+                * abs(_speed(model, E_min, x1)))
+    lo, hi, x1 = x1_lo, x1_hi, x1_lo
+    for it in range(100):
+        step = newton_step(x1)
+        if it == 0 and step <= 0:
+            raise ValidationError(f"x1 = {x1:.6g} lies inside the caustic "
+                                  f"loop; no complex saddle")
+        if abs(step) <= 1e-12:
+            return x1 + step
+        lo, hi = (x1, hi) if step > 0 else (lo, x1)
+        if hi - lo <= 1e-12:
+            raise RootBracketError(f"{row}: T_b has no minimum at or below "
+                                   f"T near x1 = {x1:.6g}")
+        x1 = x1 + step if lo < x1 + step < hi else 0.5 * (lo + hi)
+    raise NewtonError(f"{row}: Newton did not converge")
 
 
 def _tb_state(model, E, s0, s1):
@@ -600,25 +617,6 @@ def _saddle_from_state(model, E, s0, s1, T):
                            sqrt_vv=complex(-cmath.sqrt(vv)))
 
 
-def _find_fold_x1(model, x0, T, x1_target):
-    """Fold position between x1_target (outside) and the step."""
-    g = lambda xv: _bounce_minimum(model, x0, xv)[1] - T
-    g_target = g(x1_target)
-    if g_target <= 0:
-        raise ValidationError(
-            "configuration lies inside the caustic loop; no complex saddle")
-    step = max(0.25, 0.05 * abs(x1_target))
-    x_hi = x1_target
-    for _ in range(200):
-        x_next = min(x_hi + step, -1e-3)
-        if g(x_next) <= 0:
-            return bounce_fold(model, x0, T, x_hi, x_next)
-        x_hi = x_next
-        if x_hi >= -1e-3:
-            break
-    raise RootBracketError("fold caustic not bracketed along the x1 row")
-
-
 # corrector iteration cap, and the smallest x1 step before the walk gives up
 _CORRECTOR_ITMAX = 8
 _MIN_STEP = 1e-7
@@ -633,9 +631,11 @@ def _continuation_walk(model, x0, T, checkpoints):
     step is kept only if no arctanh term moved by pi/4 or more, so the
     tracked sheet cannot jump.
     """
-    fold = _find_fold_x1(model, x0, T, min(checkpoints))
+    fold = bounce_fold(model, x0, T, min(checkpoints), -1e-3)
     x = fold - max(2e-3, 1e-3 * abs(fold))
-    E_min, _ = _bounce_minimum(model, x0, x)
+    E_min = _bounce_extrema(model, x0, x)[2]
+    if E_min is None:
+        raise RootBracketError(f"no T_b minimum just outside the fold {fold}")
     s0 = EndpointState(model, x0, E_min)
     s1 = EndpointState(model, x, E_min)
     # Just outside the fold T_b(E) ~ T_min + c (E - E_min)^2 / 2 with

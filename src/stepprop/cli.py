@@ -158,7 +158,7 @@ def _cmd_classical(args):
     saddles = _saddle_set(model, bvp, args.saddles)
     payload = [{"kind": s.kind.value, "E_re": s.E.real, "E_im": s.E.imag,
                 "S_re": s.S.real, "S_im": s.S.imag,
-                "vv_re": s.vv.real, "vv_im": s.vv.imag,
+                "vv_re": s.vv.real, "vv_im": s.vv.imag, "maslov": s.maslov,
                 "relevant": bool(s.relevant)} for s in saddles]
     text = json.dumps({"config": {"command": "classical",
                                   "model": model.to_dict(), "x0": args.x0,

@@ -7,7 +7,8 @@ from scipy.integrate import quad, solve_ivp
 from stepprop import caustics as ca
 from stepprop import classical as cl
 from stepprop.errors import (BranchDegenerateError, NewtonError,
-                             NoTopologicalSaddleError, ValidationError)
+                             NoTopologicalSaddleError, RootBracketError,
+                             ValidationError)
 from stepprop.potential import (Family, StepModel, potential_derivatives,
                                 potential_value)
 
@@ -218,6 +219,65 @@ def test_bounce_time_derivative_closed_form(ws_steep, E):
           - cl._tb_state(ws_steep, E - h, s0.clone(), s1.clone())) / (2 * h)
     assert cl._dtb_state(ws_steep, E, s0, s1) == pytest.approx(fd, rel=1e-7)
 
+    def dtb_at(e):  # dT_b/dE on the sheets carried from E to e
+        c0, c1 = s0.clone(), s1.clone()
+        cl._tb_state(ws_steep, e, c0, c1)
+        return cl._dtb_state(ws_steep, e, c0, c1)
+
+    fd2 = (dtb_at(E + h) - dtb_at(E - h)) / (2 * h)
+    d2 = -(cl._d2t_dE2(ws_steep, E, s0) + cl._d2t_dE2(ws_steep, E, s1))
+    assert d2 == pytest.approx(fd2, rel=1e-6)
+
+
+def _dtb_fresh(md, E, x0, x1):
+    return cl._dtb_state(md, E, cl.EndpointState(md, x0, E),
+                         cl.EndpointState(md, x1, E)).real
+
+
+def _extrema_cases():
+    rng = np.random.default_rng(5)
+    cases = [(float(rng.choice([1.0, 5.0, 50.0])),
+              *(float(v) for v in rng.uniform(-6.0, -0.05, 2)))
+             for _ in range(17)]
+    # monotone T_b; maximum below e_lo (floor < 1e-12 V0); floor within
+    # 1e-10 of V0
+    return cases + [(1.0, -3.0, -0.6), (5.0, -8.0, -7.0), (5.0, 2.4, 2.6)]
+
+
+@pytest.mark.parametrize("alpha, x0, x1", _extrema_cases())
+def test_bounce_extrema_match_derivative_sign_changes(alpha, x0, x1):
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    e_lo, e_max, e_min = cl._bounce_extrema(md, x0, x1)
+    e_hi = md.V0 * cl._E_TOP
+    if e_lo >= e_hi:
+        # plateau: no bounce branch, as solve_real_paths reports
+        assert e_max is None and e_min is None
+        sads = cl.solve_real_paths(md, cl.BoundarySpec(x0, x1, 5.0))
+        assert [s.kind for s in sads] == [cl.SaddleKind.DIRECT]
+        return
+    grid = e_lo + (e_hi - e_lo) * np.geomspace(1e-12, 1.0, 1500)
+    d1 = np.array([_dtb_fresh(md, E, x0, x1) for E in grid])
+    flips = np.flatnonzero(np.diff(np.sign(d1)) != 0)
+    found = [e for e in (e_max, e_min) if e is not None]
+    assert len(found) == len(flips)
+    for e, i in zip(found, flips):
+        assert grid[i] <= e <= grid[i + 1]
+        # dT_b/dE changes sign within 1e-9 relative of the root
+        below, above = (_dtb_fresh(md, e * (1.0 + d), x0, x1)
+                        for d in (-1e-9, 1e-9))
+        assert np.sign(below) == np.sign(d1[i]) == -np.sign(above)
+    assert (e_max is None) == (d1[0] < 0 or not flips.size)
+
+
+@pytest.mark.parametrize("alpha, x0, T", [(1.0, -4.0, 10.0), (1.0, -2.0, 6.0),
+                                          (5.0, -3.0, 6.0), (50.0, -1.0, 10.0)])
+def test_bounce_fold_lies_on_fold_conditions(alpha, x0, T):
+    # T_b = T and dT_b/dE = 0 at the fold
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    fold = cl.bounce_fold(md, x0, T, -math.sqrt(2.0) * T - x0 - 1.5, -1e-3)
+    e_min = cl._bounce_extrema(md, x0, fold)[2]
+    assert abs(cl._t_bounce(md, e_min, x0, fold).real - T) <= 1e-9
+
 
 def test_caustic_merger_energies(ws_unit):
     # approaching the fold along x1, the two bounce energies coalesce
@@ -239,26 +299,49 @@ def test_van_vleck_divergence_near_fold(ws_unit):
     assert max(vvs) > 1e2
 
 
-@pytest.mark.parametrize("x1, n_paths", [(-3.0, 3), (-2.0, 3), (-1.40, 3),
-                                         (-1.36, 3), (-1.30, 1)])
-def test_real_paths_match_ivp_near_step_side_caustic(ws_unit, x1, n_paths):
+_STEP_SIDE = ([(1.0, 10.0, -4.0, x1, n) for x1, n in
+               [(-3.0, 3), (-2.0, 3), (-1.40, 3), (-1.36, 3), (-1.30, 1)]]
+              + [(1.0, 10.0, -1.6, -0.9, 1), (1.0, 5.0, -3.0, -0.6, 1)])
+
+
+@pytest.mark.parametrize(
+    "alpha, T, x0, x1, n_paths", _STEP_SIDE,
+    ids=[f"{x1}-{n}" if (a, T, x0) == (1.0, 10.0, -4.0)
+         else f"a{a:g}-T{T:g}-{x0}-{x1}-{n}" for a, T, x0, x1, n in _STEP_SIDE])
+def test_real_paths_match_ivp_near_step_side_caustic(alpha, T, x0, x1,
+                                                     n_paths):
     # toward the step T_b(E) rises from the energy floor to a local maximum
     # before it dips; between x1 = -1.431 and the caustic at -1.326 the direct
-    # path has become a bounce and two more bounces lie on either side of
-    # that maximum
-    bvp = cl.BoundarySpec(-4.0, x1, 10.0)
-    sads = cl.solve_real_paths(ws_unit, bvp)
+    # path of the x0 = -4 row has become a bounce and two more bounces lie on
+    # either side of that maximum.  The last two rows have a single bounce on
+    # a monotone T_b.
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    bvp = cl.BoundarySpec(x0, x1, T)
+    sads = cl.solve_real_paths(md, bvp)
     assert len(sads) == n_paths
-    assert ca.inside_caustic(ws_unit, bvp) == (n_paths == 3)
+    assert ca.inside_caustic(md, bvp) == (n_paths == 3)
+    ts = np.linspace(0.0, T, 20001)[1:]
     for sad in sads:
         E = sad.E.real
-        v0 = math.sqrt(2.0 * (E - float(potential_value(ws_unit, bvp.x0))))
-        x_T, J = ca.integrate_ivp(ws_unit, bvp.x0, v0, bvp.T,
-                                  rtol=1e-12, atol=1e-12)
+        v0 = math.sqrt(2.0 * (E - float(potential_value(md, x0))))
+        sol = solve_ivp(ca._rhs(md), (0.0, T), (x0, v0, 0.0, 1.0),
+                        method="DOP853", rtol=1e-12, atol=1e-12,
+                        dense_output=True)
+        x_T, J = sol.y[0, -1], sol.y[2, -1]
         assert abs(x_T - x1) < 1e-9
-        assert sad.vv.real == pytest.approx(-ws_unit.m / J, rel=1e-8)
-        # each conjugate point along the path flips the sign of J(T)
-        assert np.sign(sad.vv.real) == (-1) ** (sad.maslov + 1)
+        assert sad.vv.real == pytest.approx(-md.m / J, rel=1e-8)
+        # the Maslov index counts the conjugate points, the zeros of J(t)
+        n_conj = np.count_nonzero(np.diff(np.sign(sol.sol(ts)[2])))
+        assert sad.maslov == n_conj
+
+
+def test_caustic_saddle_rows_without_fold_raise(ws_unit):
+    # T_min > T wherever T_b has a minimum on these rows: no fold to start
+    # the continuation from
+    for x0, T, x1 in [(-2.0, 5.0, -6.571), (-3.0, 5.0, -5.57),
+                      (-4.0, 6.0, -8.0)]:
+        with pytest.raises(RootBracketError, match=f"x0 = {x0:g}, T = {T:g}"):
+            cl.find_caustic_saddle(ws_unit, cl.BoundarySpec(x0, x1, T))
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,22 @@ def test_classical_json_fields(capsys):
     assert kinds == {"direct", "low_bounce", "high_bounce"}
     for s in payload["saddles"]:
         assert set(s) == {"kind", "E_re", "E_im", "S_re", "S_im",
-                          "vv_re", "vv_im", "relevant"}
+                          "vv_re", "vv_im", "relevant", "maslov"}
+
+
+def test_classical_reports_maslov(capsys):
+    # the Maslov index sets each real saddle's WKB phase; complex saddles
+    # carry none
+    def saddles(model, x0, x1, which):
+        assert main(["classical", "--model", model, f"--x0={x0}",
+                     f"--x1={x1}", "--T", "10", "--saddles", which]) == 0
+        out = json.loads(capsys.readouterr().out)["saddles"]
+        return [(s["kind"], s["maslov"]) for s in out]
+
+    assert saddles(WS, -4, -3, "real") == [
+        ("direct", 0), ("low_bounce", 1), ("high_bounce", 0)]
+    ws5 = WS.replace('"alpha": 1.0', '"alpha": 5.0')
+    assert saddles(ws5, -5, -9.25, "real+caustic")[-1] == ("caustic", None)
 
 
 def test_spectrum_csv(tmp_path):

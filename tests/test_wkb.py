@@ -74,3 +74,16 @@ def test_fix_complex_saddle_phase_picks_better_branch(ws_steep):
     flipped = fixed[:-1] + [fixed[-1].with_sqrt_vv(-fixed[-1].sqrt_vv)]
     res_flipped = abs(g - wkb_propagator(ws_steep, bvp, flipped, hbar))
     assert res_fixed <= res_flipped
+
+
+@pytest.mark.parametrize("T, x0, x1", [(10.0, -4.0, -3.0), (10.0, -3.0, -2.5),
+                                       (10.0, -1.6, -0.9), (5.0, -3.0, -0.6)])
+def test_real_saddle_wkb_matches_propagate(ws_unit, T, x0, x1):
+    # each real path enters with its Maslov phase; a wrong index flips the
+    # sign of its term, which leaves a residual of order one
+    from dataclasses import replace
+    hbar = 0.1
+    bvp = cl.BoundarySpec(x0, x1, T)
+    g = propagate(replace(ws_unit, hbar=hbar), x0, x1, T).G
+    w = wkb_propagator(ws_unit, bvp, cl.solve_real_paths(ws_unit, bvp), hbar)
+    assert abs(w - g) <= 0.1 * abs(g)
