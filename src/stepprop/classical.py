@@ -12,8 +12,9 @@ the time and reduced action along the physical orientation are
 where A0 = arctanh(-sqrt(w0)) and A1 = arctanh(+sqrt(w1)); both vanish at the
 turning point x_t = arctanh(2E/V0 - 1)/alpha (integration constants set to
 zero), and dt/dx = 1/v, ds/dx = m v along the classically allowed branch.
-Direct paths use differences of t and s; bounces use T = -(t(x0)+t(x1)) and
-S = -ET - (s(x0)+s(x1)).
+Direct paths use differences of t and s on the sheet where dt/dx = 1/v:
+A0 = arctanh(-sqrt(w0)) below V0 and arctanh(+sqrt(w0)) above it.  Bounces
+use T = -(t(x0)+t(x1)) and S = -ET - (s(x0)+s(x1)).
 
 Complex saddles are analytic continuations of the bounce relation.  Each
 arctanh term carries an explicit sheet label (sqrt sign, i*pi winding) that
@@ -152,15 +153,15 @@ class _ArcTerm:
 
 
 class EndpointState:
-    """Branch state of the two arctanh terms attached to one endpoint."""
+    """Arctanh branch state at one endpoint, A0 = arctanh(sign sqrt(w0))."""
 
     __slots__ = ("model", "x", "a0", "a1")
 
-    def __init__(self, model: StepModel, x: float, E: complex):
+    def __init__(self, model: StepModel, x: float, E: complex, sign: int = -1):
         self.model = model
         self.x = float(x)
         w0, lu0, w1, lu1 = self._args(E)
-        self.a0 = _ArcTerm(w0, lu0, -1)
+        self.a0 = _ArcTerm(w0, lu0, sign)
         self.a1 = _ArcTerm(w1, lu1, +1)
 
     def _args(self, E: complex):
@@ -231,7 +232,8 @@ def turning_point(model: StepModel, E) -> complex:
 
 
 def time_of_flight(model: StepModel, E, x) -> complex:
-    """Implicit t(x) at energy E, principal sheet, t(x_t) = 0."""
+    """Implicit t(x) at energy E, principal sheet, t(x_t) = 0.  Above V0 this
+    sheet is not the one of the physical direct time (see _direct)."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("implicit t(x) defined for the smooth step")
     st = EndpointState(model, float(np.real(x)), complex(E))
@@ -240,7 +242,8 @@ def time_of_flight(model: StepModel, E, x) -> complex:
 
 
 def reduced_action(model: StepModel, E, x) -> complex:
-    """Implicit s(x) at energy E, principal sheet, s(x_t) = 0."""
+    """Implicit s(x) at energy E, principal sheet, s(x_t) = 0.  Above V0 this
+    sheet is not the one of the physical direct action (see _direct)."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("implicit s(x) defined for the smooth step")
     st = EndpointState(model, float(np.real(x)), complex(E))
@@ -249,25 +252,23 @@ def reduced_action(model: StepModel, E, x) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# real-path relations (fresh principal states)
+# real-path relations (fresh states)
 # ---------------------------------------------------------------------------
 
-def _t_direct(model, E, x0, x1):
-    t0, _ = _t_s(model, E, EndpointState(model, x0, E))
-    t1, _ = _t_s(model, E, EndpointState(model, x1, E))
-    return abs((t1 - t0).real)
+def _direct(model, E, x0, x1):
+    """(T, W, dT/dE) of the direct path at real E on the dt/dx = 1/v sheet."""
+    s0, s1 = (EndpointState(model, x, E, 1 if E > model.V0 else -1)
+              for x in (x0, x1))
+    (t0, w0), (t1, w1) = _t_s(model, E, s0), _t_s(model, E, s1)
+    sgn = math.copysign(1.0, x1 - x0)  # the path runs from x0 to x1
+    return (abs((t1 - t0).real), abs((w1 - w0).real),
+            sgn * (_dt_dE(model, E, s1) - _dt_dE(model, E, s0)).real)
 
 
 def _t_bounce(model, E, x0, x1):
     t0, _ = _t_s(model, E, EndpointState(model, x0, E))
     t1, _ = _t_s(model, E, EndpointState(model, x1, E))
     return -(t0 + t1)
-
-
-def _s_direct(model, E, x0, x1, T):
-    _, s0 = _t_s(model, E, EndpointState(model, x0, E))
-    _, s1 = _t_s(model, E, EndpointState(model, x1, E))
-    return -E * T + abs((s1 - s0).real)
 
 
 def _s_bounce(model, E, x0, x1, T):
@@ -282,18 +283,13 @@ def _speed(model, E, x):
 
 def _real_vv(model, kind, E, x0, x1):
     """vv = 1/(v0 v1 dT/dE) of the real direct or bounce path at energy E."""
-    s0, s1 = EndpointState(model, x0, E), EndpointState(model, x1, E)
     v0, v1 = abs(_speed(model, E, x0)), abs(_speed(model, E, x1))
-    if kind is SaddleKind.DIRECT:
-        # T = |Re(t1 - t0)|, travelled in the direction of x1 - x0
-        t_sign = math.copysign(1.0, (_t_s(model, E, s1)[0]
-                                     - _t_s(model, E, s0)[0]).real)
-        dT = t_sign * (_dt_dE(model, E, s1) - _dt_dE(model, E, s0)).real
-        sgn = 1.0 if x1 >= x0 else -1.0
-        v0, v1 = sgn * v0, sgn * v1
+    if kind is SaddleKind.DIRECT:  # v0 and v1 share the sign of x1 - x0
+        dT = _direct(model, E, x0, x1)[2]
     else:
         # T = -(t0 + t1); the bounce leaves x0 forward and returns to x1
-        dT, v1 = _dtb_state(model, E, s0, s1).real, -v1
+        dT, v1 = _dtb_state(model, E, EndpointState(model, x0, E),
+                            EndpointState(model, x1, E)).real, -v1
     if abs(dT) < 1e-12:
         raise CausticDivergenceError("dT/dE vanishes: configuration on a caustic")
     return 1.0 / (v0 * v1 * dT)
@@ -414,32 +410,24 @@ def _energy_floor(model, x0, x1):
 
 
 def _solve_direct_ws(model, bvp):
+    """Direct-path energy of T_dir(E) = T, None if there is none.
+
+    T_dir = int dx/v falls strictly (dT_dir/dE = -int dx/(m v^3)) from a
+    finite value at the energy floor, where an endpoint turns, to 0 as
+    E -> infinity, so the root exists and is unique iff T_dir(floor) >= T."""
     from scipy.optimize import brentq
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
-    floor = _energy_floor(model, x0, x1)
-    lo = max(floor * (1 + 1e-12), 1e-300)
-    f = lambda E: _t_direct(model, E, x0, x1) - T
-    # log-spaced scan, 60 points per decade, extended until bracketed
-    hi = 50.0 * max(model.V0, 1.0)
-    lo_scan = max(lo, 1e-6 * max(model.V0, 1.0))
-    for _ in range(40):
-        grid = np.geomspace(lo_scan, hi, max(
-            int(60 * math.log10(hi / lo_scan)) + 2, 8))
-        vals = np.array([f(E) for E in grid])
-        sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
-        if sign_change.size:
-            i = sign_change[0]
-            E = brentq(f, grid[i], grid[i + 1], xtol=1e-16, rtol=8.9e-16)
-            return E
-        if vals[-1] > 0:
-            hi *= 100.0
-        else:
-            new_lo = lo_scan * 1e-4
-            if new_lo <= lo * (1 + 1e-12) or lo_scan <= lo * (1 + 1e-9):
-                return None  # grazing bound exceeded: no direct path
-            lo_scan = max(new_lo, lo * (1 + 1e-12))
-    raise RootBracketError("direct-path energy not bracketed",
-                           table=(grid, vals))
+    lo = max(_energy_floor(model, x0, x1) * (1 + 1e-12), 1e-300)
+    f = lambda E: _direct(model, E, x0, x1)[0] - T
+    if f(lo) < 0:
+        return None
+    hi = 2.0 * max(model.V0, 1.0)  # above V0 >= floor, so never on V0
+    while not f(hi) < 0:
+        hi *= 2.0
+        if hi > 1e300:
+            raise RootBracketError(f"direct-path energy not bracketed for "
+                                   f"(x0, x1, T) = ({x0:g}, {x1:g}, {T:g})")
+    return brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16)
 
 
 _E_TOP = 1.0 - 1e-13  # T_b diverges at V0: bracket the bounce branch below
@@ -507,7 +495,7 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
     out = []
     E_dir = _solve_direct_ws(model, bvp)
     if E_dir is not None:
-        S = float(_s_direct(model, E_dir, x0, x1, T).real)
+        S = -E_dir * T + _direct(model, E_dir, x0, x1)[1]
         vv = _real_vv(model, SaddleKind.DIRECT, E_dir, x0, x1)
         out.append(_real_saddle(model, SaddleKind.DIRECT, E_dir, S, vv,
                                 maslov=0))

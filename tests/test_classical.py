@@ -59,9 +59,9 @@ def test_hamilton_jacobi_energy_and_time_derivatives(ws_unit):
     # composed action at fixed endpoints
     x0, x1 = -6.0, -3.0
     E, h = 0.41, 1e-6
-    w_p = cl._s_direct(ws_unit, E + h, x0, x1, 0.0).real
-    w_m = cl._s_direct(ws_unit, E - h, x0, x1, 0.0).real
-    T = cl._t_direct(ws_unit, E, x0, x1)
+    w_p = cl._direct(ws_unit, E + h, x0, x1)[1]
+    w_m = cl._direct(ws_unit, E - h, x0, x1)[1]
+    T = cl._direct(ws_unit, E, x0, x1)[0]
     assert abs((w_p - w_m) / (2 * h) - T) < 1e-6
 
     T0, hT = 10.0, 1e-5
@@ -207,6 +207,78 @@ def test_direct_van_vleck_far_from_the_step(ws_steep):
     (direct,) = [s for s in cl.solve_real_paths(ws_steep, BVP_REFL)
                  if s.kind is cl.SaddleKind.DIRECT]
     assert abs(direct.vv.real + ws_steep.m / BVP_REFL.T) <= 1e-12
+
+
+def _quad_time_action(md, E, x0, x1):
+    """int dx/v and int p dx between the endpoints, by adaptive quadrature."""
+    a, b = sorted((x0, x1))
+    v = lambda x: math.sqrt(2.0 * (E - float(potential_value(md, x))) / md.m)
+    kw = dict(points=[0.0] if a < 0.0 < b else None, epsabs=0.0,
+              epsrel=1e-13, limit=200)
+    return (quad(lambda x: 1.0 / v(x), a, b, **kw)[0],
+            quad(lambda x: md.m * v(x), a, b, **kw)[0])
+
+
+def _direct_cases():
+    # (alpha, x0, x1, E), V0 = 1: endpoints drawn on one side of the step or
+    # on both, and E in turn in the allowed range below V0, within 1e-3 below
+    # it, within 1e-3 above it, and well above it
+    rng = np.random.default_rng(17)
+    cases = []
+    while len(cases) < 60:
+        alpha = (1.0, 5.0, 50.0)[len(cases) % 3]
+        x0, x1 = (float(x) for x in rng.uniform(-6.0, 3.0, 2))
+        floor = 1.0 / (1.0 + math.exp(-2.0 * alpha * max(x0, x1)))
+        E = (floor + rng.uniform(0.1, 0.9) * (1.0 - floor),
+             1.0 - rng.uniform(1e-5, 1e-3), 1.0 + rng.uniform(1e-5, 1e-3),
+             1.0 + rng.uniform(0.01, 2.0))[len(cases) // 3 % 4]
+        if E > floor + 1e-4:
+            cases.append((alpha, x0, x1, float(E)))
+    return cases
+
+
+@pytest.mark.parametrize("alpha, x0, x1, E", _direct_cases())
+def test_direct_relation_matches_quadrature(alpha, x0, x1, E):
+    # T = int dx/v and W = int p dx on either side of V0: A0 lies on the
+    # sheet where dt/dx = 1/v, arctanh(-sqrt(w0)) below V0, +sqrt(w0) above
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    T, W, _ = cl._direct(md, E, x0, x1)
+    T_ref, W_ref = _quad_time_action(md, E, x0, x1)
+    assert T == pytest.approx(T_ref, rel=1e-10)
+    assert W == pytest.approx(W_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha, T, x0, x1", [
+    (1.0, 5.0, -3.472, 2.15), (5.0, 5.0, -6.579, 0.435),
+    (5.0, 10.0, -1.671, 0.84), (1.0, 10.0, 2.646, -5.635)])
+def test_crossing_direct_path_solves_time_relation(alpha, T, x0, x1):
+    # the one real path across the step has E > V0, however close to V0,
+    # its time int dx/v equals T, and vv = -m/J(T) on its orbit
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    (sad,) = cl.solve_real_paths(md, cl.BoundarySpec(x0, x1, T))
+    E = sad.E.real
+    assert sad.kind is cl.SaddleKind.DIRECT and E > md.V0
+    T_ref, _ = _quad_time_action(md, E, x0, x1)
+    assert T_ref == pytest.approx(T, rel=1e-10)
+    v0 = math.copysign(math.sqrt(2.0 * (E - float(potential_value(md, x0)))),
+                       x1 - x0)
+    sol = solve_ivp(ca._rhs(md), (0.0, T), (x0, v0, 0.0, 1.0),
+                    method="DOP853", rtol=1e-12, atol=1e-12)
+    assert abs(sol.y[0, -1] - x1) < 1e-9
+    assert sad.vv.real == pytest.approx(-md.m / sol.y[2, -1], rel=1e-8)
+
+
+@pytest.mark.parametrize("x0, x1, T", [(-3.0, 2.0, 6.0), (2.0, -3.0, 6.0),
+                                       (-1.0, 4.0, 3.0)])
+def test_crossing_direct_path_heaviside_limit(heaviside_unit, x0, x1, T):
+    # at alpha = 200 the direct path across the step is the Heaviside one
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 200.0, 1.0)
+    bvp = cl.BoundarySpec(x0, x1, T)
+    (ref,) = cl.heaviside_paths(heaviside_unit, bvp)
+    (sad,) = [s for s in cl.solve_real_paths(md, bvp)
+              if s.kind is cl.SaddleKind.DIRECT]
+    for got, want in ((sad.E, ref.E), (sad.S, ref.S), (sad.vv, ref.vv)):
+        assert got.real == pytest.approx(want.real, rel=5e-3)
 
 
 @pytest.mark.parametrize("E", [1.08 + 0.19j, 0.7 + 0.05j, 1.3 + 0.3j])

@@ -77,10 +77,13 @@ def test_fix_complex_saddle_phase_picks_better_branch(ws_steep):
 
 
 @pytest.mark.parametrize("T, x0, x1", [(10.0, -4.0, -3.0), (10.0, -3.0, -2.5),
-                                       (10.0, -1.6, -0.9), (5.0, -3.0, -0.6)])
+                                       (10.0, -1.6, -0.9), (5.0, -3.0, -0.6),
+                                       (1.0, 1.0, 3.0), (2.0, -2.0, 2.0),
+                                       (5.0, -6.0, 2.0)])
 def test_real_saddle_wkb_matches_propagate(ws_unit, T, x0, x1):
     # each real path enters with its Maslov phase; a wrong index flips the
-    # sign of its term, which leaves a residual of order one
+    # sign of its term, which leaves a residual of order one.  The last three
+    # have only the direct path, with E > V0
     from dataclasses import replace
     hbar = 0.1
     bvp = cl.BoundarySpec(x0, x1, T)
