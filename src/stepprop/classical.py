@@ -256,13 +256,15 @@ def reduced_action(model: StepModel, E, x) -> complex:
 # ---------------------------------------------------------------------------
 
 def _direct(model, E, x0, x1):
-    """(T, W, dT/dE) of the direct path at real E on the dt/dx = 1/v sheet."""
+    """(T, W, dT/dE) of the direct path at real E on the dt/dx = 1/v sheet;
+    dT/dE is a callable on the same states, so a root search on T never
+    evaluates it (it divides by E^(3/2), which is 0.0 below E ~ 1e-216)."""
     s0, s1 = (EndpointState(model, x, E, 1 if E > model.V0 else -1)
               for x in (x0, x1))
     (t0, w0), (t1, w1) = _t_s(model, E, s0), _t_s(model, E, s1)
     sgn = math.copysign(1.0, x1 - x0)  # the path runs from x0 to x1
     return (abs((t1 - t0).real), abs((w1 - w0).real),
-            sgn * (_dt_dE(model, E, s1) - _dt_dE(model, E, s0)).real)
+            lambda: sgn * (_dt_dE(model, E, s1) - _dt_dE(model, E, s0)).real)
 
 
 def _t_bounce(model, E, x0, x1):
@@ -281,15 +283,17 @@ def _speed(model, E, x):
     return cmath.sqrt(2.0 * (E - complex(potential_value(model, x))) / model.m)
 
 
-def _real_vv(model, kind, E, x0, x1):
-    """vv = 1/(v0 v1 dT/dE) of the real direct or bounce path at energy E."""
+def _bounce_dT(model, E, x0, x1):  # T = -(t0 + t1) on fresh states
+    return _dtb_state(model, E, EndpointState(model, x0, E),
+                      EndpointState(model, x1, E)).real
+
+
+def _real_vv(model, kind, E, x0, x1, dT):
+    """vv = 1/(v0 v1 dT/dE) of the real direct or bounce path at energy E; a
+    bounce leaves x0 forward and returns to x1, so v0 v1 < 0."""
     v0, v1 = abs(_speed(model, E, x0)), abs(_speed(model, E, x1))
-    if kind is SaddleKind.DIRECT:  # v0 and v1 share the sign of x1 - x0
-        dT = _direct(model, E, x0, x1)[2]
-    else:
-        # T = -(t0 + t1); the bounce leaves x0 forward and returns to x1
-        dT, v1 = _dtb_state(model, E, EndpointState(model, x0, E),
-                            EndpointState(model, x1, E)).real, -v1
+    if kind is not SaddleKind.DIRECT:
+        v1 = -v1
     if abs(dT) < 1e-12:
         raise CausticDivergenceError("dT/dE vanishes: configuration on a caustic")
     return 1.0 / (v0 * v1 * dT)
@@ -342,11 +346,9 @@ def _heaviside_crossing(model, bvp):
          - V0 * ar * math.sqrt(m / (2 * (E - V0))))
     dTdE = -0.5 * (math.sqrt(m / 2) * al * E ** -1.5
                    + math.sqrt(m / 2) * ar * (E - V0) ** -1.5)
-    sgn = 1.0 if bvp.x0 < 0 else -1.0
-    v0 = sgn * math.sqrt(2 * E / m)
-    v1 = sgn * math.sqrt(2 * (E - V0) / m)
+    v0, v1 = math.sqrt(2 * E / m), math.sqrt(2 * (E - V0) / m)
     if bvp.x0 > 0:
-        v0, v1 = -math.sqrt(2 * (E - V0) / m), -math.sqrt(2 * E / m)
+        v0, v1 = -v1, -v0
     vv = 1.0 / (v0 * v1 * dTdE)
     return _real_saddle(model, SaddleKind.DIRECT, E, S, vv, maslov=0)
 
@@ -361,23 +363,18 @@ def heaviside_paths(model: StepModel, bvp: BoundarySpec):
     if V0 == 0.0 or (x0 <= 0 and x1 <= 0):
         E = m * (x1 - x0) ** 2 / (2 * T * T)
         S = m * (x1 - x0) ** 2 / (2 * T)
-        if V0 > 0 and x0 <= 0 and x1 <= 0:
-            out.append(_real_saddle(model, SaddleKind.DIRECT, E, S,
-                                    -m / T, maslov=0))
-            u = abs(x0) + abs(x1)
-            if T > math.sqrt(m / (2 * V0)) * u:
-                El = m * u * u / (2 * T * T)
-                out.append(_real_saddle(model, SaddleKind.LOW_BOUNCE, El,
-                                        m * (x0 + x1) ** 2 / (2 * T),
-                                        m / T, maslov=1))
-                Sh = math.sqrt(2 * m * V0) * u - V0 * T
-                out.append(ClassicalSaddle(kind=SaddleKind.HIGH_BOUNCE,
-                                           E=complex(V0), S=complex(Sh),
-                                           vv=0.0 + 0.0j, relevant=True,
-                                           sqrt_vv=0.0 + 0.0j, maslov=2))
-        else:
-            out.append(_real_saddle(model, SaddleKind.DIRECT, E, S,
-                                    -m / T, maslov=0))
+        out.append(_real_saddle(model, SaddleKind.DIRECT, E, S, -m / T, maslov=0))
+        u = abs(x0) + abs(x1)
+        if V0 > 0 and T > math.sqrt(m / (2 * V0)) * u:
+            El = m * u * u / (2 * T * T)
+            out.append(_real_saddle(model, SaddleKind.LOW_BOUNCE, El,
+                                    m * (x0 + x1) ** 2 / (2 * T),
+                                    m / T, maslov=1))
+            Sh = math.sqrt(2 * m * V0) * u - V0 * T
+            out.append(ClassicalSaddle(kind=SaddleKind.HIGH_BOUNCE,
+                                       E=complex(V0), S=complex(Sh),
+                                       vv=0.0 + 0.0j, relevant=True,
+                                       sqrt_vv=0.0 + 0.0j, maslov=2))
     elif x0 > 0 and x1 > 0:
         E = m * (x1 - x0) ** 2 / (2 * T * T) + V0
         S = m * (x1 - x0) ** 2 / (2 * T) - V0 * T
@@ -495,13 +492,13 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
     out = []
     E_dir = _solve_direct_ws(model, bvp)
     if E_dir is not None:
-        S = -E_dir * T + _direct(model, E_dir, x0, x1)[1]
-        vv = _real_vv(model, SaddleKind.DIRECT, E_dir, x0, x1)
-        out.append(_real_saddle(model, SaddleKind.DIRECT, E_dir, S, vv,
-                                maslov=0))
+        _, W, dT = _direct(model, E_dir, x0, x1)
+        vv = _real_vv(model, SaddleKind.DIRECT, E_dir, x0, x1, dT())
+        out.append(_real_saddle(model, SaddleKind.DIRECT, E_dir,
+                                -E_dir * T + W, vv, maslov=0))
     for E, nu, kind in _solve_bounces_ws(model, bvp):
         S = float(_s_bounce(model, E, x0, x1, T).real)
-        vv = _real_vv(model, kind, E, x0, x1)
+        vv = _real_vv(model, kind, E, x0, x1, _bounce_dT(model, E, x0, x1))
         out.append(_real_saddle(model, kind, E, S, vv, nu))
     if not out:
         raise RootBracketError("no real classical path found", table=None)
@@ -513,7 +510,10 @@ def van_vleck(model: StepModel, saddle: ClassicalSaddle, bvp: BoundarySpec):
     if model.family is Family.HEAVISIDE or saddle.kind in (
             SaddleKind.CAUSTIC, SaddleKind.TOPOLOGICAL):
         return saddle.vv
-    return _real_vv(model, saddle.kind, saddle.E.real, bvp.x0, bvp.x1)
+    E, x0, x1 = saddle.E.real, bvp.x0, bvp.x1
+    dT = (_direct(model, E, x0, x1)[2]() if saddle.kind is SaddleKind.DIRECT
+          else _bounce_dT(model, E, x0, x1))
+    return _real_vv(model, saddle.kind, E, x0, x1, dT)
 
 
 # ---------------------------------------------------------------------------

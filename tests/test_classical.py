@@ -281,6 +281,22 @@ def test_crossing_direct_path_heaviside_limit(heaviside_unit, x0, x1, T):
         assert got.real == pytest.approx(want.real, rel=5e-3)
 
 
+@pytest.mark.parametrize("alpha, x0, x1, T", [
+    (200.0, -3.0, -2.0, 5.0), (50.0, -6.0, -5.5, 5.0), (200.0, -5.0, -4.0, 5.0)])
+def test_direct_path_deep_below_the_step_is_free(alpha, x0, x1, T):
+    # V(x0), V(x1) < 1e-216 (0.0 at alpha = 200, x = -4): the energy bracket
+    # starts where E^(3/2) underflows, and the direct path is the free one
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    bvp = cl.BoundarySpec(x0, x1, T)
+    (sad,) = [s for s in cl.solve_real_paths(md, bvp)
+              if s.kind is cl.SaddleKind.DIRECT]
+    E = md.m * (x1 - x0) ** 2 / (2 * T ** 2)
+    assert sad.E.real == pytest.approx(E, rel=1e-12)
+    assert sad.S.real == pytest.approx(E * T, rel=1e-12)
+    assert sad.vv.real == pytest.approx(-md.m / T, rel=1e-12)
+    assert cl.van_vleck(md, sad, bvp) == pytest.approx(sad.vv, rel=1e-12)
+
+
 @pytest.mark.parametrize("E", [1.08 + 0.19j, 0.7 + 0.05j, 1.3 + 0.3j])
 def test_bounce_time_derivative_closed_form(ws_steep, E):
     s0 = cl.EndpointState(ws_steep, BVP_REFL.x0, E)
