@@ -12,9 +12,10 @@ the time and reduced action along the physical orientation are
 where A0 = arctanh(-sqrt(w0)) and A1 = arctanh(+sqrt(w1)); both vanish at the
 turning point x_t = arctanh(2E/V0 - 1)/alpha (integration constants set to
 zero), and dt/dx = 1/v, ds/dx = m v along the classically allowed branch.
-Direct paths use differences of t and s on the sheet where dt/dx = 1/v:
-A0 = arctanh(-sqrt(w0)) below V0 and arctanh(+sqrt(w0)) above it.  Bounces
-use T = -(t(x0)+t(x1)) and S = -ET - (s(x0)+s(x1)).
+Direct paths (_direct) use differences of t and s on the sheet where
+dt/dx = 1/v: A0 = arctanh(-sqrt(w0)) below V0 and arctanh(+sqrt(w0)) above
+it.  Every real and complex bounce uses the one relation _bounce,
+T = -(t(x0)+t(x1)) and S = -ET - (s(x0)+s(x1)), on fresh or tracked states.
 
 Complex saddles are analytic continuations of the bounce relation.  Each
 arctanh term carries an explicit sheet label (sqrt sign, i*pi winding) that
@@ -252,51 +253,49 @@ def reduced_action(model: StepModel, E, x) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# real-path relations (fresh states)
+# direct and bounce relations
 # ---------------------------------------------------------------------------
+
+def _fresh(model, E, x0, x1, sign=-1):
+    """States at x0 and x1 started at E, A0 = arctanh(sign sqrt(w0))."""
+    return EndpointState(model, x0, E, sign), EndpointState(model, x1, E, sign)
+
 
 def _direct(model, E, x0, x1):
     """(T, W, dT/dE) of the direct path at real E on the dt/dx = 1/v sheet;
     dT/dE is a callable on the same states, so a root search on T never
     evaluates it (it divides by E^(3/2), which is 0.0 below E ~ 1e-216)."""
-    s0, s1 = (EndpointState(model, x, E, 1 if E > model.V0 else -1)
-              for x in (x0, x1))
+    s0, s1 = _fresh(model, E, x0, x1, 1 if E > model.V0 else -1)
     (t0, w0), (t1, w1) = _t_s(model, E, s0), _t_s(model, E, s1)
     sgn = math.copysign(1.0, x1 - x0)  # the path runs from x0 to x1
     return (abs((t1 - t0).real), abs((w1 - w0).real),
             lambda: sgn * (_dt_dE(model, E, s1) - _dt_dE(model, E, s0)).real)
 
 
+def _bounce(model, E, s0, s1):
+    """(T, W, dT/dE) of the bounce, T = -(t(x0) + t(x1)) and
+    W = -(s(x0) + s(x1)), on the sheets that the states s0, s1 carry once
+    stepped to E; dT/dE is a callable on the same states."""
+    (t0, w0), (t1, w1) = _t_s(model, E, s0), _t_s(model, E, s1)
+    return (-(t0 + t1), -(w0 + w1),
+            lambda: -(_dt_dE(model, E, s0) + _dt_dE(model, E, s1)))
+
+
 def _t_bounce(model, E, x0, x1):
-    t0, _ = _t_s(model, E, EndpointState(model, x0, E))
-    t1, _ = _t_s(model, E, EndpointState(model, x1, E))
-    return -(t0 + t1)
-
-
-def _s_bounce(model, E, x0, x1, T):
-    _, s0 = _t_s(model, E, EndpointState(model, x0, E))
-    _, s1 = _t_s(model, E, EndpointState(model, x1, E))
-    return -E * T - (s0 + s1)
+    return _bounce(model, E, *_fresh(model, E, x0, x1))[0]
 
 
 def _speed(model, E, x):
     return cmath.sqrt(2.0 * (E - complex(potential_value(model, x))) / model.m)
 
 
-def _bounce_dT(model, E, x0, x1):  # T = -(t0 + t1) on fresh states
-    return _dtb_state(model, E, EndpointState(model, x0, E),
-                      EndpointState(model, x1, E)).real
-
-
-def _real_vv(model, kind, E, x0, x1, dT):
-    """vv = 1/(v0 v1 dT/dE) of the real direct or bounce path at energy E; a
-    bounce leaves x0 forward and returns to x1, so v0 v1 < 0."""
-    v0, v1 = abs(_speed(model, E, x0)), abs(_speed(model, E, x1))
-    if kind is not SaddleKind.DIRECT:
-        v1 = -v1
+def _vv(model, E, x0, x1, dT, bounce):
+    """vv = 1/(v0 v1 dT/dE) at energy E; a bounce leaves x0 forward and
+    returns to x1, so v1 = -v(x1), while a direct path has v1 = +v(x1)."""
     if abs(dT) < 1e-12:
         raise CausticDivergenceError("dT/dE vanishes: configuration on a caustic")
-    return 1.0 / (v0 * v1 * dT)
+    v1 = _speed(model, E, x1)
+    return 1.0 / (_speed(model, E, x0) * (-v1 if bounce else v1) * dT)
 
 
 _MASLOV_PHASE = {0: -1j, 1: -1.0, 2: 1j}
@@ -305,7 +304,7 @@ _MASLOV_PHASE = {0: -1j, 1: -1.0, 2: 1j}
 def _real_saddle(model, kind, E, S, vv, maslov):
     sqrt_vv = _MASLOV_PHASE[maslov] * math.sqrt(abs(vv))
     return ClassicalSaddle(kind=kind, E=complex(E), S=complex(S),
-                           vv=complex(vv), relevant=True,
+                           vv=complex(vv.real), relevant=True,
                            sqrt_vv=complex(sqrt_vv), maslov=maslov)
 
 
@@ -445,8 +444,8 @@ def _bounce_extrema(model, x0, x1):
     if e_lo >= e_hi:
         return e_lo, None, None
     def tb_deriv(dt):  # d/dE, d2/dE2 of T_b = -(t0 + t1) on fresh states
-        return lambda E: -sum(dt(model, E, EndpointState(model, x, E)).real
-                              for x in (x0, x1))
+        return lambda E: -sum(dt(model, E, s).real
+                              for s in _fresh(model, E, x0, x1))
     d1, d2 = tb_deriv(_dt_dE), tb_deriv(_d2t_dE2)
     root = lambda f, a, b: brentq(f, a, b, xtol=1e-16, rtol=8.9e-16)
     if not (d2(e_hi) > 0 and d1(e_hi) > 0):
@@ -493,13 +492,13 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
     E_dir = _solve_direct_ws(model, bvp)
     if E_dir is not None:
         _, W, dT = _direct(model, E_dir, x0, x1)
-        vv = _real_vv(model, SaddleKind.DIRECT, E_dir, x0, x1, dT())
+        vv = _vv(model, E_dir, x0, x1, dT(), bounce=False)
         out.append(_real_saddle(model, SaddleKind.DIRECT, E_dir,
                                 -E_dir * T + W, vv, maslov=0))
     for E, nu, kind in _solve_bounces_ws(model, bvp):
-        S = float(_s_bounce(model, E, x0, x1, T).real)
-        vv = _real_vv(model, kind, E, x0, x1, _bounce_dT(model, E, x0, x1))
-        out.append(_real_saddle(model, kind, E, S, vv, nu))
+        _, W, dT = _bounce(model, E, *_fresh(model, E, x0, x1))
+        vv = _vv(model, E, x0, x1, dT().real, bounce=True)
+        out.append(_real_saddle(model, kind, E, (-E * T + W).real, vv, nu))
     if not out:
         raise RootBracketError("no real classical path found", table=None)
     return out
@@ -511,9 +510,10 @@ def van_vleck(model: StepModel, saddle: ClassicalSaddle, bvp: BoundarySpec):
             SaddleKind.CAUSTIC, SaddleKind.TOPOLOGICAL):
         return saddle.vv
     E, x0, x1 = saddle.E.real, bvp.x0, bvp.x1
-    dT = (_direct(model, E, x0, x1)[2]() if saddle.kind is SaddleKind.DIRECT
-          else _bounce_dT(model, E, x0, x1))
-    return _real_vv(model, saddle.kind, E, x0, x1, dT)
+    bounce = saddle.kind is not SaddleKind.DIRECT
+    dT = (_bounce(model, E, *_fresh(model, E, x0, x1)) if bounce
+          else _direct(model, E, x0, x1))[2]().real
+    return _vv(model, E, x0, x1, dT, bounce).real
 
 
 # ---------------------------------------------------------------------------
@@ -551,36 +551,26 @@ def bounce_fold(model: StepModel, x0: float, T: float,
     raise NewtonError(f"{row}: Newton did not converge")
 
 
-def _tb_state(model, E, s0, s1):
-    t0, _ = _t_s(model, E, s0)
-    t1, _ = _t_s(model, E, s1)
-    return -(t0 + t1)
-
-
-def _dtb_state(model, E, s0, s1):
-    """dT/dE of the bounce relation on the sheets s0, s1 carry at E."""
-    return -(_dt_dE(model, E, s0) + _dt_dE(model, E, s1))
-
-
 def _newton_tracked(model, E, s0, s1, T, tol=1e-13, itmax=80):
     """Damped complex Newton on the branch-carried bounce relation."""
     c0, c1 = s0.clone(), s1.clone()
-    F0 = _tb_state(model, E, c0, c1) - T
+    Tb, _, dT = _bounce(model, E, c0, c1)
+    F0 = Tb - T
     for _ in range(itmax):
         if abs(F0) < tol * max(T, 1.0):
             # commit branch state at the root
             s0.a0, s0.a1, s1.a0, s1.a1 = c0.a0, c0.a1, c1.a0, c1.a1
             return E
-        dF = _dtb_state(model, E, c0, c1)
+        dF = dT()
         if dF == 0:
             raise NewtonError("vanishing derivative in complex Newton")
         step = -F0 / dF
         lam = 1.0
         for _ in range(50):
             t0, t1 = c0.clone(), c1.clone()
-            F = _tb_state(model, E + lam * step, t0, t1) - T
-            if abs(F) < abs(F0):
-                E, F0, c0, c1 = E + lam * step, F, t0, t1
+            F, _, dT_t = _bounce(model, E + lam * step, t0, t1)
+            if abs(F - T) < abs(F0):
+                E, F0, c0, c1, dT = E + lam * step, F - T, t0, t1, dT_t
                 break
             lam *= 0.5
         else:
@@ -590,18 +580,11 @@ def _newton_tracked(model, E, s0, s1, T, tol=1e-13, itmax=80):
 
 def _saddle_from_state(model, E, s0, s1, T):
     """Complex bounce saddle on the sheets that s0, s1 carry at E."""
-    _, sa0 = _t_s(model, E, s0)
-    _, sa1 = _t_s(model, E, s1)
-    S = -E * T - (sa0 + sa1)
-    dT = _dtb_state(model, E, s0, s1)
-    if abs(dT) < 1e-12:
-        raise CausticDivergenceError("dT/dE ~ 0 on the fold")
-    v0 = _speed(model, E, s0.x)
-    v1 = -_speed(model, E, s1.x)
-    vv = 1.0 / (v0 * v1 * dT)
-    relevant = S.imag >= 0
+    _, W, dT = _bounce(model, E, s0, s1)
+    S = -E * T + W
+    vv = _vv(model, E, s0.x, s1.x, dT(), bounce=True)
     return ClassicalSaddle(kind=SaddleKind.CAUSTIC, E=complex(E), S=complex(S),
-                           vv=complex(vv), relevant=bool(relevant),
+                           vv=complex(vv), relevant=bool(S.imag >= 0),
                            sqrt_vv=complex(-cmath.sqrt(vv)))
 
 
@@ -681,29 +664,30 @@ def caustic_saddle_curve(model: StepModel, x0: float, T: float, x1_values):
 def topological_saddle(model: StepModel, bvp: BoundarySpec) -> ClassicalSaddle:
     """Real-energy reflecting saddle with E > V0.
 
-    Solves Re T(E) = T on the continued bounce relation and assigns
-    Im S = pi sqrt(2 m (E - V0)) / (2 alpha) from the contour prescription
-    around the logarithmic singularity (half the reflection instanton action).
-    The smallest admissible energy is returned (the branch that starts real
-    at E = V0).
+    Solves Re T_b(E) = T on the continued bounce relation (principal sheet)
+    and assigns Im S = pi sqrt(2 m (E - V0)) / (2 alpha) from the contour
+    prescription around the logarithmic singularity (half the reflection
+    instanton action).  Re T_b falls strictly above V0, so the root exists
+    and is unique iff Re T_b(V0 (1 + 1e-10)) >= T; it is bracketed by
+    doubling from 2 V0.
     """
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("topological saddle needs the smooth step")
     from scipy.optimize import brentq
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
-    V0 = model.V0
-    # Re of the continued bounce time on the principal sheet, minus T
-    f = lambda e: float(_t_bounce(model, complex(e), x0, x1).real) - T
-    grid = V0 * (1.0 + np.geomspace(1e-10, 50.0, 1200))
-    vals = np.array([f(E) for E in grid])
-    crossings = np.where(np.diff(np.sign(vals)) != 0)[0]
-    if crossings.size == 0:
+    f = lambda E: float(_t_bounce(model, E, x0, x1).real) - T
+    lo = model.V0 * (1.0 + 1e-10)
+    if f(lo) < 0:
         raise NoTopologicalSaddleError(
             "Re T(E) never reaches T for E > V0 (minimum-energy condition)")
-    i = crossings[0]
-    E = brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-    sad = _saddle_from_state(model, E, EndpointState(model, x0, E),
-                             EndpointState(model, x1, E), T)
-    im_s = math.pi * math.sqrt(2.0 * model.m * (E - V0)) / (2.0 * model.alpha)
+    hi = 2.0 * model.V0
+    while not f(hi) < 0:
+        hi *= 2.0
+        if hi > 1e300:
+            raise RootBracketError(f"topological energy not bracketed for "
+                                   f"(x0, x1, T) = ({x0:g}, {x1:g}, {T:g})")
+    E = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    sad = _saddle_from_state(model, E, *_fresh(model, E, x0, x1), T)
+    im_s = math.pi * math.sqrt(2.0 * model.m * (E - model.V0)) / (2.0 * model.alpha)
     return replace(sad, kind=SaddleKind.TOPOLOGICAL,
                    S=complex(sad.S.real, im_s), relevant=True)

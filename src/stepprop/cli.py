@@ -352,7 +352,8 @@ def _recipes(coarse):
     def fig8():
         rows = []
         for x1 in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0):
-            for E in np.geomspace(1e-3, 0.999, 400):
+            floor = _classical._energy_floor(_WS1, -5.0, x1) * (1 + 1e-10)
+            for E in np.geomspace(floor, 0.999, 400):
                 try:
                     td = _classical._direct(_WS1, float(E), -5.0, x1)[0]
                     tb = _classical._t_bounce(_WS1, float(E), -5.0, x1)

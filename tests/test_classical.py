@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from stepprop import caustics as ca
 from stepprop import classical as cl
@@ -301,16 +302,14 @@ def test_direct_path_deep_below_the_step_is_free(alpha, x0, x1, T):
 def test_bounce_time_derivative_closed_form(ws_steep, E):
     s0 = cl.EndpointState(ws_steep, BVP_REFL.x0, E)
     s1 = cl.EndpointState(ws_steep, BVP_REFL.x1, E)
-    cl._tb_state(ws_steep, E, s0, s1)
+    dtb = cl._bounce(ws_steep, E, s0, s1)[2]
     h = 1e-5 * abs(E)
-    fd = (cl._tb_state(ws_steep, E + h, s0.clone(), s1.clone())
-          - cl._tb_state(ws_steep, E - h, s0.clone(), s1.clone())) / (2 * h)
-    assert cl._dtb_state(ws_steep, E, s0, s1) == pytest.approx(fd, rel=1e-7)
+    fd = (cl._bounce(ws_steep, E + h, s0.clone(), s1.clone())[0]
+          - cl._bounce(ws_steep, E - h, s0.clone(), s1.clone())[0]) / (2 * h)
+    assert dtb() == pytest.approx(fd, rel=1e-7)
 
     def dtb_at(e):  # dT_b/dE on the sheets carried from E to e
-        c0, c1 = s0.clone(), s1.clone()
-        cl._tb_state(ws_steep, e, c0, c1)
-        return cl._dtb_state(ws_steep, e, c0, c1)
+        return cl._bounce(ws_steep, e, s0.clone(), s1.clone())[2]()
 
     fd2 = (dtb_at(E + h) - dtb_at(E - h)) / (2 * h)
     d2 = -(cl._d2t_dE2(ws_steep, E, s0) + cl._d2t_dE2(ws_steep, E, s1))
@@ -318,8 +317,7 @@ def test_bounce_time_derivative_closed_form(ws_steep, E):
 
 
 def _dtb_fresh(md, E, x0, x1):
-    return cl._dtb_state(md, E, cl.EndpointState(md, x0, E),
-                         cl.EndpointState(md, x1, E)).real
+    return cl._bounce(md, E, *cl._fresh(md, E, x0, x1))[2]().real
 
 
 def _extrema_cases():
@@ -521,19 +519,65 @@ def test_topological_saddle_reference_configuration(ws_steep):
 
 
 def test_topological_saddle_imaginary_part_scalings():
-    # Im S -> 0 as E -> V0 and is suppressed ~ 1/alpha for steeper steps
+    # Im S is suppressed ~ 1/alpha for steeper steps
     bvp = cl.BoundarySpec(-5.0, -9.25, 10.0)
     s5 = cl.topological_saddle(StepModel(Family.WOODS_SAXON, 1, 1, 5, 1), bvp)
     s10 = cl.topological_saddle(StepModel(Family.WOODS_SAXON, 1, 1, 10, 1), bvp)
     assert s10.S.imag < s5.S.imag
-    # at fixed E the prescription is exactly pi sqrt(2m(E-V0))/(2 alpha)
-    E = 1.0 + 1e-12
-    assert math.pi * math.sqrt(2 * (E - 1.0)) / (2 * 5.0) < 1e-5
+    # at each saddle the prescription is exactly pi sqrt(2m(E-V0))/(2 alpha)
+    for sad, alpha in ((s5, 5.0), (s10, 10.0)):
+        im_expected = math.pi * math.sqrt(2.0 * (sad.E.real - 1.0)) / (2 * alpha)
+        assert sad.S.imag == pytest.approx(im_expected, rel=1e-12)
 
 
 def test_topological_saddle_no_solution_error(ws_steep):
     with pytest.raises(NoTopologicalSaddleError):
         cl.topological_saddle(ws_steep, cl.BoundarySpec(-5.0, -9.25, 50.0))
+
+
+def test_continued_bounce_time_falls_above_v0():
+    # Re dT_b/dE < 0 on the principal sheet above V0: the bracket of
+    # topological_saddle holds at most one root
+    rng = np.random.default_rng(11)
+    for i in range(30):
+        md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, (1.0, 5.0, 50.0)[i % 3],
+                       1.0)
+        x0, x1 = (float(v) for v in rng.uniform(-10.0, 3.0, 2))
+        for E in 1.0 + np.geomspace(1e-6, 1e4, 40):
+            dtb = cl._bounce(md, E, *cl._fresh(md, E, x0, x1))[2]()
+            assert dtb.real < 0, (md.alpha, x0, x1, E)
+
+
+def _topological_cases():
+    rng = np.random.default_rng(13)
+    cases = [((1.0, 5.0, 50.0)[i % 3], (5.0, 10.0, 1.0)[(i // 3) % 3],
+              *(float(v) for v in rng.uniform(-10.0, 3.0, 2)))
+             for i in range(15)]
+    # roots at E = 305.7, 193.3, 101.4, 97.7 and 69.3, far above V0
+    return cases + [(1.0, 1.0, -6.5, -4.0), (5.0, 1.0, -9.5, -7.5),
+                    (50.0, 1.0, -9.0, -5.0), (1.0, 2.0, -8.0, -8.0),
+                    (5.0, 1.0, 2.5, -7.0)]
+
+
+@pytest.mark.parametrize("alpha, T, x0, x1", _topological_cases())
+def test_topological_saddle_matches_scan(alpha, T, x0, x1):
+    # oracle: the first sign change of Re T_b - T on a 600-point log scan of
+    # V0 (1 + 1e-10 .. 1e4), refined by brentq
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    bvp = cl.BoundarySpec(x0, x1, T)
+    f = lambda E: cl._t_bounce(md, E, x0, x1).real - T
+    grid = 1.0 + np.geomspace(1e-10, 1e4, 600)
+    flips = np.flatnonzero(np.diff(np.sign([f(E) for E in grid])))
+    if not flips.size:
+        with pytest.raises(NoTopologicalSaddleError):
+            cl.topological_saddle(md, bvp)
+        return
+    E = brentq(f, grid[flips[0]], grid[flips[0] + 1], xtol=1e-15,
+               rtol=8.9e-16)
+    sad = cl.topological_saddle(md, bvp)
+    assert sad.E.real == pytest.approx(E, rel=1e-13)
+    im_expected = math.pi * math.sqrt(2.0 * (E - 1.0)) / (2 * alpha)
+    assert sad.S.imag == pytest.approx(im_expected, rel=1e-12)
 
 
 def test_matching_point_regression(ws_unit):

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from stepprop.cli import ROW_BLOCK, _complex_shoot, _grid_abs2, main
-from stepprop.potential import Family, StepModel
+from stepprop.cli import ROW_BLOCK, _complex_shoot, _grid_abs2, _recipes, main
+from stepprop.potential import Family, StepModel, potential_value
 from stepprop.propagator import propagate
 
 WS = json.dumps({"family": "woods_saxon", "m": 1.0, "V0": 1.0,
@@ -164,6 +164,15 @@ def test_reproduce_recipe(tmp_path, recipe):
         assert header == expected
         assert rows
     assert sorted(os.listdir(tmp_path)) == sorted(RECIPE_FILES[recipe])
+
+
+def test_fig8a_rows_lie_above_the_energy_floor():
+    # T_direct and T_bounce exist only where x1 is classically allowed
+    name, _, rows, _ = next(_recipes(True)["fig8"]())
+    assert name == "fig8a_time_vs_energy.csv" and rows
+    md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
+    for x1, E, _, _ in rows:
+        assert E > potential_value(md, x1), (x1, E)
 
 
 def test_complex_shoot_root():
