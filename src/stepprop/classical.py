@@ -410,20 +410,32 @@ def _solve_direct_ws(model, bvp):
 
     T_dir = int dx/v falls strictly (dT_dir/dE = -int dx/(m v^3)) from a
     finite value at the energy floor, where an endpoint turns, to 0 as
-    E -> infinity, so the root exists and is unique iff T_dir(floor) >= T."""
+    E -> infinity, so the root exists and is unique iff T_dir(floor) >= T.
+    The speed on the path lies between its endpoint values, which puts
+    E - floor in [free - (floor - V_min), free], free = m (x1 - x0)^2/(2T^2);
+    the root is solved in u = log(E - floor) on that bracket, so it keeps
+    its relative accuracy however close to the floor it lies.  A lower end
+    above floor (1 + 1e-12) proves the root exists; otherwise the sign of
+    T_dir - T there decides."""
     from scipy.optimize import brentq
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
-    lo = max(_energy_floor(model, x0, x1) * (1 + 1e-12), 1e-300)
-    f = lambda E: _direct(model, E, x0, x1)[0] - T
-    if f(lo) < 0:
+    pot = [float(potential_value(model, x)) for x in (x0, x1)]
+    floor, free = max(pot), model.m * (x1 - x0) ** 2 / (2.0 * T * T)
+    if free == 0.0:  # x0 = x1: no direct path takes a time T > 0
         return None
-    hi = 2.0 * max(model.V0, 1.0)  # above V0 >= floor, so never on V0
-    while not f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise RootBracketError(f"direct-path energy not bracketed for "
-                                   f"(x0, x1, T) = ({x0:g}, {x1:g}, {T:g})")
-    return brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    lo = free - (floor - min(pot))
+    proven = lo > floor * 1e-12
+    E = lambda u: floor + math.exp(u)
+    f = lambda u: _direct(model, E(u), x0, x1)[0] - T
+    u_lo, u_hi = math.log(lo if proven else floor * 1e-12), math.log(free)
+    f_lo = f(u_lo)
+    if f_lo < 0 and not proven:
+        return None
+    if f_lo <= 0:  # rounding puts the root at or outside a bound: take it
+        return E(u_lo)
+    if f(u_hi) >= 0:
+        return E(u_hi)
+    return E(brentq(f, u_lo, u_hi, xtol=1e-15, rtol=8.9e-16))
 
 
 _E_TOP = 1.0 - 1e-13  # T_b diverges at V0: bracket the bounce branch below

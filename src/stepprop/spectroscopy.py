@@ -9,9 +9,11 @@ computed by the trapezoid rule on a cached uniform omega grid (the integrand
 is smooth in omega; the propagator samples dominate the cost and are shared
 between both transforms).  A WKB term e^{i omega S} produces a peak of
 |F|^2 at tau = -Re S, so detected "peak actions" are reported as -tau_peak;
-|L|^2 envelopes encode Im S through the windowed single-pole model
-
-    P(s) = |c (e^{A(iS - s)} - e^{B(iS - s)}) / (s - i S)|.
+|L|^2 is compared with the closed form of the WKB sum (wkb_model_laplace).
+Both S_j, real and imaginary parts together, and the amplitudes c_j come
+straight from the same samples, g(omega) ~ sum_j c_j e^{i omega S_j}, by the
+matrix pencil of complex_actions: one SVD and one small eigenproblem, with
+the order set by the samples' own error.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .propagator import QuadratureConfig, propagate
 __all__ = ["OmegaWindow", "SpectrumSeries", "Peak", "propagator_omega_samples",
            "fourier_spectrum", "laplace_spectrum", "wkb_model_laplace",
            "residue_against_wkb", "match_peaks", "synthetic_omega_samples",
-           "fit_laplace_actions", "detect_peaks"]
+           "complex_actions", "detect_peaks"]
 
 
 @dataclass(frozen=True)
@@ -251,68 +253,46 @@ def match_peaks(series: SpectrumSeries, saddles, tol: float):
 
 
 def synthetic_omega_samples(window: OmegaWindow, actions, coeffs):
-    """Synthetic G(omega) = sum_j c_j omega^{-1/2} e^{i omega S_j}."""
+    """Synthetic G(omega) = sum_j c_j sqrt(i omega/(2 pi)) e^{i omega S_j}, the
+    shape of a WKB sum: _kernel_row turns it into sum_j c_j e^{i omega S_j}."""
     omegas = window.grid()
     g = np.zeros(omegas.size, dtype=complex)
     for c, S in zip(coeffs, actions):
-        g += c * omegas ** -0.5 * np.exp(1j * omegas * np.asarray(S, complex))
-    return omegas, g, 0.0
+        g += c * np.exp(1j * omegas * np.asarray(S, complex))
+    return omegas, np.sqrt(1j * omegas / (2.0 * math.pi)) * g, 0.0
 
 
-def fit_laplace_actions(window: OmegaWindow, s_grid, l_values, re_actions,
-                        im_max=1.5, row_power=-1.0, n_omega_fit=None):
-    """Extract Im S of each saddle from the Laplace transform.
+def complex_actions(samples):
+    """Every complex action S_j and amplitude c_j of g(omega) = _kernel_row
+    ~ sum_j c_j e^{i S_j omega} by the matrix pencil (Hua & Sarkar, IEEE
+    Trans. ASSP 38, 814 (1990)); for a WKB saddle c_j is its sqrt_vv.
 
-    Re S values are held fixed (taken from the Fourier stage).  For trial
-    imaginary parts the model transform rows c_j omega^row_power
-    e^{i omega S_j} are linear in the coefficients, so they are projected
-    out by linear least squares (variable projection) and only the Im S_j
-    are searched.  row_power = -1 matches the omega^{-1/2} synthetic signal
-    family; row_power = 0 matches exact-WKB-shaped signals.  Returns the
-    fitted Im S list.
-    """
-    s_grid = np.asarray(s_grid, dtype=float)
-    l_values = np.asarray(l_values, dtype=complex)
-    # the trial transform must use the same omega grid as the data, or its
-    # quadrature mismatch swamps weak saddles
-    omegas = (window.grid() if n_omega_fit is None
-              else np.linspace(window.A, window.B, n_omega_fit))
-    weight = omegas ** row_power
-    n = len(re_actions)
-    # im_s only shifts the argument: basis(s; im_s) = B(s + im_s); so each
-    # saddle needs a single dense table of B on [0, s_max + im_max]
-    # exp(-s omega) factors out of the im_s dependence, so candidates cost
-    # one row scaling plus a weighted row-sum instead of a fresh outer exp
-    base = np.exp(np.outer(-s_grid, omegas))
-    trapz_w = np.gradient(omegas)
-    trapz_w[0] *= 0.5
-    trapz_w[-1] *= 0.5
-    phases = [weight * np.exp(1j * re_s * omegas) for re_s in re_actions]
-
-    def basis_column(j, im_s):
-        return base @ (phases[j] * np.exp(-im_s * omegas) * trapz_w)
-
-    # relative weighting keeps the fast-decaying (weak) saddles visible
-    wr = 1.0 / (np.abs(l_values) + 1e-3 * float(np.max(np.abs(l_values))))
-
-    def projected_residual(ims):
-        M = np.stack([wr * basis_column(j, abs(ims[j])) for j in range(n)],
-                     axis=1)
-        coef, *_ = np.linalg.lstsq(M, wr * l_values, rcond=None)
-        return float(np.linalg.norm(wr * l_values - M @ coef))
-
-    from itertools import product
-
-    from scipy.optimize import minimize
-    coarse = np.linspace(5e-3, im_max, 18 if n <= 2 else 8)
-    scored = sorted(
-        ((projected_residual(np.asarray(combo)), combo)
-         for combo in product(coarse, repeat=n)), key=lambda t: t[0])
-    best = None
-    for _, seed in scored[:3]:
-        fit = minimize(projected_residual, np.asarray(seed),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-14, "maxfev": 800})
-        if best is None or fit.fun < best.fun:
-            best = fit
-    return [abs(float(v)) for v in best.x]
+    samples is the (omegas, G, err) of propagator_omega_samples on a uniform
+    grid.  The order M counts the singular values of the Hankel matrix of g
+    above the floor sqrt(N) err sqrt(2 pi/omega_min) that the samples' own
+    error implies (numpy's rank tolerance N eps s_0 at err = 0); an order
+    that fills the pencil means no floor was found, and raises.  Returns
+    (actions, amplitudes, relative residual), sorted by falling |c_j|."""
+    omegas, g_values, err = samples
+    omegas = np.asarray(omegas, dtype=float)
+    step = np.diff(omegas)
+    if not np.allclose(step, step[0], rtol=1e-9, atol=0.0):
+        raise ValidationError("the matrix pencil needs a uniform omega grid")
+    g = _kernel_row(omegas, g_values)
+    n = g.size
+    hankel = np.lib.stride_tricks.sliding_window_view(g, n // 2 + 1)
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    floor = (math.sqrt(n) * err * math.sqrt(2.0 * math.pi / omegas[0])
+             if err > 0 else n * np.finfo(float).eps * sv[0])
+    order = int(np.sum(sv > floor))
+    if not 0 < order < sv.size:
+        raise ValidationError(f"{order} of {sv.size} singular values above the "
+                              f"noise floor {floor:.3g}: no order to fit")
+    v = vh[:order].T  # the plain transpose; the conjugate one gives conj(z)
+    z = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+    actions = np.log(z) / (1j * step[0])
+    basis = np.exp(1j * np.outer(omegas, actions))
+    amps = np.linalg.lstsq(basis, g, rcond=None)[0]
+    strongest = np.argsort(-np.abs(amps))
+    residual = np.linalg.norm(g - basis @ amps) / np.linalg.norm(g)
+    return actions[strongest], amps[strongest], float(residual)

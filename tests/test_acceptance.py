@@ -378,12 +378,26 @@ def test_criterion_13_synthetic_spectroscopy_calibration():
     step = taus[1] - taus[0]
     locs = sorted(-p.location for p in series.peaks[:2])
     ok_re = (abs(locs[0] - s2.real) <= step and abs(locs[1] - s1.real) <= step)
-    s_gr = np.linspace(0.0, 1.5, 161)
-    l_vals = sp._transform("laplace", samples[0], samples[1], s_gr)
-    ims = sp.fit_laplace_actions(window, s_gr, l_vals, [s1.real, s2.real])
-    ok_im = (abs(ims[0] - s1.imag) <= 0.1 * s1.imag
-             and abs(ims[1] - s2.imag) <= 0.1 * s2.imag)
-    ok = ok_re and ok_im
+    actions, amps, _ = sp.complex_actions(samples)
+    err = max(np.max(np.abs(actions - [s1, s2])),
+              np.max(np.abs(amps - [1.0, 0.8])))
+    ok = ok_re and err < 1e-10
     assert _report(13, ok,
-                   f"Re recovered at {locs}, Im recovered at "
-                   f"({ims[0]:.3f}, {ims[1]:.3f}) vs (0.15, 0.25)")
+                   f"Re recovered at {locs}; pencil S {actions[0]:.6f}, "
+                   f"{actions[1]:.6f}, c {amps[0]:.6f}, {amps[1]:.6f} "
+                   f"(max error {err:.1e})")
+
+
+@pytest.mark.slow
+def test_criterion_13_companion_fig16_complex_actions(fig16_laplace):
+    # the two strongest pencil poles of the exact G are the direct and the
+    # caustic saddles, complex action and all
+    window, samples, real, caus, topo = fig16_laplace
+    actions, amps, _ = sp.complex_actions(samples)
+    (direct,) = [s for s in real if s.kind is cl.SaddleKind.DIRECT]
+    d_dir, d_caus = abs(actions[0] - direct.S), abs(actions[1] - caus.S)
+    ok = (d_dir < 1e-4 and d_caus < 5e-3
+          and abs(amps[0]) == pytest.approx(abs(direct.sqrt_vv), rel=1e-4))
+    assert _report("13c", ok,
+                   f"pencil poles {actions[0]:.5f} (direct, off {d_dir:.1e}), "
+                   f"{actions[1]:.4f} (caustic, off {d_caus:.1e})")

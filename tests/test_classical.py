@@ -298,6 +298,24 @@ def test_direct_path_deep_below_the_step_is_free(alpha, x0, x1, T):
     assert cl.van_vleck(md, sad, bvp) == pytest.approx(sad.vv, rel=1e-12)
 
 
+@pytest.mark.parametrize("dx", [s * 10.0 ** -k for k in range(3, 10)
+                                for s in (-1, 1)])
+def test_direct_path_near_the_energy_floor(dx):
+    # WS alpha = 5 at x0 = -3, V = 9.4e-14: E - V ~ m dx^2/(2T^2) falls to
+    # 3e-20, far below an absolute energy tolerance.  V is linear across the
+    # path, where T = sqrt(2m)|dx|/(sqrt(E - V(x0)) + sqrt(E - V(x1))) exactly
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 5.0, 1.0)
+    x0, T = -3.0, 4.0
+    bvp = cl.BoundarySpec(x0, x0 + dx, T)
+    (sad,) = [s for s in cl.solve_real_paths(md, bvp)
+              if s.kind is cl.SaddleKind.DIRECT]
+    free = md.m * dx ** 2 / (2 * T ** 2)
+    root_e = [math.sqrt(sad.E.real - float(potential_value(md, x)))
+              for x in (x0, x0 + dx)]
+    assert sum(root_e) / 2 == pytest.approx(math.sqrt(free), rel=1e-6)
+    assert sad.vv.real == pytest.approx(-md.m / T, rel=1e-8)
+
+
 @pytest.mark.parametrize("E", [1.08 + 0.19j, 0.7 + 0.05j, 1.3 + 0.3j])
 def test_bounce_time_derivative_closed_form(ws_steep, E):
     s0 = cl.EndpointState(ws_steep, BVP_REFL.x0, E)

@@ -5,6 +5,7 @@ import pytest
 
 from stepprop import classical as cl
 from stepprop import spectroscopy as sp
+from stepprop.errors import ValidationError
 from stepprop.potential import Family, StepModel
 
 
@@ -59,12 +60,37 @@ def test_two_saddle_calibration_recovers_actions():
     step = taus[1] - taus[0]
     assert abs(locs[0] - s2.real) <= step
     assert abs(locs[1] - s1.real) <= step
-    s_grid = np.linspace(0.0, 1.5, 161)
-    l_vals = sp._transform("laplace", samples[0], samples[1], s_grid)
-    im_fit = sp.fit_laplace_actions(WINDOW, s_grid, l_vals,
-                                    [s1.real, s2.real])
-    assert im_fit[0] == pytest.approx(s1.imag, rel=0.10)
-    assert im_fit[1] == pytest.approx(s2.imag, rel=0.10)
+    actions, amps, residual = sp.complex_actions(samples)
+    np.testing.assert_allclose(actions, [s1, s2], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(amps, [1.0, 0.8], rtol=0, atol=1e-10)
+    assert residual < 1e-10
+
+
+def test_complex_actions_heaviside_direct_and_reflected():
+    # Heaviside (x0, x1, T) = (5, 4, 10): the direct path, S = -9.95 with
+    # |c| = 1/sqrt(T), and the path reflected off the step, S = -5.95 with
+    # |c| = |r|/sqrt(T), r = (q - k)/(q + k) at E = m (x0 + x1)^2/(2T^2) + V0
+    md = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
+    bvp = cl.BoundarySpec(5.0, 4.0, 10.0)
+    samples = sp.propagator_omega_samples(
+        md, bvp, sp.OmegaWindow(A=1.0, B=12.0, n_omega=256))
+    actions, amps, _ = sp.complex_actions(samples)
+    E = 81.0 / 200.0 + 1.0
+    k, q = math.sqrt(2.0 * E), math.sqrt(2.0 * (E - 1.0))
+    np.testing.assert_allclose(actions[:2], [-9.95, -5.95], rtol=0, atol=1e-3)
+    np.testing.assert_allclose(
+        np.abs(amps[:2]), [1.0, abs((q - k) / (q + k))] / np.sqrt(10.0),
+        rtol=1e-2)
+
+
+def test_complex_actions_raise_without_a_uniform_grid_or_a_floor():
+    omegas, gv, _ = sp.synthetic_omega_samples(WINDOW, [-3.0 + 0.1j], [1.0])
+    with pytest.raises(ValidationError, match="uniform"):
+        sp.complex_actions((omegas ** 1.5, gv, 0.0))
+    # white noise has no singular-value floor: every order fills the pencil
+    noise = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, 256))
+    with pytest.raises(ValidationError, match="no order"):
+        sp.complex_actions((omegas[:256], noise, 0.0))
 
 
 def test_parseval_invariance_under_refinement():
@@ -106,7 +132,8 @@ def test_match_peaks_association():
 
 
 def test_residue_against_wkb_trivial_cases():
-    samples = sp.synthetic_omega_samples(WINDOW, [-3.0 + 0.2j], [0.7])
+    S = -3.0 + 0.2j
+    samples = sp.synthetic_omega_samples(WINDOW, [S], [0.7])
     s_grid = np.linspace(0.0, 1.0, 101)
     md = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
     bvp = cl.BoundarySpec(-4.0, -6.0, 10.0)
@@ -116,20 +143,14 @@ def test_residue_against_wkb_trivial_cases():
     l_exact = np.abs(sp._transform("laplace", samples[0], samples[1], s_grid))
     ds = s_grid[1] - s_grid[0]
     assert r_empty == pytest.approx(float(np.sqrt(np.sum(l_exact ** 2) * ds)))
-    # self-comparison: a saddle reproducing an exact-WKB-shaped signal,
+    # self-comparison: a saddle reproducing the WKB-shaped synthetic signal,
     # G(omega) = sqrt_vv sqrt(i omega/(2 pi)) e^{i omega S}; the residue is
     # then limited only by the trapezoid quadrature of the samples
-    S = -3.0 + 0.2j
-    omegas = WINDOW.grid()
-    g_wkb = 0.7 * np.sqrt(1j * omegas / (2 * math.pi)) * np.exp(1j * omegas * S)
-    samples_wkb = (omegas, g_wkb, 0.0)
     sad = cl.ClassicalSaddle(cl.SaddleKind.CAUSTIC, 1.0, S,
                              0.49 + 0j, sqrt_vv=0.7 + 0j)
     (r_self,) = sp.residue_against_wkb(md, bvp, WINDOW, [[sad]], s_grid,
-                                       samples=samples_wkb)
-    (r_none,) = sp.residue_against_wkb(md, bvp, WINDOW, [[]], s_grid,
-                                       samples=samples_wkb)
-    assert r_self < 1e-3 * r_none
+                                       samples=samples)
+    assert r_self < 1e-3 * r_empty
 
 
 def test_omega_window_validation():
