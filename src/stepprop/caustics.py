@@ -28,7 +28,8 @@ from scipy.optimize import brentq
 from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _t_bounce,
                         caustic_saddle_curve, caustic_triangle_vertices,
                         heaviside_three_path_region, solve_real_paths)
-from .errors import InsideCausticError, StepPropError, UnsupportedFamilyError
+from .errors import (InsideCausticError, QuadratureError, StepPropError,
+                     UnsupportedFamilyError)
 from .potential import Family, StepModel, potential_derivatives
 
 __all__ = ["integrate_ivp", "caustic_curve", "cusp_points", "stokes_lines",
@@ -54,7 +55,7 @@ def integrate_ivp(model: StepModel, x0: float, v0: float, T: float,
     sol = solve_ivp(_rhs(model), (0.0, T), (x0, v0, 0.0, 1.0),
                     method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
-        raise RuntimeError(f"IVP integration failed: {sol.message}")
+        raise QuadratureError(f"IVP integration failed: {sol.message}")
     x, _, J, _ = sol.y[:, -1]
     return float(x), float(J)
 
@@ -74,6 +75,8 @@ def _scan_batch(model, x0, v0s, T, rtol=1e-8, atol=1e-8):
 
     y0 = np.concatenate([np.full(n, x0), v0s, np.zeros(n), np.ones(n)])
     sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise QuadratureError(f"batched IVP scan failed: {sol.message}")
     y = sol.y[:, -1]
     return y[0:n], y[2 * n:3 * n]
 

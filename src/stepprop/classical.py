@@ -655,16 +655,17 @@ def _continuation_walk(model, x0, T, checkpoints):
 
 def find_caustic_saddle(model: StepModel, bvp: BoundarySpec) -> ClassicalSaddle:
     """Caustic saddle at bvp via continuation from the fold caustic."""
-    if model.family is not Family.WOODS_SAXON:
-        raise UnsupportedFamilyError("caustic continuation needs the smooth step")
-    for _, E, s0, s1 in _continuation_walk(model, bvp.x0, bvp.T, [bvp.x1]):
-        return _saddle_from_state(model, E, s0, s1, bvp.T)
+    for sad in caustic_saddle_curve(model, bvp.x0, bvp.T, [bvp.x1]).values():
+        return sad
     raise NewtonError("continuation did not reach the target configuration")
 
 
 def caustic_saddle_curve(model: StepModel, x0: float, T: float, x1_values):
     """Caustic saddles along a row of x1 values sharing one continuation,
-    keyed by x1."""
+    keyed by float(x1).  An x1 past the fold (inside the caustic loop, or
+    within the walk's start offset of the fold) is left out of the dict."""
+    if model.family is not Family.WOODS_SAXON:
+        raise UnsupportedFamilyError("caustic continuation needs the smooth step")
     return {xx: _saddle_from_state(model, E, s0, s1, T)
             for xx, E, s0, s1 in _continuation_walk(model, x0, T, x1_values)}
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -58,11 +59,6 @@ def _parse_range(text: str):
 
 
 def _write_rows(path, header, rows, config, fmt="csv"):
-    def render(v):
-        if isinstance(v, str):
-            return v
-        return FMT % v
-
     if fmt == "json":
         payload = {"config": config,
                    "columns": list(header),
@@ -72,8 +68,14 @@ def _write_rows(path, header, rows, config, fmt="csv"):
     else:
         lines = ["# config: " + json.dumps(config, sort_keys=True),
                  ",".join(header)]
-        lines += [",".join(render(v) for v in r) for r in rows]
+        lines += [",".join(v if isinstance(v, str) else FMT % v for v in r)
+                  for r in rows]
         text = "\n".join(lines) + "\n"
+    _emit(path, text)
+
+
+def _emit(path, text):
+    """text to the file at path, or to stdout for None or '-'."""
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -81,13 +83,24 @@ def _write_rows(path, header, rows, config, fmt="csv"):
             fh.write(text)
 
 
-def _saddle_set(model, bvp, which):
+def _saddle_set(model, bvp, which, caustic=None):
+    """The saddle set which names; a row passes in its own caustic saddle."""
     saddles = list(_classical.solve_real_paths(model, bvp))
     if "caustic" in which:
-        saddles.append(_classical.find_caustic_saddle(model, bvp))
+        saddles.append(caustic or _classical.find_caustic_saddle(model, bvp))
     if "topological" in which:
         saddles.append(_classical.topological_saddle(model, bvp))
     return saddles
+
+
+def _caustic_row(model, x0, T, x1s):
+    """Caustic saddles along a row of x1, from one walk out of the fold."""
+    curve = _classical.caustic_saddle_curve(model, x0, T, x1s)
+    for x1 in x1s:
+        if float(x1) not in curve:
+            raise ValidationError(f"x1 = {x1:.6g} lies on or inside the "
+                                  f"caustic loop; no complex saddle")
+    return [curve[float(x1)] for x1 in x1s]
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +177,7 @@ def _cmd_classical(args):
                                   "model": model.to_dict(), "x0": args.x0,
                                   "x1": args.x1, "T": args.T},
                        "saddles": payload}, indent=1)
-    if args.out in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _emit(args.out, text + "\n")
     return 0
 
 
@@ -198,10 +207,12 @@ def _cmd_wkb(args):
     hbar = args.hbar if args.hbar else model.hbar
     if args.calibrate:
         g_exact = propagate(replace(model, hbar=hbar), args.x0, xs, args.T).G
+    caustic = (_caustic_row(model, args.x0, args.T, xs)
+               if "caustic" in args.saddles else [None] * xs.size)
     rows = []
-    for j, x1 in enumerate(xs):
+    for j, (x1, caus) in enumerate(zip(xs, caustic)):
         bvp = _classical.BoundarySpec(args.x0, float(x1), args.T)
-        saddles = _saddle_set(model, bvp, args.saddles)
+        saddles = _saddle_set(model, bvp, args.saddles, caus)
         if args.calibrate:
             saddles = fix_complex_saddle_phase(model, bvp, saddles,
                                                g_exact[j], hbar)
@@ -379,14 +390,14 @@ def _recipes(coarse):
         probe = _classical.BoundarySpec(-5.0, -9.0, 10.0)
         mdh = replace(_WS5, hbar=hb)
         gp = propagate(mdh, -5.0, -9.0, 10.0).G
-        sad0 = _saddle_set(_WS5, probe, "real+caustic")
+        *row, c_probe = _caustic_row(_WS5, -5.0, 10.0, [*xs, -9.0])
+        sad0 = _saddle_set(_WS5, probe, "real+caustic", c_probe)
         sad1 = fix_complex_saddle_phase(_WS5, probe, sad0, gp, hb)
         flip = -1.0 if sad1[-1].sqrt_vv != sad0[-1].sqrt_vv else 1.0
         rows = []
-        for x1, g in zip(xs, propagate(mdh, -5.0, xs, 10.0).G):
+        for x1, g, caus in zip(xs, propagate(mdh, -5.0, xs, 10.0).G, row):
             bvp = _classical.BoundarySpec(-5.0, float(x1), 10.0)
             real_s = _classical.solve_real_paths(_WS5, bvp)
-            caus = _classical.find_caustic_saddle(_WS5, bvp)
             caus = caus.with_sqrt_vv(complex(flip * caus.sqrt_vv))
             w_real = wkb_propagator(_WS5, bvp, real_s, hb)
             w_both = wkb_propagator(_WS5, bvp, real_s + [caus], hb)
@@ -397,12 +408,13 @@ def _recipes(coarse):
                 "ImWKBboth"), rows, {"recipe": "fig9", "hbar": hb})
 
     def fig10():
-        rows = []
-        for x1 in np.arange(-6.75, -3.94, 0.05):
-            root = _complex_shoot(_WS1, -4.0, float(x1), 10.0)
-            if root is not None:
-                rows.append((x1, root.real, root.imag))
-        yield ("fig10_complex_v0.csv", ("x1", "Re_v0", "Im_v0"), rows,
+        # principal root v0 = sqrt(2 (E - V(x0)) / m) of the caustic saddle
+        xs = np.arange(-6.75, -3.94, 0.05)
+        v_x0 = float(potential_value(_WS1, -4.0))
+        v0s = [cmath.sqrt(2.0 * (s.E - v_x0) / _WS1.m)
+               for s in _caustic_row(_WS1, -4.0, 10.0, xs)]
+        yield ("fig10_complex_v0.csv", ("x1", "Re_v0", "Im_v0"),
+               [(x1, v.real, v.imag) for x1, v in zip(xs, v0s)],
                {"recipe": "fig10"})
 
     def fig11():
@@ -498,28 +510,6 @@ def _path_samples(model, saddle, bvp, n=200):
     sol = solve_ivp(_caustics._rhs(model), (0, T), [x0, v0, 0.0, 1.0],
                     t_eval=ts, rtol=1e-10, atol=1e-12)
     return list(zip(sol.t, sol.y[0]))
-
-
-def _complex_shoot(model, x0, x1, T, itmax=40):
-    """Complex-v0 Newton shot for the bounce continuation (diagnostic)."""
-    from scipy.integrate import solve_ivp
-    rhs = _caustics._rhs(model)
-
-    def final(v0):
-        sol = solve_ivp(rhs, (0, T), [complex(x0), complex(v0), 0j, 1 + 0j],
-                        rtol=1e-9, atol=1e-11)
-        return sol.y[0, -1], sol.y[2, -1]
-
-    # seed from the merged real bounce velocity
-    v = complex(math.sqrt(2 * model.V0 / model.m), 0.05)
-    for _ in range(itmax):
-        xT, J = final(v)
-        if abs(xT - x1) < 1e-9:
-            return v
-        v = v - (xT - x1) / J
-        if not np.isfinite(v):
-            return None
-    return None
 
 
 def _t_of_v(model, E, v, s0):

@@ -35,7 +35,8 @@ class BranchMismatchError(StepPropError):
 
 
 class QuadratureError(StepPropError):
-    """Adaptive quadrature could not meet the tolerance within its budget."""
+    """Adaptive quadrature or ODE integration could not meet the tolerance
+    within its budget."""
 
 
 class NonFiniteError(StepPropError):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from stepprop import caustics as ca
 from stepprop import classical as cl
-from stepprop.errors import InsideCausticError, NewtonError
+from stepprop.errors import InsideCausticError, NewtonError, QuadratureError
 from stepprop.potential import Family, StepModel, potential_value
 
 
@@ -135,3 +136,28 @@ def test_stokes_relevant_wedge_on_smooth_row(ws_unit):
                      if s.kind is cl.SaddleKind.DIRECT]
         assert sad.S.real > direct.S.real
         assert sad.relevant
+
+
+def test_ivp_failure_is_never_silent(ws_unit, monkeypatch, capsys):
+    # a solver that stops short raises QuadratureError, and the CLI turns
+    # it into exit 3 with an error record
+    from types import SimpleNamespace
+    from stepprop.cli import main
+
+    def stopped(fun, t_span, y0, **kw):
+        return SimpleNamespace(success=False, message="forced stop",
+                               t=np.array([t_span[0]]),
+                               y=np.asarray(y0)[:, None])
+
+    monkeypatch.setattr(ca, "solve_ivp", stopped)
+    with pytest.raises(QuadratureError, match="forced stop"):
+        ca.integrate_ivp(ws_unit, -4.0, 1.0, 10.0)
+    with pytest.raises(QuadratureError, match="forced stop"):
+        ca.caustic_curve(ws_unit, 10.0, [-4.0], n_scan=20)
+    capsys.readouterr()
+    rc = main(["caustics", "--model", json.dumps(ws_unit.to_dict()),
+               "--T", "10", "--x0-range=-4:-4:1", "--n-scan", "20"])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "QuadratureError"
+    assert "forced stop" in record["message"]

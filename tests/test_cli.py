@@ -4,13 +4,18 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from stepprop.cli import ROW_BLOCK, _complex_shoot, _grid_abs2, _recipes, main
+from stepprop import caustics as ca
+from stepprop import classical as cl
+from stepprop.cli import ROW_BLOCK, _grid_abs2, _recipes, main
 from stepprop.potential import Family, StepModel, potential_value
 from stepprop.propagator import propagate
+from stepprop.wkb import wkb_propagator
 
 WS = json.dumps({"family": "woods_saxon", "m": 1.0, "V0": 1.0,
                  "alpha": 1.0, "hbar": 1.0})
+WS5 = WS.replace('"alpha": 1.0', '"alpha": 5.0')
 HV = json.dumps({"family": "heaviside", "m": 1.0, "V0": 1.0,
                  "alpha": 1.0, "hbar": 1.0})
 
@@ -112,8 +117,7 @@ def test_classical_reports_maslov(capsys):
 
     assert saddles(WS, -4, -3, "real") == [
         ("direct", 0), ("low_bounce", 1), ("high_bounce", 0)]
-    ws5 = WS.replace('"alpha": 1.0', '"alpha": 5.0')
-    assert saddles(ws5, -5, -9.25, "real+caustic")[-1] == ("caustic", None)
+    assert saddles(WS5, -5, -9.25, "real+caustic")[-1] == ("caustic", None)
 
 
 def test_spectrum_csv(tmp_path):
@@ -128,8 +132,8 @@ def test_spectrum_csv(tmp_path):
     assert len(rows) == 41
 
 
-# the files each recipe writes, with their headers; fig9, fig10, fig17 and
-# fig18 take 12-60 s even at --coarse and are left out
+# the files each recipe writes, with their headers; fig17 and fig18 take
+# 35-55 s even at --coarse and are left out
 GRID = ["x0", "x1", "absG2"]
 CONTOUR = ["v", "Re_t", "Im_t"]
 RECIPE_FILES = {
@@ -143,6 +147,10 @@ RECIPE_FILES = {
     "fig7": {"fig7_eigenstates.csv": ["branch", "x", "Re", "Im"]},
     "fig8": {"fig8a_time_vs_energy.csv": ["x1", "E", "T_direct", "T_bounce"],
              "fig8b_paths.csv": ["alpha", "kind", "t", "x"]},
+    "fig9": {"fig9_wkb_comparison.csv": ["x1", "ReG", "ImG", "ReWKBreal",
+                                         "ImWKBreal", "ReWKBboth",
+                                         "ImWKBboth"]},
+    "fig10": {"fig10_complex_v0.csv": ["x1", "Re_v0", "Im_v0"]},
     "fig11": {"fig11_complex_energy_map.csv": ["ReE", "ImE", "ReT", "ImT"]},
     "fig12": {"fig12_left_contour.csv": CONTOUR},
     "fig13": {"fig13_right_contour.csv": CONTOUR},
@@ -175,13 +183,53 @@ def test_fig8a_rows_lie_above_the_energy_floor():
         assert E > potential_value(md, x1), (x1, E)
 
 
-def test_complex_shoot_root():
-    # complex initial velocity of the continued bounce at (x0, x1, T) =
-    # (-4, -6.75, 10), fig10's far end, on the smooth step's own equations
-    md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
-    root = _complex_shoot(md, -4.0, -6.75, 10.0)
-    assert root == pytest.approx(1.3073022770551364 - 0.33345368411016685j,
-                                 rel=1e-9)
+def test_fig10_rows_are_the_continued_saddle():
+    # fig10 writes the principal-root initial velocity of the caustic saddle
+    # continued from the fold, at (x0, T) = (-4, 10) on the unit smooth step
+    name, _, rows, _ = next(_recipes(True)["fig10"]())
+    assert name == "fig10_complex_v0.csv" and len(rows) == 57
+    for x1, re_v0, im_v0 in rows:
+        assert re_v0 > 0 and im_v0 > 0, x1
+    v0 = {round(x1, 2): (x1, complex(re, im)) for x1, re, im in rows}
+    # the complex equations of motion from (x0, v0) land on x1
+    rhs = ca._rhs(StepModel(Family.WOODS_SAXON, 1, 1, 1, 1))
+    for key in (-6.75, -6.25, -3.95):
+        x1, v = v0[key]
+        sol = solve_ivp(rhs, (0.0, 10.0), [-4.0 + 0j, v, 0j, 1 + 0j],
+                        method="DOP853", rtol=1e-12, atol=1e-12)
+        assert abs(sol.y[0, -1] - x1) < 1e-8, key
+    # the conjugate of the Newton shot on v0 formerly written at x1 = -6.75
+    assert v0[-6.75][1] == pytest.approx(
+        1.3073022770551364 + 0.33345368411016685j, rel=1e-9)
+
+
+def test_wkb_row_inside_the_caustic_loop_exits_2(capsys):
+    # the fold of the row x0 = -5, T = 10 lies at x1 = -6.698: the caustic
+    # saddle ends there, so x1 = -6 must not lose its term without a word
+    rc = main(["wkb", "--model", WS5, "--x0=-5", "--x1-range=-9:-6:3",
+               "--T", "10", "--hbar", "0.1", "--saddles", "real+caustic"])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValidationError"
+    assert "x1 = -6 " in record["message"]
+
+
+def test_wkb_row_matches_one_point_saddles(tmp_path):
+    # one continuation along the row gives the saddles of one-point solves
+    out = tmp_path / "wkb.csv"
+    assert main(["wkb", "--model", WS5, "--x0=-5", "--x1-range=-10:-8.5:3",
+                 "--T", "10", "--hbar", "0.1", "--saddles", "real+caustic",
+                 "--out", str(out)]) == 0
+    md = StepModel(Family.WOODS_SAXON, 1, 1, 5, 1)
+    _, _, rows = _read_csv(out)
+    assert len(rows) == 3
+    for row in rows:
+        bvp = cl.BoundarySpec(-5.0, float(row[1]), 10.0)
+        saddles = cl.solve_real_paths(md, bvp) + [
+            cl.find_caustic_saddle(md, bvp)]
+        G = wkb_propagator(md, bvp, saddles, 0.1)
+        assert abs(float(row[3]) - G.real) < 1e-12
+        assert abs(float(row[4]) - G.imag) < 1e-12
 
 
 def test_reproduce_unknown_recipe(tmp_path, capsys):
