@@ -169,7 +169,7 @@ class EndpointState:
         md = self.model
         if E == 0 or E == md.V0:
             raise BranchDegenerateError("implicit solution degenerate at E in {0, V0}")
-        v = float(potential_value(md, self.x))
+        v = potential_value(md, self.x)
         y2 = 2.0 * md.alpha * self.x
         emv = _canon(E - v)
         w0 = _canon(emv / _canon(E - md.V0))
@@ -286,7 +286,7 @@ def _t_bounce(model, E, x0, x1):
 
 
 def _speed(model, E, x):
-    return cmath.sqrt(2.0 * (E - complex(potential_value(model, x))) / model.m)
+    return cmath.sqrt(2.0 * (E - potential_value(model, x)) / model.m)
 
 
 def _vv(model, E, x0, x1, dT, bounce):
@@ -401,8 +401,7 @@ def heaviside_reflection_action(model: StepModel, bvp: BoundarySpec) -> complex:
 # ---------------------------------------------------------------------------
 
 def _energy_floor(model, x0, x1):
-    return max(float(potential_value(model, x0)),
-               float(potential_value(model, x1)))
+    return max(potential_value(model, x0), potential_value(model, x1))
 
 
 def _solve_direct_ws(model, bvp):
@@ -419,7 +418,7 @@ def _solve_direct_ws(model, bvp):
     T_dir - T there decides."""
     from scipy.optimize import brentq
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
-    pot = [float(potential_value(model, x)) for x in (x0, x1)]
+    pot = [potential_value(model, x) for x in (x0, x1)]
     floor, free = max(pot), model.m * (x1 - x0) ** 2 / (2.0 * T * T)
     if free == 0.0:  # x0 = x1: no direct path takes a time T > 0
         return None

@@ -336,7 +336,7 @@ def _recipes(coarse):
         xs = np.linspace(-3, 3, 601)
         rows = []
         for a, md in _alpha_sweep(1, 3, 5, 7, 9):
-            rows += [(a, x, float(potential_value(md, x))) for x in xs]
+            rows += [(a, x, potential_value(md, x)) for x in xs]
         yield ("fig1_potentials.csv", ("alpha", "x", "V"), rows,
                {"recipe": "fig1"})
 
@@ -410,7 +410,7 @@ def _recipes(coarse):
     def fig10():
         # principal root v0 = sqrt(2 (E - V(x0)) / m) of the caustic saddle
         xs = np.arange(-6.75, -3.94, 0.05)
-        v_x0 = float(potential_value(_WS1, -4.0))
+        v_x0 = potential_value(_WS1, -4.0)
         v0s = [cmath.sqrt(2.0 * (s.E - v_x0) / _WS1.m)
                for s in _caustic_row(_WS1, -4.0, 10.0, xs)]
         yield ("fig10_complex_v0.csv", ("x1", "Re_v0", "Im_v0"),
@@ -505,7 +505,7 @@ def _path_samples(model, saddle, bvp, n=200):
     from scipy.integrate import solve_ivp
     sgn = (np.sign(x1 - x0) or 1.0) if kind == "direct" else 1.0
     E = saddle.E.real
-    v0 = sgn * math.sqrt(max(2 * (E - float(potential_value(model, x0))), 0.0)
+    v0 = sgn * math.sqrt(max(2 * (E - potential_value(model, x0)), 0.0)
                          / model.m)
     sol = solve_ivp(_caustics._rhs(model), (0, T), [x0, v0, 0.0, 1.0],
                     t_eval=ts, rtol=1e-10, atol=1e-12)
@@ -529,7 +529,7 @@ def _matching_point(model, E):
     A0 = arctanh(+sqrt(w0)) sheet."""
     from scipy.optimize import brentq
     return brentq(lambda x: _t_of_v(
-        model, E, float(potential_value(model, x)), 1).real,
+        model, E, potential_value(model, x), 1).real,
         -6.0, -1e-6, xtol=1e-12)
 
 

@@ -89,8 +89,19 @@ class StepModel:
         return math.sqrt(2.0 * self.m * self.V0)
 
 
+def _is_scalar(x) -> bool:
+    """Real scalar (numpy's float64 too): the scalar-branch inputs."""
+    return isinstance(x, (int, float))
+
+
 def _sigmoid(y):
-    """1/(1+e^{-y}) without overflow; y may be a real array or complex."""
+    """1/(1+e^{-y}) without overflow; y may be a real array or complex.
+    A real scalar gets a float from numpy's exp on one float, whose array
+    kernel keeps both paths bit-identical (math.exp does not)."""
+    if _is_scalar(y):
+        t = y if y < 0 else -y
+        e = float(np.exp(t))
+        return e / (1.0 + e) if y < 0 else 1.0 / (1.0 + e)
     y = np.asarray(y)
     if np.iscomplexobj(y):
         out = np.empty(y.shape, dtype=complex)
@@ -117,7 +128,10 @@ def pole_distance(model: StepModel, x) -> np.ndarray:
 
 
 def potential_value(model: StepModel, x):
-    """V(x); complex x supported for the Woods-Saxon family only."""
+    """V(x); complex x supported for the Woods-Saxon family only.
+    A real scalar x on the smooth step skips the array path."""
+    if _is_scalar(x) and model.family is Family.WOODS_SAXON:
+        return model.V0 * _sigmoid(2.0 * model.alpha * x)
     x = np.asarray(x)
     if model.family is Family.HEAVISIDE:
         if np.iscomplexobj(x) and np.any(x.imag != 0):
@@ -138,16 +152,18 @@ def potential_complement(model: StepModel, x):
     """V(x) - V0, computed without cancellation (exact left tail)."""
     if model.family is Family.HEAVISIDE:
         return potential_value(model, x) - model.V0
-    return -model.V0 * _sigmoid(-2.0 * model.alpha * np.asarray(x))
+    x = x if _is_scalar(x) else np.asarray(x)
+    return -model.V0 * _sigmoid(-2.0 * model.alpha * x)
 
 
 def potential_derivatives(model: StepModel, x):
-    """(V, V', V'') for the smooth step; closed forms via V itself."""
+    """(V, V', V'') for the smooth step; closed forms via V itself.
+    Python scalars for a scalar x, arrays of x's shape otherwise."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("derivatives defined for the smooth step")
     v = potential_value(model, x)
     if model.V0 == 0.0:
-        z = np.zeros_like(np.asarray(x, dtype=float))
+        z = np.zeros_like(v) if isinstance(v, np.ndarray) else type(v)()
         return v, z, z
     vp = 2.0 * model.alpha * v * (1.0 - v / model.V0)
     vpp = 2.0 * model.alpha * vp * (1.0 - 2.0 * v / model.V0)
