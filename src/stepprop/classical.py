@@ -50,7 +50,7 @@ from .potential import Family, StepModel, potential_value
 
 __all__ = ["BoundarySpec", "SaddleKind", "ClassicalSaddle", "turning_point",
            "time_of_flight", "reduced_action", "heaviside_paths",
-           "solve_real_paths", "van_vleck", "find_caustic_saddle",
+           "solve_real_paths", "find_caustic_saddle",
            "caustic_saddle_curve", "topological_saddle", "bounce_fold",
            "caustic_triangle_vertices",
            "heaviside_three_path_region"]
@@ -513,18 +513,6 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
     if not out:
         raise RootBracketError("no real classical path found", table=None)
     return out
-
-
-def van_vleck(model: StepModel, saddle: ClassicalSaddle, bvp: BoundarySpec):
-    """d2S/dx0 dx1 of a saddle via implicit differentiation of its time relation."""
-    if model.family is Family.HEAVISIDE or saddle.kind in (
-            SaddleKind.CAUSTIC, SaddleKind.TOPOLOGICAL):
-        return saddle.vv
-    E, x0, x1 = saddle.E.real, bvp.x0, bvp.x1
-    bounce = saddle.kind is not SaddleKind.DIRECT
-    dT = (_bounce(model, E, *_fresh(model, E, x0, x1)) if bounce
-          else _direct(model, E, x0, x1))[2]().real
-    return _vv(model, E, x0, x1, dT, bounce).real
 
 
 # ---------------------------------------------------------------------------

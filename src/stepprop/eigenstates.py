@@ -148,7 +148,9 @@ def _phi_ws_full(model, branch, k, q, x, conj=False):
     z, zc, logsech = _logistic(model, x)
     pref = np.exp(-nu * math.log(2.0) + s * x / (2.0 * model.hbar) + nu * logsech)
     if np.ndim(x) == 0:
-        return pref * hyp2f1_with_complement(1.0 + nu, nu, cpar, z, zc)
+        # below alpha x = -354, 1-z is subnormal or 0 and its log is 2 alpha x
+        lzc = 2.0 * model.alpha * x if zc < np.finfo(float).tiny else None
+        return pref * hyp2f1_with_complement(1.0 + nu, nu, cpar, z, zc, lzc)
     vals = np.empty(pref.shape, dtype=complex)
     for cols in (z.ravel() > 0.5, z.ravel() <= 0.5):
         if np.any(cols):

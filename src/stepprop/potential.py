@@ -127,6 +127,15 @@ def pole_distance(model: StepModel, x) -> np.ndarray:
     return np.abs(x - nearest)
 
 
+def _guard_poles(model, x):
+    """PotentialPoleError for a complex array x within the guard radius of
+    a pole of the smooth step."""
+    if (np.iscomplexobj(x)
+            and np.any(pole_distance(model, x) < POLE_GUARD / model.alpha)):
+        raise PotentialPoleError(
+            "position within guard radius of a potential pole")
+
+
 def potential_value(model: StepModel, x):
     """V(x); complex x supported for the Woods-Saxon family only.
     A real scalar x on the smooth step skips the array path."""
@@ -140,11 +149,7 @@ def potential_value(model: StepModel, x):
         xr = np.real(x).astype(float)
         out = model.V0 * np.where(xr > 0, 1.0, np.where(xr < 0, 0.0, 0.5))
         return out if out.shape else float(out)
-    if np.iscomplexobj(x):
-        dist = pole_distance(model, x)
-        if np.any(dist < POLE_GUARD / model.alpha):
-            raise PotentialPoleError(
-                "position within guard radius of a potential pole")
+    _guard_poles(model, x)
     return model.V0 * _sigmoid(2.0 * model.alpha * x)
 
 
@@ -152,7 +157,9 @@ def potential_complement(model: StepModel, x):
     """V(x) - V0, computed without cancellation (exact left tail)."""
     if model.family is Family.HEAVISIDE:
         return potential_value(model, x) - model.V0
-    x = x if _is_scalar(x) else np.asarray(x)
+    if not _is_scalar(x):
+        x = np.asarray(x)
+        _guard_poles(model, x)
     return -model.V0 * _sigmoid(-2.0 * model.alpha * x)
 
 

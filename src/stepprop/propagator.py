@@ -1,4 +1,4 @@
-"""Real-time and energy propagators via the spectral representation.
+"""Real-time propagator via the spectral representation; energy propagator.
 
     G(x1,x0;T) = Theta(T) [ int_0^kc  w_c(k)  e^{-i k^2 T/(2 m hbar)} dk
                           + int_kc^oo w_pm(k) e^{-i k^2 T/(2 m hbar)} dk ],
@@ -15,25 +15,23 @@ half-plane where the kernel decays like a Gaussian.
 Substitutions remove the square-root branch points at threshold:
 below, k = kc sin(u); above, p = t e^{-i theta} with k = sqrt(kc^2 + p^2).
 
-The energy propagator shares the kernels,
-
-    K(x1,x0;E) = i hbar int_0^oo w(k) / (E - k^2/2m) dk,
-
-with the retarded pole passed below via a semicircle detour, the free-kernel
-part resummed in closed form and the remaining (scattering) tail integrated
-under a smooth window.
+The energy propagator needs no integral: it is the closed-form Wronskian
+product of the two outgoing eigenstates (see energy_propagator).
 
 T <= 0 returns an exactly zero amplitude (retarded convention).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
-from .eigenstates import (ncc_analytic, norm_combos, npm_analytic,
-                          npp_analytic, phi, phi_grid)
+from .eigenstates import (_heaviside_like, _phi_ws_full, ncc_analytic,
+                          norm_combos, npm_analytic, npp_analytic, phi,
+                          phi_grid)
 from .errors import NonFiniteError, QuadratureError, ValidationError
 from .potential import StepModel
 from .quadrature import integrate_adaptive
@@ -276,112 +274,54 @@ def propagate(model: StepModel, x0: float, x1, T: float,
 # energy propagator
 # ---------------------------------------------------------------------------
 
-def _free_weight(model, k, x0, x1):
-    """Free spectral kernel cos(k (x1-x0)/hbar)/(pi hbar), analytic in k."""
-    h = model.hbar
-    return np.cos(k * (x1 - x0) / h) / (math.pi * h)
+def _closed_form(model, k, a, x):
+    """The eigenstate closed form with momenta (k, a) at x, e^{iax/hbar}
+    right of the step.  The smooth step takes the 2F1 form at every x: the
+    asymptotic left form divides by sinh(pi k/(alpha hbar)), 0 at
+    k = i n alpha hbar."""
+    if _heaviside_like(model):
+        return phi(model, "plus", k, a, x)
+    return _phi_ws_full(model, "plus", k, a, x)
 
 
-def _free_energy_propagator(model, x0, x1, E):
-    """Closed form of i hbar int w_free/(E - k^2/2m) dk (retarded branch)."""
-    m, h = model.m, model.hbar
-    kappa = np.sqrt(complex(2.0 * m * E))
-    if kappa.imag < 0:
-        kappa = -kappa
-    if kappa == 0:
-        raise ValidationError("energy propagator undefined at E = 0")
-    return complex(m / kappa * np.exp(1j * kappa * abs(x1 - x0) / h))
+def energy_propagator(model: StepModel, x0: float, x1: float, E: float):
+    """Energy propagator K(x1, x0; E) = i hbar <x1|(E - H + i0)^{-1}|x0>,
+    by the Wronskian form of the resolvent:
 
+        K = 2m/(k+a) G(1 - i(k+a)/2ah)^2 / (G(1 - ia/ah) G(1 - ik/ah))
+            psi_<(min(x0, x1)) psi_>(max(x0, x1)),
 
-def energy_propagator(model: StepModel, x0: float, x1: float, E: float,
-                      cfg: QuadratureConfig | None = None):
-    """Energy propagator K(x1, x0; E), retarded prescription.
+    ah = alpha hbar, with k = sqrt(2mE) and a = sqrt(2m(E - V0)) on the
+    retarded sheet (Im >= 0).  psi_> is the closed form with momenta (k, a),
+    e^{iax/hbar} on the right.  psi_<(x) is the one with momenta (a, k) at
+    -x, an eigenstate of the mirrored step V(-x) = V0 - V(x), and
+    e^{-ikx/hbar} on the left.  The gamma factor is 1 on the sharp step and
+    at V0 = 0.
 
-    Returns (K, est_error).  The free part is resummed in closed form; the
-    remaining kernel difference decays with k and is integrated along a real
-    contour with a semicircular detour below the pole at k = sqrt(2 m E),
-    finished by a smooth cosine-window tail.
+    Returns (K, 0.0): as in :func:`propagate`, the rounding of the
+    eigenstate layer is not counted.  Where the plane waves are 0/0 (V0 = 0
+    at E = 0; the sharp step at E = 0 with an endpoint at or left of the
+    step, or at E = V0 with one at or right of it) ValidationError is
+    raised, and NonFiniteError for a non-finite K.
     """
-    cfg = cfg or QuadratureConfig()
     m, h = model.m, model.hbar
-    kc = model.k_threshold
-
-    def dw(karr):
-        karr = np.asarray(karr, dtype=complex)
-        out = np.empty(karr.shape, dtype=complex)
-        below = karr.real < kc
-        if np.any(below):
-            kb = karr[below]
-            mu = np.sqrt(kc * kc - kb * kb)
-            out[below] = _spectral_weight(model, kb, mu, x0, x1, False)
-        if np.any(~below):
-            ka = karr[~below]
-            p = np.sqrt(ka * ka - kc * kc)
-            out[~below] = _spectral_weight(model, ka, p, x0, x1, True)
-        return out - _free_weight(model, karr, x0, x1)
-
-    def den(karr):
-        return 1.0 / (E - karr * karr / (2.0 * m))
-
-    k_pole = math.sqrt(2.0 * m * E) if E > 0 else None
-    k_split = max(3.0 * kc, 4.0, (k_pole or 0.0) + 1.0)
-    # contour on the real axis with a semicircular detour below the pole;
-    # each side of the threshold keeps its own analytic kernel, so the arc
-    # must not straddle k = kc
-    segments = []
-    if k_pole is not None and 1e-9 < k_pole < k_split:
-        r = min(0.4 * k_pole, 0.4 * (k_split - k_pole), 0.5)
-        if kc > 0.0 and abs(k_pole - kc) < r:
-            r = 0.8 * abs(k_pole - kc)
-        if r < 1e-4:
-            raise ValidationError(
-                "energy too close to the threshold V0 for the pole detour")
-        segments.append(("line", 1e-12, k_pole - r))
-        segments.append(("arc", k_pole, r))
-        segments.append(("line", k_pole + r, k_split))
-    else:
-        segments.append(("line", 1e-12, k_split))
-
-    total = 0.0 + 0.0j
-    err = 0.0
-    n_evals = 0
-    for seg in segments:
-        if seg[0] == "line":
-            _, a, b = seg
-            if b <= a:
-                continue
-            f = lambda ks: dw(ks + 0j) * den(ks + 0j)
-            val, e, ne = integrate_adaptive(f, a, b, cfg.abs_tol, cfg.rel_tol)
-        else:
-            _, center, r = seg
-
-            def f(ss):
-                kpath = center + r * np.exp(1j * (math.pi + math.pi * ss))
-                dk = 1j * math.pi * r * np.exp(1j * (math.pi + math.pi * ss))
-                return dw(kpath) * den(kpath) * dk
-
-            val, e, ne = integrate_adaptive(f, 0.0, 1.0, cfg.abs_tol, cfg.rel_tol)
-        total += val
-        err += e
-        n_evals += ne
-
-    # smooth windowed tail: frequencies >= min spacing of |x1 +- x0| / hbar
-    freq = max(min(abs(x1 - x0), abs(x1 + x0)) / h, 0.05)
-    width = min(max(60.0 / freq, 40.0), 4000.0)
-
-    def f_tail(ks):
-        s = (ks - k_split) / width
-        window = np.where(s < 1.0, np.cos(0.5 * math.pi * np.clip(s, 0, 1)) ** 4, 0.0)
-        return dw(ks + 0j) * den(ks + 0j) * window
-
-    val, e, ne = integrate_adaptive(f_tail, k_split, k_split + width,
-                                    max(cfg.abs_tol, 1e-10), cfg.rel_tol)
-    total += val
-    err += e + abs(val) * 1e-3
-    n_evals += ne
-
-    kfree = _free_energy_propagator(model, x0, x1, E)
-    return complex(kfree + 1j * h * total), float(abs(1j * h) * err)
+    k, a = cmath.sqrt(2.0 * m * E), cmath.sqrt(2.0 * m * (E - model.V0))
+    lo, hi = min(x0, x1), max(x0, x1)
+    if k + a == 0 or (_heaviside_like(model)
+                      and ((k == 0 and hi <= 0) or (a == 0 and lo >= 0))):
+        raise ValidationError(
+            f"energy propagator at E = {E!r} is 0/0 in the plane-wave form")
+    pref = 2.0 * m / (k + a)
+    if not _heaviside_like(model):
+        ah = model.alpha * h
+        pref *= np.exp(2.0 * loggamma(1.0 - 1j * (k + a) / (2.0 * ah))
+                       - loggamma(1.0 - 1j * a / ah)
+                       - loggamma(1.0 - 1j * k / ah))
+    K = complex(pref * _closed_form(model, a, k, -lo)
+                * _closed_form(model, k, a, hi))
+    if not cmath.isfinite(K):
+        raise NonFiniteError(f"non-finite K at E = {E!r}")
+    return K, 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ Evaluation strategy
       2F1(a,b;c;z) = G(c)G(w)/(G(c-a)G(c-b)) 2F1(a,b;1-w;1-z)
                    + (1-z)^w G(c)G(-w)/(G(a)G(b)) 2F1(c-a,c-b;1+w;1-z),
 
-  with w = c-a-b.  When w is within 1e-8 of an integer the two terms are
-  individually singular; the w = 0 case is handled by the logarithmic
-  limiting series (the c = a+b connection formula with digamma terms).
+  with w = c-a-b.  When w is within 1e-8 of an integer m the two terms are
+  individually singular, and the logarithmic connection formula for that m
+  (DLMF 15.8.10; A&S 15.3.11, with Euler's transformation for m < 0) is
+  used instead.
 
 All entry points broadcast over numpy arrays.  Callers that know 1-z to
 better precision than 1 - float(z) (the eigenstates do, since their argument
@@ -113,53 +114,70 @@ def _gamma_ratio(num, den):
     return np.where(kill, 0.0, out)
 
 
-def _transformed(a, b, c, zc):
-    """z > 1/2 branch via the z -> 1-z connection formula, zc = 1-z."""
+def _transformed(a, b, c, zc, lzc):
+    """z > 1/2 branch via the z -> 1-z connection formula, zc = 1-z and
+    lzc = log(zc)."""
     w = c - a - b
     g1 = _gamma_ratio([c, w], [c - a, c - b])
     g2 = _gamma_ratio([c, -w], [a, b])
     f1 = _series(a, b, 1.0 - w, zc)
     f2 = _series(c - a, c - b, 1.0 + w, zc)
-    return g1 * f1 + g2 * np.exp(w * np.log(zc)) * f2
+    return g1 * f1 + g2 * np.exp(w * lzc) * f2
 
 
-def _log_form(a, b, zc):
-    """Limiting c = a+b form: 2F1(a,b;a+b;1-zc) with logarithmic terms."""
-    a, b, zc = np.broadcast_arrays(*_as_complex(a, b, zc))
-    lzc = np.log(zc)
+def _log_form(a, b, c, m, zc, lzc):
+    """2F1(a, b; c; 1-zc) at the integer c - a - b = m (A&S 15.3.11): m
+    terms of a finite sum plus a series with digamma and log terms.  m < 0
+    goes through Euler's 2F1(a,b;c;z) = (1-z)^{c-a-b} 2F1(c-a,c-b;c;z)."""
+    if m < 0:
+        return np.exp(m * lzc) * _log_form(c - a, c - b, c, -m, zc, lzc)
+    a, b, zc, lzc = np.broadcast_arrays(*_as_complex(a, b, zc, lzc))
+    head = np.zeros(a.shape, dtype=complex)
+    if m:
+        term = head = np.ones(a.shape, dtype=complex)
+        for n in range(m - 1):
+            term = term * (a + n) * (b + n) / ((n + 1.0) * (n + 1.0 - m)) * zc
+            head = head + term
+        head = head * _gamma_ratio([m, a + b + m], [a + m, b + m])
+    # coef_n = (a+m)_n (b+m)_n / (n! (m+1)_n) zc^n, with psi(n+1),
+    # psi(n+m+1), psi(a+m+n) and psi(b+m+n) stepped alongside
     coef = np.ones(a.shape, dtype=complex)
-    bracket = 2.0 * _sp.digamma(np.ones(a.shape)) - _sp.digamma(a) - _sp.digamma(b)
-    total = bracket - lzc
-    psi_n1 = _sp.digamma(np.ones(a.shape))  # psi(n+1)
-    psi_a = _sp.digamma(a)
-    psi_b = _sp.digamma(b)
+    psi_n1 = _sp.digamma(np.ones(a.shape))
+    psi_nm1 = _sp.digamma(np.full(a.shape, m + 1.0))
+    psi_a = _sp.digamma(a + m)
+    psi_b = _sp.digamma(b + m)
+    total = psi_n1 + psi_nm1 - psi_a - psi_b - lzc
     for n in range(MAX_TERMS):
-        coef = coef * (a + n) * (b + n) / ((n + 1.0) ** 2) * zc
+        coef = coef * (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * zc
         psi_n1 = psi_n1 + 1.0 / (n + 1.0)
-        psi_a = psi_a + 1.0 / (a + n)
-        psi_b = psi_b + 1.0 / (b + n)
-        term = coef * (2.0 * psi_n1 - psi_a - psi_b - lzc)
+        psi_nm1 = psi_nm1 + 1.0 / (n + m + 1.0)
+        psi_a = psi_a + 1.0 / (a + m + n)
+        psi_b = psi_b + 1.0 / (b + m + n)
+        term = coef * (psi_n1 + psi_nm1 - psi_a - psi_b - lzc)
         total = total + term
         if np.all(np.abs(term) <= SERIES_TOL * (np.abs(total) + 1e-300)):
             break
     else:
         raise SeriesConvergenceError("2F1 logarithmic series did not converge")
-    return _gamma_ratio([a + b], [a, b]) * total
+    return head + (-zc) ** m * _gamma_ratio([a + b + m], [a, b, m + 1.0]) * total
 
 
-def hyp2f1_with_complement(a, b, c, z, zc):
+def hyp2f1_with_complement(a, b, c, z, zc, log_zc=None):
     """2F1(a,b;c;z) with the complement zc = 1-z supplied exactly.
 
     z must be real with 0 <= z < 1 (elementwise); a, b, c may be complex
     arrays.  This is the precision-critical entry point used by the
     eigenstates, whose argument approaches 1 exponentially on the left of
-    the step.
+    the step.  Where zc underflows there, log_zc = log(1-z) carries it: zc
+    then enters only as the argument of series that it no longer changes.
     """
     a, b, c, z, zc = np.broadcast_arrays(*_as_complex(a, b, c, z, zc))
     zr = z.real
     # z may round to 1.0 in floating point while the exact complement zc
-    # stays positive; the transformed branch only consumes zc
-    if np.any((zr < 0.0) | (zc.real <= 0.0) | (z.imag != 0.0)):
+    # stays positive (or, given log_zc, underflows to 0); the transformed
+    # branch only consumes zc and log_zc
+    bad_zc = zc.real <= 0.0 if log_zc is None else zc.real < 0.0
+    if np.any((zr < 0.0) | bad_zc | (z.imag != 0.0)):
         raise ValueError("hyp2f1 argument must be real with 0 <= z < 1")
     pole_c = (c.imag == 0.0) & (c.real <= 0.0) & (c.real == np.round(c.real))
     if np.any(pole_c):
@@ -171,22 +189,20 @@ def hyp2f1_with_complement(a, b, c, z, zc):
     hi = ~lo
     if np.any(hi):
         ah, bh, ch, zch = a[hi], b[hi], c[hi], zc[hi]
+        lzch = (np.log(zch) if log_zc is None
+                else np.broadcast_to(log_zc, a.shape)[hi])
         w = ch - ah - bh
         m_int = np.round(w.real)
         degen = ((np.abs(w.imag) < DEGENERATE_EPS)
                  & (np.abs(w - m_int) < DEGENERATE_EPS))
-        reg, log = ~degen, degen & (m_int == 0)
-        # nudge integer m != 0 off the integer; only m = 0 arises from the
-        # eigenstate parameter family (c-a-b = -ik/(alpha*hbar))
-        nudge = degen & (m_int != 0)
+        reg = ~degen
         res = np.empty(ah.shape, dtype=complex)
         if np.any(reg):
-            res[reg] = _transformed(ah[reg], bh[reg], ch[reg], zch[reg])
-        if np.any(log):
-            res[log] = _log_form(ah[log], bh[log], zch[log])
-        if np.any(nudge):
-            res[nudge] = _transformed(ah[nudge] - DEGENERATE_EPS, bh[nudge],
-                                      ch[nudge], zch[nudge])
+            res[reg] = _transformed(ah[reg], bh[reg], ch[reg], zch[reg],
+                                    lzch[reg])
+        for m in np.unique(m_int[degen]):
+            s = degen & (m_int == m)
+            res[s] = _log_form(ah[s], bh[s], ch[s], int(m), zch[s], lzch[s])
         out[hi] = res
     if out.shape == ():
         return complex(out)

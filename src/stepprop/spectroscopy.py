@@ -28,7 +28,7 @@ from .propagator import QuadratureConfig, propagate
 
 __all__ = ["OmegaWindow", "SpectrumSeries", "Peak", "propagator_omega_samples",
            "fourier_spectrum", "laplace_spectrum", "wkb_model_laplace",
-           "residue_against_wkb", "match_peaks", "synthetic_omega_samples",
+           "residue_against_wkb", "synthetic_omega_samples",
            "complex_actions", "detect_peaks"]
 
 
@@ -225,31 +225,6 @@ def residue_against_wkb(model: StepModel, bvp: BoundarySpec,
         l_model = np.abs(wkb_model_laplace(saddles, window, s_grid))
         out.append(float(np.sqrt(np.sum((l_exact - l_model) ** 2) * ds)))
     return out
-
-
-def match_peaks(series: SpectrumSeries, saddles, tol: float):
-    """Greedy nearest association of saddle Re S to Fourier peak actions.
-
-    Returns a list of (saddle, peak or None, degenerate_flag)."""
-    if series.kind != "fourier":
-        raise ValidationError("peak matching uses the Fourier spectrum")
-    actions = [(-p.location, p) for p in series.peaks]
-    matches = []
-    used = {}
-    for sad in saddles:
-        best = None
-        for act, p in actions:
-            d = abs(act - sad.S.real)
-            if d <= tol and (best is None or d < best[0]):
-                best = (d, p)
-        if best is None:
-            matches.append((sad, None, False))
-        else:
-            peak = best[1]
-            degenerate = id(peak) in used
-            used[id(peak)] = True
-            matches.append((sad, peak, degenerate))
-    return matches
 
 
 def synthetic_omega_samples(window: OmegaWindow, actions, coeffs):

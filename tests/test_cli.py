@@ -42,6 +42,22 @@ def test_rates_heaviside_matches_closed_form(tmp_path):
         assert r2 == pytest.approx(((k - p) / (k + p)) ** 2, rel=1e-12)
 
 
+def test_energy_at_mirror_endpoints(tmp_path):
+    # x1 = -x0 on WS alpha = 1, where the contour quadrature once raised;
+    # the expected K are 40-digit mpmath values of the closed form
+    out = tmp_path / "k.csv"
+    assert main(["energy", "--model", WS, "--x0=-1", "--x1=1",
+                 "--E-range=0.7:2.5:2", "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert header == ["x0", "x1", "E", "ReK", "ImK", "abs2", "est_error"]
+    want = (0.84757904737232 + 0.34645176965655j,
+            -0.33251662338862 - 0.38082913487612j)
+    assert len(rows) == len(want)
+    for row, K in zip(rows, want):
+        assert abs(complex(float(row[3]), float(row[4])) - K) < 1e-13
+        assert float(row[6]) == 0.0
+
+
 def test_malformed_model_json_exits_2(tmp_path, capsys):
     out = tmp_path / "never.csv"
     rc = main(["rates", "--model", "{not json", "--out", str(out)])

@@ -220,11 +220,13 @@ def test_scalar_pole_guard_matches_array_path(alpha, n, direction):
     pole = singularity_locations(md, (n, n))[0]
     inside = pole + 0.5 * POLE_GUARD / alpha * direction
     for x in (inside, np.complex128(inside), np.array([inside])):
-        for f in (potential_value, potential_derivatives):
+        for f in (potential_value, potential_complement,
+                  potential_derivatives):
             with pytest.raises(PotentialPoleError):
                 f(md, x)
     outside = pole + 2.0 * POLE_GUARD / alpha * direction
     assert cmath.isfinite(potential_value(md, outside))
+    assert cmath.isfinite(potential_complement(md, outside))
     _check_scalar_path(md, outside)
 
 

@@ -1,11 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from stepprop.errors import NonFiniteError, QuadratureError
+from stepprop.errors import NonFiniteError, QuadratureError, ValidationError
 from stepprop.oracle import gaussian_packet
-from stepprop.potential import Family, StepModel
+from stepprop.potential import Family, StepModel, potential_value
 from stepprop.propagator import (QuadratureConfig, energy_propagator,
                                  evolve_packet_spectral, free_propagator,
                                  propagate)
@@ -112,12 +113,156 @@ def test_quadrature_diagnostics_populated(ws_unit):
 
 
 def test_energy_propagator_free_closed_form():
-    md = StepModel(Family.HEAVISIDE, m=1.0, V0=0.0, alpha=1.0, hbar=1.0)
-    for E in (0.5, 2.0):
-        K, err = energy_propagator(md, -4.0, -6.0, E)
-        kappa = math.sqrt(2.0 * E)
-        ref = (1.0 / kappa) * np.exp(1j * kappa * 2.0)
-        assert abs(K - ref) < 1e-6
+    for family in (Family.WOODS_SAXON, Family.HEAVISIDE):
+        md = StepModel(family, m=1.0, V0=0.0, alpha=1.0, hbar=1.0)
+        for E in (-0.7, 0.5, 2.0):
+            for x0, x1 in ((-4.0, -6.0), (1.5, -2.5), (3.0, 3.0)):
+                K, err = energy_propagator(md, x0, x1, E)
+                kappa = cmath.sqrt(2.0 * E)
+                ref = (1.0 / kappa) * np.exp(1j * kappa * abs(x1 - x0))
+                assert abs(K - ref) <= 1e-14 * abs(ref) and err == 0.0
+        with pytest.raises(ValidationError):
+            energy_propagator(md, -4.0, -6.0, 0.0)
+
+
+def _mp_closed_form(mpmath, model, k, a, x):
+    """The eigenstate closed form with momenta (k, a), by mpmath.hyp2f1 at
+    z = 1/(1 + e^{2 alpha x}) on the smooth step and by its plane waves on
+    the sharp one."""
+    h = model.hbar
+    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
+        if x > 0:
+            return mpmath.exp(1j * a * x / h)
+        return ((k - a) * mpmath.exp(-1j * k * x / h)
+                + (k + a) * mpmath.exp(1j * k * x / h)) / (2 * k)
+    ah = model.alpha * h
+    nu = 1j * (k - a) / (2 * ah)
+    ax = model.alpha * mpmath.mpf(x)
+    return (mpmath.power(2, -nu) * mpmath.exp(1j * (k + a) * x / (2 * h))
+            * mpmath.sech(ax) ** nu
+            * mpmath.hyp2f1(1 + nu, nu, 1 - 1j * a / ah,
+                            1 / (1 + mpmath.exp(2 * ax))))
+
+
+def _mp_energy_propagator(model, x0, x1, E):
+    """K of energy_propagator's formula in 40-digit arithmetic (more where
+    1 - z needs it), from mpmath.hyp2f1 and mpmath.gamma."""
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = min(x0, x1), max(x0, x1)
+    with mpmath.workdps(40 + int(model.alpha * max(-lo, hi, 0.0))):
+        m, h = model.m, model.hbar
+        k = mpmath.sqrt(mpmath.mpc(2 * m * mpmath.mpf(E)))
+        a = mpmath.sqrt(mpmath.mpc(2 * m * (mpmath.mpf(E) - model.V0)))
+        K = 2 * m / (k + a)
+        if model.family is Family.WOODS_SAXON and model.V0 != 0.0:
+            ah = model.alpha * h
+            K *= (mpmath.gamma(1 - 1j * (k + a) / (2 * ah)) ** 2
+                  / mpmath.gamma(1 - 1j * a / ah)
+                  / mpmath.gamma(1 - 1j * k / ah))
+        K *= (_mp_closed_form(mpmath, model, a, k, -lo)
+              * _mp_closed_form(mpmath, model, k, a, hi))
+        return complex(K)
+
+
+def _energy_cases():
+    """Seeded (model, x0, x1, E): smooth steps alpha = 0.5 .. 50, the sharp
+    step and V0 = 0; endpoints in [-8, 8] with x0 = x1 and x1 = -x0 among
+    them, and the mirror endpoints that once raised."""
+    rng = np.random.default_rng(14)
+    models = [StepModel(Family.WOODS_SAXON, 1.0, 1.0, al, 1.0)
+              for al in (0.5, 1.0, 5.0, 50.0)]
+    models += [StepModel(Family.HEAVISIDE, 1.0, 1.0, 1.0, 1.0),
+               StepModel(Family.WOODS_SAXON, 1.0, 0.0, 1.0, 1.0)]
+    cases = []
+    for md in models:
+        for i in range(12):
+            x0, x1 = rng.uniform(-8.0, 8.0, 2)
+            x1 = (x0, -x0, x1)[min(i, 2)]
+            cases.append((md, float(x0), float(x1), float(rng.uniform(-2.0, 6.0))))
+    ws1 = models[1]
+    cases += [(ws1, x0, x1, E) for x0, x1 in ((-1.0, 1.0), (0.3, -0.7))
+              for E in (-0.5, 0.0, 0.7, 1.0, 2.5)]
+    return cases
+
+
+def test_energy_propagator_matches_mpmath():
+    for md, x0, x1, E in _energy_cases():
+        K, err = energy_propagator(md, x0, x1, E)
+        ref = _mp_energy_propagator(md, x0, x1, E)
+        assert abs(K - ref) <= 1e-10 * abs(ref), (md, x0, x1, E)
+        assert err == 0.0
+        assert energy_propagator(md, x1, x0, E)[0] == K
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+def test_energy_propagator_at_integer_connection_exponents(n, alpha):
+    # E = -(n alpha hbar)^2/2m left of the step and V0 - (n alpha hbar)^2/2m
+    # right of it put c - a - b = n in psi_> and psi_<: the asymptotic
+    # plane-wave coefficients are 0/0 there
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+    e_n = (n * alpha * md.hbar) ** 2 / (2 * md.m)
+    for x0, x1, E in ((-40.0 / alpha, -35.0 / alpha, -e_n),
+                      (35.0 / alpha, 40.0 / alpha, md.V0 - e_n),
+                      (-0.5, -3.0, -e_n), (1.0, 2.0, md.V0 - e_n)):
+        for dE, tol in ((0.0, 1e-10), (1e-7, 1e-7), (-1e-7, 1e-7)):
+            K = energy_propagator(md, x0, x1, E + dE)[0]
+            ref = _mp_energy_propagator(md, x0, x1, E + dE)
+            assert abs(K - ref) <= tol * abs(ref), (x0, x1, E + dE)
+
+
+def test_energy_propagator_solves_the_resolvent_equation():
+    # (hbar^2/2m) d2K/dx1^2 + (E - V(x1)) K = 0 away from x0, and dK/dx1
+    # jumps by 2 m i/hbar at x1 = x0
+    rng = np.random.default_rng(7)
+    h = 1e-3
+    steps = np.arange(-2, 3) * h
+    for alpha, hbar in ((0.5, 1.0), (1.0, 1.0), (5.0, 1.0), (1.0, 0.5)):
+        md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, hbar)
+        c = hbar ** 2 / (2 * md.m)
+        for _ in range(8):
+            x0, x1 = rng.uniform(-4.0, 4.0, 2)
+            E = rng.uniform(-1.5, 4.0)
+            if abs(x1 - x0) > 3 * h:
+                Ks = [energy_propagator(md, x0, x1 + s, E)[0] for s in steps[1:4]]
+                kin = c * (Ks[0] - 2 * Ks[1] + Ks[2]) / h ** 2
+                pot = (E - potential_value(md, x1)) * Ks[1]
+                assert abs(kin + pot) <= 1e-5 * max(abs(kin), abs(pot))
+            Ks = [energy_propagator(md, x0, x0 + s, E)[0] for s in steps]
+            right = (-3 * Ks[2] + 4 * Ks[3] - Ks[4]) / (2 * h)
+            left = (3 * Ks[2] - 4 * Ks[1] + Ks[0]) / (2 * h)
+            jump = 2j * md.m / hbar
+            assert abs(right - left - jump) <= 1e-4 * abs(jump)
+
+
+def test_energy_propagator_heaviside_limit():
+    ws = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1000.0, 1.0)
+    hv = StepModel(Family.HEAVISIDE, 1.0, 1.0, 1.0, 1.0)
+    for x0, x1 in ((-0.3, -0.2), (-0.05, 0.25), (0.1, 0.3), (-2.0, 3.0)):
+        for E in (-0.5, 0.4, 1.7, 3.0):
+            K_ws = energy_propagator(ws, x0, x1, E)[0]
+            assert abs(K_ws - energy_propagator(hv, x0, x1, E)[0]) <= 1e-5
+
+
+def test_energy_propagator_plane_wave_zero_over_zero(heaviside_unit):
+    # the sharp step's plane waves divide by k left of the step and by a
+    # right of it; the smooth step evaluates at both thresholds
+    with pytest.raises(ValidationError):
+        energy_propagator(heaviside_unit, 1.0, 2.0, 1.0)
+    with pytest.raises(ValidationError):
+        energy_propagator(heaviside_unit, -1.0, -2.0, 0.0)
+    for x0, x1, E in ((-1.0, 2.0, 1.0), (1.0, 2.0, 0.0)):
+        assert cmath.isfinite(energy_propagator(heaviside_unit, x0, x1, E)[0])
+    ws = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0)
+    for E in (0.0, 1.0):
+        K = energy_propagator(ws, 1.0, 2.0, E)[0]
+        assert abs(K - _mp_energy_propagator(ws, 1.0, 2.0, E)) <= 1e-10 * abs(K)
+
+
+def test_energy_propagator_non_finite_raises(heaviside_unit):
+    # e^{kappa |x|} overflows and its partner underflows to 0
+    with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+        energy_propagator(heaviside_unit, -20.0, -20.0, -1e4)
 
 
 def test_energy_propagator_threshold_growth(heaviside_unit):

@@ -97,14 +97,50 @@ def test_hyp2f1_degenerate_logarithmic_case():
 
 
 def test_hyp2f1_mixed_degenerate_batch():
-    # c = a+b (logarithmic form) and c = a+b+1 (integer m != 0) in one batch
-    # must each get their own branch
+    # c = a+b and c = a+b+1 in one batch must each get their own m
     mpmath = pytest.importorskip("mpmath")
     a, b = 0.3 + 0.2j, 0.5 - 0.1j
     vals = hyp2f1([a, a], [b, b], [a + b, a + b + 1], 0.8)
     for v, c in zip(vals, (a + b, a + b + 1)):
         ref = complex(mpmath.hyp2f1(a, b, c, 0.8))
-        assert abs(v - ref) < 1e-7 * abs(ref)
+        assert abs(v - ref) < 1e-12 * abs(ref)
+
+
+# a and b off the real axis on the same side, like the eigenstates' 1 + nu
+# and nu, so that c = a + b + m stays off the poles of Gamma(c)
+_PARAM = st.builds(complex, st.floats(-0.5, 2.0), st.floats(0.05, 1.5))
+_DEGENERATE = dict(
+    m=st.sampled_from([0, 1, -1, 2, -2]), a=_PARAM, b=_PARAM,
+    z=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+
+
+@given(**_DEGENERATE)
+@settings(max_examples=80, deadline=None)
+def test_hyp2f1_integer_c_minus_a_minus_b_vs_mpmath(m, a, b, z):
+    # the logarithmic connection formula for every integer m = c - a - b
+    mpmath = pytest.importorskip("mpmath")
+    c = a + b + m
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hyp2f1(a, b, c, z))
+    assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-12 * abs(ref)
+
+
+@given(**_DEGENERATE)
+@settings(max_examples=30, deadline=None)
+def test_grid_integer_c_minus_a_minus_b_vs_mpmath(m, a, b, z):
+    # a degenerate column sends the grid to the elementwise fallback
+    mpmath = pytest.importorskip("mpmath")
+    a_col = np.array([[a], [0.4 + 0.3j]])
+    b_col = np.array([[b], [0.2 - 0.6j]])
+    c_col = a_col + b_col + np.array([[m], [0.37]])
+    zs = np.array([[z, 0.5 + 0.5 * z]])
+    vals = hyp2f1_cols_rows(a_col, b_col, c_col, zs, 1.0 - zs)
+    with mpmath.workdps(30):
+        for i in range(2):
+            for j in range(2):
+                ref = complex(mpmath.hyp2f1(a_col[i, 0], b_col[i, 0],
+                                            c_col[i, 0], zs[0, j]))
+                assert abs(vals[i, j] - ref) <= 1e-12 * abs(ref)
 
 
 def test_hyp2f1_domain_errors():

@@ -112,25 +112,6 @@ def test_real_action_laplace_envelope_monotone():
     assert np.argmax(l_abs) == 0
 
 
-def test_match_peaks_association():
-    s1, s2 = -2.0 + 0.0j, -7.5 + 0.0j
-    samples = sp.synthetic_omega_samples(WINDOW, [s1, s2], [1.0, 0.8])
-    taus = np.linspace(0.0, 10.0, 1001)
-    series = _series_from_samples("fourier", samples, taus)
-    sad1 = cl.ClassicalSaddle(cl.SaddleKind.DIRECT, 0.1, s1, -0.1 + 0j)
-    sad2 = cl.ClassicalSaddle(cl.SaddleKind.CAUSTIC, 0.2, s2, 0.1 + 0j)
-    ghost = cl.ClassicalSaddle(cl.SaddleKind.TOPOLOGICAL, 0.3, -50.0 + 0j,
-                               0.1 + 0j)
-    matches = sp.match_peaks(series, [sad1, sad2, ghost], tol=0.2)
-    assert matches[0][1] is not None and not matches[0][2]
-    assert matches[1][1] is not None and not matches[1][2]
-    assert matches[2][1] is None              # irrelevant saddle: no peak
-    # a degenerate pair maps to one peak with the flag raised
-    near = cl.ClassicalSaddle(cl.SaddleKind.TOPOLOGICAL, 0.3, s2 + 0.03, 0.1 + 0j)
-    matches = sp.match_peaks(series, [sad2, near], tol=0.2)
-    assert matches[1][2] is True
-
-
 def test_residue_against_wkb_trivial_cases():
     S = -3.0 + 0.2j
     samples = sp.synthetic_omega_samples(WINDOW, [S], [0.7])
