@@ -47,20 +47,19 @@ def _rhs(model):
     return rhs
 
 
-def integrate_ivp(model: StepModel, x0: float, v0: float, T: float,
-                  rtol: float = 1e-10, atol: float = 1e-10):
+def integrate_ivp(model: StepModel, x0: float, v0: float, T: float):
     """Final position x(T) and variational factor J(T) = dx(T)/dv0."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("the IVP integrator needs a smooth potential")
     sol = solve_ivp(_rhs(model), (0.0, T), (x0, v0, 0.0, 1.0),
-                    method="DOP853", rtol=rtol, atol=atol)
+                    method="DOP853", rtol=1e-10, atol=1e-10)
     if not sol.success:
         raise QuadratureError(f"IVP integration failed: {sol.message}")
     x, _, J, _ = sol.y[:, -1]
     return float(x), float(J)
 
 
-def _scan_batch(model, x0, v0s, T, rtol=1e-8, atol=1e-8):
+def _scan_batch(model, x0, v0s, T):
     """x(T), J(T) for many v0 at once (single stacked integration)."""
     m = model.m
     n = v0s.size
@@ -74,16 +73,16 @@ def _scan_batch(model, x0, v0s, T, rtol=1e-8, atol=1e-8):
         return np.concatenate([v, -vp / m, Jp, -vpp * J / m])
 
     y0 = np.concatenate([np.full(n, x0), v0s, np.zeros(n), np.ones(n)])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-8, atol=1e-8)
     if not sol.success:
         raise QuadratureError(f"batched IVP scan failed: {sol.message}")
     y = sol.y[:, -1]
     return y[0:n], y[2 * n:3 * n]
 
 
-def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400,
-                  v0_max_factor: float = 5.0):
-    """Caustic points (x0, x1) for each x0 in the grid.
+def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
+    """Caustic points (x0, x1) for each x0 in the grid, from n_scan initial
+    velocities up to 5 sqrt(2 V0/m) (up to 5 for V0 = 0).
 
     Empty output for an x0 with no critical initial velocity."""
     if model.family is Family.HEAVISIDE:
@@ -93,8 +92,8 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400,
             for s in np.linspace(0.0, 1.0, 81)[:-1]:
                 pts.append((a + s * (c - a), b + s * (d - b)))
         return pts
-    v_cap = v0_max_factor * math.sqrt(2.0 * model.V0 / model.m) \
-        if model.V0 > 0 else v0_max_factor
+    v_cap = 5.0 * (math.sqrt(2.0 * model.V0 / model.m) if model.V0 > 0
+                   else 1.0)
     points = []
     for x0 in np.atleast_1d(np.asarray(x0_grid, dtype=float)):
         v0s = np.linspace(1e-4, v_cap, n_scan)
@@ -115,8 +114,9 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400,
     return points
 
 
-def cusp_points(curve_points, angle_threshold: float = 0.6):
-    """Corner points of an ordered caustic polyline (turning angle test)."""
+def cusp_points(curve_points):
+    """Corner points of an ordered caustic polyline: turning angle above
+    0.6 rad."""
     pts = np.asarray(curve_points, dtype=float)
     if len(pts) < 5:
         return []
@@ -132,7 +132,7 @@ def cusp_points(curve_points, angle_threshold: float = 0.6):
         if nu < 1e-12 or nv < 1e-12:
             continue
         cosang = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
-        if math.acos(cosang) > angle_threshold:
+        if math.acos(cosang) > 0.6:
             out.append(tuple(b))
     return out
 

@@ -102,6 +102,13 @@ def _log_sigmoid(y: float) -> float:
     return y - math.log1p(math.exp(y))
 
 
+def _log_sigmoid_c(y: complex) -> complex:
+    """_log_sigmoid continued to complex y, on the same two forms."""
+    if y.real >= 0:
+        return -cmath.log(1.0 + cmath.exp(-y))
+    return y - cmath.log(1.0 + cmath.exp(y))
+
+
 def _canon(z: complex) -> complex:
     """Collapse signed-zero imaginary parts so sqrt/log branches are stable."""
     z = complex(z)
@@ -154,13 +161,13 @@ class _ArcTerm:
 
 
 class EndpointState:
-    """Arctanh branch state at one endpoint, A0 = arctanh(sign sqrt(w0))."""
+    """Arctanh branch state at a real or complex x, A0 = arctanh(sign sqrt(w0))."""
 
     __slots__ = ("model", "x", "a0", "a1")
 
-    def __init__(self, model: StepModel, x: float, E: complex, sign: int = -1):
+    def __init__(self, model: StepModel, x, E: complex, sign: int = -1):
         self.model = model
-        self.x = float(x)
+        self.x = x if isinstance(x, complex) and x.imag else float(x.real)
         w0, lu0, w1, lu1 = self._args(E)
         self.a0 = _ArcTerm(w0, lu0, sign)
         self.a1 = _ArcTerm(w1, lu1, +1)
@@ -171,12 +178,13 @@ class EndpointState:
             raise BranchDegenerateError("implicit solution degenerate at E in {0, V0}")
         v = potential_value(md, self.x)
         y2 = 2.0 * md.alpha * self.x
+        log_sig = _log_sigmoid_c if isinstance(y2, complex) else _log_sigmoid
         emv = _canon(E - v)
         w0 = _canon(emv / _canon(E - md.V0))
-        lu0 = (math.log(md.V0) + _log_sigmoid(-y2)
+        lu0 = (math.log(md.V0) + log_sig(-y2)
                + cmath.log(_canon(-1.0 / _canon(E - md.V0))))
         w1 = _canon(emv / _canon(E))
-        lu1 = math.log(md.V0) + _log_sigmoid(y2) - cmath.log(_canon(E))
+        lu1 = math.log(md.V0) + log_sig(y2) - cmath.log(_canon(E))
         return w0, lu0, w1, lu1
 
     def terms(self, E: complex):
@@ -232,24 +240,24 @@ def turning_point(model: StepModel, E) -> complex:
     return complex(np.arctanh((2.0 * E - model.V0) / model.V0)) / model.alpha
 
 
-def time_of_flight(model: StepModel, E, x) -> complex:
-    """Implicit t(x) at energy E, principal sheet, t(x_t) = 0.  Above V0 this
-    sheet is not the one of the physical direct time (see _direct)."""
+def _t_s_at(model, E, x, sheet):
     if model.family is not Family.WOODS_SAXON:
-        raise UnsupportedFamilyError("implicit t(x) defined for the smooth step")
-    st = EndpointState(model, float(np.real(x)), complex(E))
-    t, _ = _t_s(model, complex(E), st)
-    return t
+        raise UnsupportedFamilyError("implicit t(x), s(x) need the smooth step")
+    if sheet not in (1, -1):
+        raise ValidationError(f"sheet must be +1 or -1, got {sheet!r}")
+    return _t_s(model, complex(E), EndpointState(model, x, complex(E), sheet))
+
+
+def time_of_flight(model: StepModel, E, x, sheet: int = -1) -> complex:
+    """Implicit t(x) at energy E on the sheet A0 = arctanh(sheet sqrt(w0)),
+    t(x_t) = 0, with the principal sqrt(w0); x may be complex.  On the real
+    axis sheet -1 is the bounce's, and above V0 sheet +1 the direct time's."""
+    return _t_s_at(model, E, x, sheet)[0]
 
 
 def reduced_action(model: StepModel, E, x) -> complex:
-    """Implicit s(x) at energy E, principal sheet, s(x_t) = 0.  Above V0 this
-    sheet is not the one of the physical direct action (see _direct)."""
-    if model.family is not Family.WOODS_SAXON:
-        raise UnsupportedFamilyError("implicit s(x) defined for the smooth step")
-    st = EndpointState(model, float(np.real(x)), complex(E))
-    _, s = _t_s(model, complex(E), st)
-    return s
+    """Implicit s(x) at energy E on sheet -1 of :func:`time_of_flight`."""
+    return _t_s_at(model, E, x, -1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +519,7 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
         vv = _vv(model, E, x0, x1, dT().real, bounce=True)
         out.append(_real_saddle(model, kind, E, (-E * T + W).real, vv, nu))
     if not out:
-        raise RootBracketError("no real classical path found", table=None)
+        raise RootBracketError("no real classical path found")
     return out
 
 
@@ -550,13 +558,13 @@ def bounce_fold(model: StepModel, x0: float, T: float,
     raise NewtonError(f"{row}: Newton did not converge")
 
 
-def _newton_tracked(model, E, s0, s1, T, tol=1e-13, itmax=80):
+def _newton_tracked(model, E, s0, s1, T, itmax=80):
     """Damped complex Newton on the branch-carried bounce relation."""
     c0, c1 = s0.clone(), s1.clone()
     Tb, _, dT = _bounce(model, E, c0, c1)
     F0 = Tb - T
     for _ in range(itmax):
-        if abs(F0) < tol * max(T, 1.0):
+        if abs(F0) < 1e-13 * max(T, 1.0):
             # commit branch state at the root
             s0.a0, s0.a1, s1.a0, s1.a1 = c0.a0, c0.a1, c1.a0, c1.a1
             return E

@@ -20,6 +20,7 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import caustics as _caustics
 from . import classical as _classical
@@ -281,9 +282,16 @@ _GRIDS = {
     "fig6": (_WS1, "V0", (1.0, 1.5, 2.0), "ws_V0_"),
 }
 
-#: contour figures; both write the left-contour t(v) rows
-_CONTOURS = {"fig12": "fig12_left_contour.csv",
-             "fig13": "fig13_right_contour.csv"}
+#: contour figures: their files and the sheet of t(x) that each follows
+_CONTOURS = {"fig12": ("fig12_left_contour.csv", -1),
+             "fig13": ("fig13_right_contour.csv", +1)}
+
+
+def _contour_t(E, v, sheet):
+    """t on the unit smooth step where V(x) = v, x = log(v/(V0 - v))/(2
+    alpha), which is complex for v > V0 and for complex v."""
+    x = cmath.log(v / (_WS1.V0 - v)) / (2.0 * _WS1.alpha)
+    return _classical.time_of_flight(_WS1, E, x, sheet)
 
 
 def _alpha_sweep(*alphas):
@@ -324,10 +332,10 @@ def _recipes(coarse):
                    _grid_abs2(md, 10.0, -8.0, 2.0, n2d),
                    {"recipe": fig, key: v})
 
-    def contour(fig, name):
+    def contour(fig, name, sheet):
         E, rows = 2.0, []
         for v in np.linspace(1e-4, E - 1e-4, 600):
-            t = _t_of_v(_WS1, E, complex(v), -1)
+            t = _contour_t(E, float(v), sheet)
             rows.append((v, t.real, t.imag))
         yield (name, ("v", "Re_t", "Im_t"), rows,
                {"recipe": fig, "E": E, "alpha": 1.0})
@@ -428,12 +436,14 @@ def _recipes(coarse):
                rows, {"recipe": "fig11"})
 
     def fig14():
+        # the real-axis reflection point a, Re t(a) = 0 on sheet +1
         E = 2.0
-        a = _matching_point(_WS1, E)
+        a = brentq(lambda x: _classical.time_of_flight(_WS1, E, x, +1).real,
+                   -6.0, -1e-6, xtol=1e-12)
         rows = []
         for th in np.linspace(-math.pi + 1e-3, math.pi - 1e-3, 400):
             v = (E - a) * np.exp(1j * th) / 2.0 + (E + a) / 2.0
-            t = _t_of_v(_WS1, E, v, -1)
+            t = _contour_t(E, complex(v), -1)
             rows.append((th, t.real, t.imag))
         yield ("fig14_c0_circle.csv", ("theta", "Re_t", "Im_t"), rows,
                {"recipe": "fig14", "a": a})
@@ -478,8 +488,8 @@ def _recipes(coarse):
         fig17, fig18)}
     recipes.update({fig: partial(grid, fig, *spec)
                     for fig, spec in _GRIDS.items()})
-    recipes.update({fig: partial(contour, fig, name)
-                    for fig, name in _CONTOURS.items()})
+    recipes.update({fig: partial(contour, fig, *spec)
+                    for fig, spec in _CONTOURS.items()})
     return {f"fig{i}": recipes[f"fig{i}"] for i in range(1, 19)}
 
 
@@ -510,27 +520,6 @@ def _path_samples(model, saddle, bvp, n=200):
     sol = solve_ivp(_caustics._rhs(model), (0, T), [x0, v0, 0.0, 1.0],
                     t_eval=ts, rtol=1e-10, atol=1e-12)
     return list(zip(sol.t, sol.y[0]))
-
-
-def _t_of_v(model, E, v, s0):
-    """Implicit t as a function of the potential value v (contour
-    diagnostics), on the sheet A0 = arctanh(s0 sqrt(w0)), s0 = +-1."""
-    y = np.sqrt(complex((E - v) / (E - model.V0)))
-    # negate rather than multiply: s0 * y would flip the sign of a zero
-    # imaginary part, and with it the side of the arctanh cut
-    a0 = np.arctanh(-y if s0 < 0 else y)
-    a1 = np.arctanh(np.sqrt(complex((E - v) / E)))
-    c = math.sqrt(model.m / 2.0) / model.alpha
-    return c * (a0 / np.sqrt(complex(E - model.V0)) - a1 / np.sqrt(complex(E)))
-
-
-def _matching_point(model, E):
-    """Real-axis reflection point a with Re[t(a)] = 0 (E > V0), on the
-    A0 = arctanh(+sqrt(w0)) sheet."""
-    from scipy.optimize import brentq
-    return brentq(lambda x: _t_of_v(
-        model, E, potential_value(model, x), 1).real,
-        -6.0, -1e-6, xtol=1e-12)
 
 
 def _cmd_reproduce(args):

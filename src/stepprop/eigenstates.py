@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import BranchMismatchError, UnsupportedFamilyError
+from .errors import BranchMismatchError, NonFiniteError, UnsupportedFamilyError
 from .potential import Family, StepModel
 from .specfun import hyp2f1_cols_rows, hyp2f1_with_complement
 
@@ -170,8 +170,15 @@ def _phi_ws_asym_left(model, branch, k, q, x, conj=False):
             - _logsinh(math.pi * k / ah))
     den_in = loggamma(1.0 - i * k / ah) + 2.0 * loggamma(1.0 + nu)
     den_out = loggamma(1.0 + i * k / ah) + 2.0 * loggamma(1.0 - s / (2 * ah))
-    return ((k - a) * np.exp(logc - den_in - i * k * x / h)
-            + (k + a) * np.exp(logc - den_out + i * k * x / h))
+    out = ((k - a) * np.exp(logc - den_in - i * k * x / h)
+           + (k + a) * np.exp(logc - den_out + i * k * x / h))
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        # k = 0 (sinh) or k = i n alpha hbar (gamma) at their poles
+        kb, xb = (np.broadcast_to(v, out.shape)[bad][0] for v in (k, x))
+        raise NonFiniteError(f"asymptotic eigenstate non-finite at "
+                             f"k = {complex(kb)!r}, x = {float(xb)!r}")
+    return out
 
 
 def _phi_right(model, branch, k, q, x, conj=False):

@@ -48,11 +48,7 @@ class BranchDegenerateError(StepPropError):
 
 
 class RootBracketError(StepPropError):
-    """Root finding could not bracket a solution; carries the scanned table."""
-
-    def __init__(self, message, table=None):
-        super().__init__(message)
-        self.table = table
+    """Root finding could not bracket a solution."""
 
 
 class NewtonError(StepPropError):

@@ -30,7 +30,6 @@ class GridSpec:
     n_x: int = 4096
     dt: float = 0.005
     absorbing_width: float = 0.0
-    absorbing_strength: float = 1.0
 
     def __post_init__(self):
         if not (self.x_min < self.x_max):
@@ -71,7 +70,7 @@ def _absorber(grid: GridSpec):
     right = xs > grid.x_max - w
     ramp[left] = ((grid.x_min + w - xs[left]) / w) ** 4
     ramp[right] = ((xs[right] - (grid.x_max - w)) / w) ** 4
-    return grid.absorbing_strength * ramp
+    return ramp
 
 
 def evolve_packet(model: StepModel, psi0, grid: GridSpec, T: float,

@@ -47,15 +47,18 @@ def _as_complex(*vals):
     return tuple(np.asarray(v, dtype=complex) for v in vals)
 
 
+def _at_pole(v):
+    """v at 0, -1, -2, ...: the poles of Gamma (v complex)."""
+    return (v.imag == 0.0) & (v.real <= 0.0) & (v.real == np.round(v.real))
+
+
 def log_gamma(z):
     """Principal branch of log Gamma(z) for complex z.
 
     Raises GammaPoleError at the poles (non-positive integers).
     """
     (z,) = _as_complex(z)
-    on_axis = z.imag == 0.0
-    at_pole = on_axis & (z.real <= 0.0) & (z.real == np.round(z.real))
-    if np.any(at_pole):
+    if np.any(_at_pole(z)):
         raise GammaPoleError("log_gamma pole at non-positive integer z")
     return _sp.loggamma(z)
 
@@ -107,7 +110,7 @@ def _gamma_ratio(num, den):
         acc = acc + _sp.loggamma(v)
     kill = np.zeros(shape, dtype=bool)
     for v in den:
-        pole = (v.imag == 0.0) & (v.real <= 0.0) & (v.real == np.round(v.real))
+        pole = _at_pole(v)
         kill = kill | np.broadcast_to(pole, shape)
         acc = acc - np.where(pole, 0.0, _sp.loggamma(np.where(pole, 1.0, v)))
     out = np.exp(acc)
@@ -179,8 +182,7 @@ def hyp2f1_with_complement(a, b, c, z, zc, log_zc=None):
     bad_zc = zc.real <= 0.0 if log_zc is None else zc.real < 0.0
     if np.any((zr < 0.0) | bad_zc | (z.imag != 0.0)):
         raise ValueError("hyp2f1 argument must be real with 0 <= z < 1")
-    pole_c = (c.imag == 0.0) & (c.real <= 0.0) & (c.real == np.round(c.real))
-    if np.any(pole_c):
+    if np.any(_at_pole(c)):
         raise GammaPoleError("2F1 parameter c at a non-positive integer")
     out = np.empty(a.shape, dtype=complex)
     lo = zr <= 0.5
@@ -202,6 +204,12 @@ def hyp2f1_with_complement(a, b, c, z, zc, log_zc=None):
                                     lzch[reg])
         for m in np.unique(m_int[degen]):
             s = degen & (m_int == m)
+            # a or b at 0, -1, -2, ... ends the series at z, where the log
+            # form would take digamma at that pole
+            poly = s & (_at_pole(ah) | _at_pole(bh))
+            if np.any(poly):
+                res[poly] = _series(ah[poly], bh[poly], ch[poly], z[hi][poly])
+                s &= ~poly
             res[s] = _log_form(ah[s], bh[s], ch[s], int(m), zch[s], lzch[s])
         out[hi] = res
     if out.shape == ():

@@ -18,13 +18,13 @@ the order set by the samples' own error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from .classical import BoundarySpec
 from .errors import ValidationError
 from .potential import StepModel
-from .propagator import QuadratureConfig, propagate
+from .propagator import propagate
 
 __all__ = ["OmegaWindow", "SpectrumSeries", "Peak", "propagator_omega_samples",
            "fourier_spectrum", "laplace_spectrum", "wkb_model_laplace",
@@ -65,17 +65,13 @@ class SpectrumSeries:
 
 
 def propagator_omega_samples(model: StepModel, bvp: BoundarySpec,
-                             window: OmegaWindow,
-                             cfg: QuadratureConfig | None = None,
-                             threads: int = 1):
+                             window: OmegaWindow, threads: int = 1):
     """G(x1, x0; T) at hbar = 1/omega over the window grid (the shared cache).
 
     Returns (omegas, G values, aggregated quadrature error).
     """
-    from dataclasses import replace
-
     omegas = window.grid()
-    args = [(replace(model, hbar=1.0 / w), bvp.x0, bvp.x1, bvp.T, cfg)
+    args = [(replace(model, hbar=1.0 / w), bvp.x0, bvp.x1, bvp.T)
             for w in omegas]
     if threads > 1:
         import concurrent.futures as cf
@@ -89,8 +85,7 @@ def propagator_omega_samples(model: StepModel, bvp: BoundarySpec,
 
 
 def _propagate_star(args):
-    model, x0, x1, T, cfg = args
-    return propagate(model, x0, x1, T, cfg)
+    return propagate(*args)
 
 
 def _kernel_row(omegas, g_values):
@@ -98,22 +93,20 @@ def _kernel_row(omegas, g_values):
     return np.sqrt(2.0 * math.pi / (1j * omegas)) * g_values
 
 
-def detect_peaks(grid, values, prominence_factor: float = 0.04,
-                 min_separation: float = 0.0):
+def detect_peaks(grid, values, min_separation: float = 0.0):
     """Prominence-based local maxima with quadratic sub-grid refinement.
 
-    A peak must rise by prominence_factor x (max - median) above its
-    surroundings and clear 1.5 x the median background; peaks closer than
-    min_separation to a taller one are treated as window sidelobes and
-    dropped (callers pass ~1.6 x 2 pi/(B - A))."""
-    from scipy.signal import find_peaks, peak_prominences
+    A peak must rise by 0.04 x (max - median) above its surroundings and
+    clear 1.5 x the median background; peaks closer than min_separation to a
+    taller one are treated as window sidelobes and dropped (callers pass
+    ~1.6 x 2 pi/(B - A))."""
+    from scipy.signal import find_peaks
 
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     background = float(np.median(values))
-    prom = prominence_factor * max(float(np.max(values)) - background, 1e-300)
-    idx, props = find_peaks(values, prominence=prom,
-                            height=1.5 * background)
+    prom = 0.04 * max(float(np.max(values)) - background, 1e-300)
+    idx, _ = find_peaks(values, prominence=prom, height=1.5 * background)
     out = []
     dx = grid[1] - grid[0] if grid.size > 1 else 1.0
     for i in idx:
@@ -163,10 +156,10 @@ def _transform(kind, omegas, g_values, out_grid):
 
 
 def fourier_spectrum(model: StepModel, bvp: BoundarySpec, window: OmegaWindow,
-                     tau_grid, samples=None, cfg=None) -> SpectrumSeries:
+                     tau_grid, samples=None) -> SpectrumSeries:
     """|F(tau)|^2 with detected peaks; peak actions are -tau_peak."""
     if samples is None:
-        omegas, gv, err = propagator_omega_samples(model, bvp, window, cfg)
+        omegas, gv, err = propagator_omega_samples(model, bvp, window)
     else:
         omegas, gv, err = samples
     F = _transform("fourier", omegas, gv, tau_grid)
@@ -180,13 +173,13 @@ def fourier_spectrum(model: StepModel, bvp: BoundarySpec, window: OmegaWindow,
 
 
 def laplace_spectrum(model: StepModel, bvp: BoundarySpec, window: OmegaWindow,
-                     s_grid, samples=None, cfg=None) -> SpectrumSeries:
+                     s_grid, samples=None) -> SpectrumSeries:
     """|L(s)|^2 on the s grid (s >= 0)."""
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid < 0):
         raise ValidationError("Laplace grid must be non-negative")
     if samples is None:
-        omegas, gv, err = propagator_omega_samples(model, bvp, window, cfg)
+        omegas, gv, err = propagator_omega_samples(model, bvp, window)
     else:
         omegas, gv, err = samples
     L = _transform("laplace", omegas, gv, s_grid)
@@ -212,11 +205,11 @@ def wkb_model_laplace(saddles, window: OmegaWindow, s_grid):
 
 def residue_against_wkb(model: StepModel, bvp: BoundarySpec,
                         window: OmegaWindow, saddle_sets, s_grid,
-                        samples=None, cfg=None):
+                        samples=None):
     """L2 norm over s of |L_exact| - |L_model| for each saddle set."""
     s_grid = np.asarray(s_grid, dtype=float)
     if samples is None:
-        samples = propagator_omega_samples(model, bvp, window, cfg)
+        samples = propagator_omega_samples(model, bvp, window)
     omegas, gv, _ = samples
     l_exact = np.abs(_transform("laplace", omegas, gv, s_grid))
     ds = s_grid[1] - s_grid[0] if s_grid.size > 1 else 1.0

@@ -17,8 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classical import BoundarySpec, ClassicalSaddle, SaddleKind
 from .errors import ValidationError
 from .potential import StepModel

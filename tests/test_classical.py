@@ -48,6 +48,29 @@ def test_free_limit_of_time_of_flight(ws_unit):
     assert abs((t1 - t0).real - 5.0 / math.sqrt(2 * E)) < 1e-6
 
 
+def test_time_of_flight_at_complex_x(ws_unit):
+    # by central differences off the pole lines: (dt/dx)^2 2(E - V)/m = 1 on
+    # the sheet where dt/dx = 1/v (+1 above V0), and (ds/dx)^2 = 2m(E - V)
+    # for reduced_action, which keeps Im x too, below V0
+    h, m = 1e-5, ws_unit.m
+    diff = lambda f, x: (f(x + h) - f(x - h)) / (2 * h)
+    twice_ke = lambda E, x: 2.0 * (E - potential_value(ws_unit, x))
+    for x in (-1.0 + 0.4j, 0.2 + 1.2j, -2.0 - 2.5j):
+        dt = diff(lambda y: cl.time_of_flight(ws_unit, 2.0, y, +1), x)
+        ds = diff(lambda y: cl.reduced_action(ws_unit, 0.6, y), x)
+        assert abs(dt * dt * twice_ke(2.0, x) / m - 1.0) < 1e-8, x
+        assert abs(ds * ds / (m * twice_ke(0.6, x)) - 1.0) < 1e-8, x
+    # Im x is not dropped, and x + 0j is the real x bit for bit
+    assert (cl.time_of_flight(ws_unit, 2.0, 0.5 + 0.3j)
+            != cl.time_of_flight(ws_unit, 2.0, 0.5))
+    for x in (-3.0, -0.5, 0.7, 2.5):
+        for E, sheet in ((2.0, -1), (2.0, 1), (0.6, -1)):
+            assert (cl.time_of_flight(ws_unit, E, x + 0j, sheet)
+                    == cl.time_of_flight(ws_unit, E, x, sheet))
+    with pytest.raises(ValidationError):
+        cl.time_of_flight(ws_unit, 2.0, 0.5, 0)
+
+
 def test_reduced_action_derivative(ws_unit):
     E, x, h = 0.75, -2.0, 1e-6
     ds = (cl.reduced_action(ws_unit, E, x + h)
@@ -512,9 +535,9 @@ def test_caustic_walk_gives_up_when_corrector_fails(ws_steep, monkeypatch):
     newton = cl._newton_tracked
     calls = []
 
-    def failing(model, E, s0, s1, T, tol=1e-13, itmax=80):
+    def failing(model, E, s0, s1, T, itmax=80):
         if itmax != cl._CORRECTOR_ITMAX:
-            return newton(model, E, s0, s1, T, tol, itmax)  # the fold seed
+            return newton(model, E, s0, s1, T, itmax)  # the fold seed
         calls.append(E)
         raise NewtonError("complex Newton did not converge")
 
@@ -596,10 +619,11 @@ def test_topological_saddle_matches_scan(alpha, T, x0, x1):
     assert sad.S.imag == pytest.approx(im_expected, rel=1e-12)
 
 
-def test_matching_point_regression(ws_unit):
-    # real-axis reflection point a with Re[t(a)] = 0 at E = 2, alpha = 1;
-    # reproduced value recorded as a regression number
-    from stepprop.cli import _matching_point
-    a = _matching_point(ws_unit, 2.0)
+def test_matching_point_regression():
+    # real-axis reflection point a with Re[t(a)] = 0 at E = 2, alpha = 1,
+    # as fig14 writes it in its config; recorded as a regression number
+    from stepprop.cli import _recipes
+    *_, config = next(_recipes(True)["fig14"]())
+    a = config["a"]
     assert abs(a - (-0.26)) < 0.02          # reported scale of the point
     assert a == pytest.approx(-0.2690131, abs=1e-5)   # frozen regression

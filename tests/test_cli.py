@@ -199,6 +199,23 @@ def test_fig8a_rows_lie_above_the_energy_floor():
         assert E > potential_value(md, x1), (x1, E)
 
 
+def test_contour_rows_obey_reciprocity():
+    # fig12 and fig13 follow the two sheets A0 = arctanh(-+sqrt(w0)) of t(x),
+    # so their sum drops A0: -2 sqrt(m/2)/alpha artanh(sqrt((E - v)/E))/sqrt(E)
+    recipes = _recipes(True)
+    (_, _, left, cfg), = recipes["fig12"]()
+    (_, _, right, _), = recipes["fig13"]()
+    E = cfg["E"]
+    assert len(left) == len(right) == 600
+    for (v, re_l, im_l), (w, re_r, im_r) in zip(left, right):
+        assert v == w
+        ref = (-2.0 * math.sqrt(0.5) * np.arctanh(np.sqrt(complex((E - v) / E)))
+               / math.sqrt(E))
+        assert abs(complex(re_l + re_r, im_l + im_r) - ref) < 1e-11, v
+    # fig13 writes its own rows, not fig12's
+    assert all((a[1], a[2]) != (b[1], b[2]) for a, b in zip(left, right))
+
+
 def test_fig10_rows_are_the_continued_saddle():
     # fig10 writes the principal-root initial velocity of the caustic saddle
     # continued from the fold, at (x0, T) = (-4, 10) on the unit smooth step

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepprop import eigenstates as eig
-from stepprop.errors import BranchMismatchError
+from stepprop.errors import BranchMismatchError, NonFiniteError
 from stepprop.potential import Family, StepModel, potential_value
 
 KC = math.sqrt(2.0)  # m = V0 = 1
@@ -41,6 +41,18 @@ def test_left_asymptotic_matches_full_form(ws_unit):
         full = eig._phi_ws_full(ws_unit, branch, k, q, x)
         asym = eig.eigenstate_ws_asymptotic(ws_unit, branch, k, x, "left")
         assert abs(full - asym) < 1e-8 * abs(asym)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [0.0, 1j])
+def test_left_asymptotics_raise_at_their_poles(ws_unit, k):
+    # k = 0 (sinh) and k = i alpha hbar (gamma) make the alpha x < -30 forms
+    # non-finite: an error naming k and x, for a scalar x and for a grid
+    q = np.sqrt(complex(2.0 - k * k))
+    with pytest.raises(NonFiniteError, match=r"k = .*x = -35\.0"):
+        eig.phi(ws_unit, "c", k, q, -35.0)
+    with pytest.raises(NonFiniteError, match=r"x = -35\.0"):
+        eig.phi_grid(ws_unit, "plus", [1.0, k], [q, q], [-35.0, -36.0])
 
 
 def test_schrodinger_residual(ws_unit):

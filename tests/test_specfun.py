@@ -133,14 +133,29 @@ def test_grid_integer_c_minus_a_minus_b_vs_mpmath(m, a, b, z):
     a_col = np.array([[a], [0.4 + 0.3j]])
     b_col = np.array([[b], [0.2 - 0.6j]])
     c_col = a_col + b_col + np.array([[m], [0.37]])
-    zs = np.array([[z, 0.5 + 0.5 * z]])
-    vals = hyp2f1_cols_rows(a_col, b_col, c_col, zs, 1.0 - zs)
+    # exact complements: 0.5 + 0.5 z rounds to 1.0 for z = 1 - 2^-53
+    zcs = np.array([[1.0 - z, 0.5 * (1.0 - z)]])
+    vals = hyp2f1_cols_rows(a_col, b_col, c_col, 1.0 - zcs, zcs)
     with mpmath.workdps(30):
         for i in range(2):
             for j in range(2):
                 ref = complex(mpmath.hyp2f1(a_col[i, 0], b_col[i, 0],
-                                            c_col[i, 0], zs[0, j]))
+                                            c_col[i, 0],
+                                            1 - mpmath.mpf(zcs[0, j])))
                 assert abs(vals[i, j] - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_terminating_series_at_integer_c_minus_a_minus_b(n):
+    # a or b at -n ends the series: 2F1 is a polynomial in z, which the
+    # degenerate branch takes instead of the log form (digamma(-n) is a pole)
+    mpmath = pytest.importorskip("mpmath")
+    b = 0.5 + 0.3j
+    for a_, b_, c in ((-n, 0.5, 0.5 - n), (-n, b, b), (b, -n, b + 1 - n)):
+        ref = complex(mpmath.hyp2f1(a_, b_, c, 0.7))
+        assert abs(hyp2f1(a_, b_, c, 0.7) - ref) <= 1e-14 * max(abs(ref), 1.0)
+    assert hyp2f1(-1, 0.5, -0.5, 0.7) == pytest.approx(1.7, abs=1e-15)
+    assert hyp2f1(-1, b, b, 0.7) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_hyp2f1_domain_errors():
