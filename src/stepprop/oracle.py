@@ -8,6 +8,10 @@ One step advances psi by the Cayley form
 with H the three-point Laplacian plus the (real) potential and an optional
 negative imaginary absorbing ramp near both edges.  Without absorption the
 step is exactly unitary up to roundoff and second-order accurate in dt and dx.
+
+The tridiagonal Cayley matrix on the left is the same at every step, so it
+is LU-factored once (LAPACK zgttrf, partial pivoting) and each step is one
+zgttrs solve against that factorization.
 """
 from __future__ import annotations
 
@@ -15,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .errors import GridTooCoarseError, ValidationError
+from .errors import GridTooCoarseError, NonFiniteError, ValidationError
 from .potential import StepModel, potential_value
 
 __all__ = ["GridSpec", "gaussian_packet", "evolve_packet", "norm_l2"]
@@ -75,13 +79,18 @@ def _absorber(grid: GridSpec):
 
 def evolve_packet(model: StepModel, psi0, grid: GridSpec, T: float,
                   k_content: float | None = None):
-    """Evolve psi0 (sampled on grid.xs()) to time T.
+    """Evolve psi0 (sampled on grid.xs()) to time T >= 0 in
+    max(round(T / dt), 1) equal steps; T = 0 returns a copy of psi0.
 
     k_content, when given, is checked against the grid Nyquist momentum
-    pi hbar n_x / (x_max - x_min)."""
+    pi hbar n_x / (x_max - x_min).  A non-finite result raises
+    NonFiniteError."""
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.size != grid.n_x:
         raise ValidationError("psi0 must be sampled on the grid")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValidationError(f"evolution time must be finite and >= 0, "
+                              f"got {T!r}")
     h, m = model.hbar, model.m
     dx = grid.dx
     if k_content is not None:
@@ -92,20 +101,22 @@ def evolve_packet(model: StepModel, psi0, grid: GridSpec, T: float,
     xs = grid.xs()
     v = potential_value(model, xs) - 1j * _absorber(grid)
     kin = h * h / (2.0 * m * dx * dx)
-    n_steps = int(round(T / grid.dt))
+    n_steps = max(int(round(T / grid.dt)), 1 if T > 0 else 0)
     dt = T / max(n_steps, 1)
     lam = 1j * dt / (2.0 * h)
-    diag = 1.0 + lam * (2.0 * kin + v)
     off = -lam * kin * np.ones(grid.n_x - 1)
-    ab = np.zeros((3, grid.n_x), dtype=complex)
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
+    dl, d, du, du2, ipiv, info = zgttrf(off, 1.0 + lam * (2.0 * kin + v), off)
+    if info != 0:
+        raise NonFiniteError(f"Crank-Nicolson matrix is singular "
+                             f"(zgttrf info {info})")
     diag_b = 1.0 - lam * (2.0 * kin + v)
     off_b = lam * kin
     for _ in range(n_steps):
         rhs = diag_b * psi
         rhs[:-1] += off_b * psi[1:]
         rhs[1:] += off_b * psi[:-1]
-        psi = solve_banded((1, 1), ab, rhs)
+        psi, _ = zgttrs(dl, d, du, du2, ipiv, rhs)
+    # a non-finite value at any step propagates to the last
+    if not np.all(np.isfinite(psi)):
+        raise NonFiniteError("non-finite amplitude in Crank-Nicolson evolution")
     return psi

@@ -345,12 +345,27 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
     The x0 and k integrals of the spectral representation are exchanged, so
     the packet is expanded once in the orthonormal basis (overlaps on the
     x_grid via Simpson weights) and resummed at the output points.  x_grid
-    must be uniform and resolve the packet; k_max bounds the packet's
-    momentum support.  A non-finite result raises NonFiniteError.
+    must be uniform and increasing, with psi0 sampled on it, and resolve the
+    packet; k_max bounds the packet's momentum support.  A non-finite result
+    raises NonFiniteError.
+
+    Every node (k, q) lies on the real axis, where two identities hold: the
+    i -> -i form of an eigenstate is its complex conjugate, and
+    phi_minus = conj(phi_plus), both being the eigenstate at energy E with
+    e^{-iqx/hbar} on the right.  So each chunk of k evaluates one eigenstate
+    matrix (c below the step, plus above it) per grid, x_grid and x_out,
+    and takes every other form from it by conjugation.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     psi0 = np.asarray(psi0, dtype=complex)
-    psi_w = _simpson_weights(x_grid.size, x_grid[1] - x_grid[0]) * psi0
+    if x_grid.ndim != 1 or psi0.shape != x_grid.shape:
+        raise ValidationError("psi0 must be sampled on the 1-D x_grid")
+    step = np.diff(x_grid)
+    if x_grid.size < 3 or not (
+            step[0] > 0 and np.all(np.abs(step - step[0]) <= 1e-9 * step[0])):
+        raise ValidationError("x_grid must be uniform and increasing, "
+                              "with at least 3 nodes")
+    psi_w = _simpson_weights(x_grid.size, step[0]) * psi0
     x_out = np.asarray(x_out, dtype=float)
     m, h = model.m, model.hbar
     kc = model.k_threshold
@@ -371,18 +386,24 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
     legs.append((True, ks, qs, wq * qs / ks))
 
     psi_T = np.zeros(x_out.size, dtype=complex)
+    psi_pair = np.stack([psi_w.conj(), psi_w], axis=1)
     chunk = 256
     for above, ks_all, qs_all, wk_all in legs:
         rows = wk_all * np.exp(-1j * ks_all ** 2 * T / (2 * m * h))
+        b = "plus" if above else "c"
         for lo in range(0, ks_all.size, chunk):
             sl = slice(lo, lo + chunk)
             ks, qs = ks_all[sl] + 0j, qs_all[sl] + 0j
-            branches, pairs = _kernel_pairs(model, ks, qs, above)
-            overlap = {b: phi_grid(model, b, ks, qs, x_grid, conj=True) @ psi_w
-                       for b in branches}
-            outm = {b: phi_grid(model, b, ks, qs, x_out) for b in branches}
+            _, pairs = _kernel_pairs(model, ks, qs, above)
+            # <phi_b|psi0> = conj(phi_b @ conj(psi_w)), <phi_minus|psi0> =
+            # phi_plus @ psi_w; the x_grid matrix is freed before the x_out one
+            ov = phi_grid(model, b, ks, qs, x_grid) @ psi_pair
+            overlap = {b: ov[:, 0].conj(), "minus": ov[:, 1]}
+            out = phi_grid(model, b, ks, qs, x_out)
             for b1, b0, coef in pairs:
-                psi_T += (rows[sl] * coef * overlap[b0]) @ outm[b1]
+                c = rows[sl] * coef * overlap[b0]
+                # c @ phi_minus = conj(conj(c) @ phi_plus)
+                psi_T += c @ out if b1 == b else (c.conj() @ out).conj()
     # a non-finite weight, overlap or eigenstate value propagates to here
     if not np.all(np.isfinite(psi_T)):
         raise NonFiniteError("non-finite amplitude in packet evolution")

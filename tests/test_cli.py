@@ -85,6 +85,12 @@ def test_malformed_number_exits_2(argv, capsys):
     assert record["error"] == "ValidationError"
 
 
+def test_oracle_negative_time_exits_2(capsys):
+    assert main(["oracle", "--model", WS, "--T=-1", "--n-x", "1024"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+
+
 def test_numerical_failure_exits_3(capsys):
     # no topological saddle exists at very long T: machine-readable exit 3
     rc = main(["classical", "--model", json.dumps(

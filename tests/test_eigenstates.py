@@ -251,3 +251,48 @@ def test_phi_grid_matches_scalar(family, V0, branch, conj):
     for j, x in enumerate(PHI_XS):
         ref = eig.phi(md, branch, k, q, float(x), conj)
         assert grid[:, j] == pytest.approx(ref, rel=1e-12)
+
+
+# the families of the real-axis identities: WS alpha = 1 and 5 at hbar = 1
+# and 0.5, the sharp step and the free particle
+REAL_AXIS_FAMILIES = [
+    StepModel(Family.WOODS_SAXON, 1, 1, 1, 1),
+    StepModel(Family.WOODS_SAXON, 1, 1, 5, 1),
+    StepModel(Family.WOODS_SAXON, 1, 1, 1, 0.5),
+    StepModel(Family.WOODS_SAXON, 1, 1, 5, 0.5),
+    StepModel(Family.HEAVISIDE, 1, 1, 1, 1),
+    StepModel(Family.WOODS_SAXON, 1, 0.0, 1, 1),
+]
+REAL_AXIS_IDS = ["ws1", "ws5", "ws1_h05", "ws5_h05", "heaviside", "free"]
+# asymptotic-left (alpha x < -30), full 2F1 and right (alpha x > 30) regions
+REAL_XS = np.linspace(-60.0, 40.0, 401)
+
+
+def _real_nodes(md, branch):
+    """Real (k, q) nodes of the packet legs: below the step k = kc sin u,
+    q = kc cos u; above it q from near threshold to 6."""
+    kc = md.k_threshold
+    if branch == "c":
+        u = np.linspace(0.01, 1.56, 40)
+        return kc * np.sin(u) + 0j, kc * np.cos(u) + 0j
+    q = np.linspace(0.01, 6.0, 60)
+    return np.sqrt(kc * kc + q * q) + 0j, q + 0j
+
+
+@pytest.mark.parametrize("md, branch", [
+    pytest.param(md, branch, id=f"{name}-{branch}")
+    for md, name in zip(REAL_AXIS_FAMILIES, REAL_AXIS_IDS)
+    for branch in ("c", "plus", "minus") if md.V0 > 0 or branch != "c"])
+def test_conj_form_is_complex_conjugate_on_real_axis(md, branch):
+    k, q = _real_nodes(md, branch)
+    assert np.array_equal(eig.phi_grid(md, branch, k, q, REAL_XS, conj=True),
+                          eig.phi_grid(md, branch, k, q, REAL_XS).conj())
+
+
+@pytest.mark.parametrize("md", REAL_AXIS_FAMILIES, ids=REAL_AXIS_IDS)
+def test_minus_is_conjugate_of_plus_on_real_axis(md):
+    # both are the eigenstate at E with e^{-iqx/hbar} on the right
+    k, q = _real_nodes(md, "plus")
+    plus = eig.phi_grid(md, "plus", k, q, REAL_XS)
+    minus = eig.phi_grid(md, "minus", k, q, REAL_XS)
+    assert np.max(np.abs(minus - plus.conj()) / np.abs(plus)) <= 1e-12

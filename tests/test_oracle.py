@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from stepprop.errors import GridTooCoarseError
-from stepprop.oracle import GridSpec, evolve_packet, gaussian_packet, norm_l2
+from stepprop.errors import GridTooCoarseError, NonFiniteError, ValidationError
+from stepprop.oracle import (GridSpec, _absorber, evolve_packet,
+                             gaussian_packet, norm_l2)
+from stepprop.potential import potential_value
 from stepprop.potential import Family, StepModel
 from stepprop import eigenstates as eig
 
@@ -74,6 +77,62 @@ def test_grid_too_coarse_guard(ws_unit):
     psi0 = gaussian_packet(xs, center=-15.0, sigma=1.0, k_mean=2.0)
     with pytest.raises(GridTooCoarseError):
         evolve_packet(ws_unit, psi0, grid, T=1.0, k_content=30.0)
+
+
+def _cn_solve_banded(model, psi0, grid, T):
+    """Crank-Nicolson by one banded solve per step, refactoring each time."""
+    h, m, dx = model.hbar, model.m, grid.dx
+    v = potential_value(model, grid.xs()) - 1j * _absorber(grid)
+    kin = h * h / (2.0 * m * dx * dx)
+    n_steps = int(round(T / grid.dt))
+    lam = 1j * (T / n_steps) / (2.0 * h)
+    ab = np.zeros((3, grid.n_x), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = -lam * kin
+    ab[1, :] = 1.0 + lam * (2.0 * kin + v)
+    psi = np.asarray(psi0, dtype=complex)
+    for _ in range(n_steps):
+        rhs = (1.0 - lam * (2.0 * kin + v)) * psi
+        rhs[:-1] += lam * kin * psi[1:]
+        rhs[1:] += lam * kin * psi[:-1]
+        psi = solve_banded((1, 1), ab, rhs)
+    return psi
+
+
+@pytest.mark.parametrize("absorbing_width", [0.0, 8.0])
+def test_factored_step_matches_banded_solve(ws_unit, absorbing_width):
+    grid = GridSpec(-30.0, 20.0, n_x=1024, dt=0.01,
+                    absorbing_width=absorbing_width)
+    psi0 = gaussian_packet(grid.xs(), center=-8.0, sigma=1.5, k_mean=1.2)
+    psi = evolve_packet(ws_unit, psi0, grid, T=1.0)
+    assert np.array_equal(psi, _cn_solve_banded(ws_unit, psi0, grid, 1.0))
+
+
+@pytest.mark.parametrize("T", [-1.0, -1e-300, math.nan, math.inf])
+def test_negative_or_non_finite_time_raises(ws_unit, T):
+    grid = GridSpec(-30.0, 20.0, n_x=1024, dt=0.005)
+    psi0 = gaussian_packet(grid.xs(), center=-8.0, sigma=1.5, k_mean=1.2)
+    with pytest.raises(ValidationError):
+        evolve_packet(ws_unit, psi0, grid, T)
+
+
+def test_time_below_half_step_takes_one_step(ws_unit):
+    # round(T / dt) = 0 here; the packet still moves, by one step of T
+    grid = GridSpec(-30.0, 20.0, n_x=1024, dt=0.005)
+    psi0 = gaussian_packet(grid.xs(), center=-8.0, sigma=1.5, k_mean=1.2)
+    psi = evolve_packet(ws_unit, psi0, grid, T=0.002)
+    one_step = GridSpec(-30.0, 20.0, n_x=1024, dt=0.002)
+    assert np.array_equal(psi, evolve_packet(ws_unit, psi0, one_step, 0.002))
+    assert norm_l2(psi - psi0, grid.xs()) > 1e-4
+    still = evolve_packet(ws_unit, psi0, grid, T=0.0)
+    assert np.array_equal(still, psi0) and still is not psi0
+
+
+def test_non_finite_packet_raises(ws_unit):
+    grid = GridSpec(-30.0, 20.0, n_x=1024, dt=0.01)
+    psi0 = gaussian_packet(grid.xs(), center=-8.0, sigma=1.5, k_mean=1.2)
+    psi0[500] = np.nan
+    with pytest.raises(NonFiniteError):
+        evolve_packet(ws_unit, psi0, grid, T=0.5)
 
 
 @pytest.mark.slow

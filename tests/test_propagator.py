@@ -7,7 +7,9 @@ import pytest
 from stepprop.errors import NonFiniteError, QuadratureError, ValidationError
 from stepprop.oracle import gaussian_packet
 from stepprop.potential import Family, StepModel, potential_value
-from stepprop.propagator import (QuadratureConfig, energy_propagator,
+from stepprop.eigenstates import phi_grid
+from stepprop.propagator import (QuadratureConfig, _kernel_pairs,
+                                 _simpson_weights, energy_propagator,
                                  evolve_packet_spectral, free_propagator,
                                  propagate)
 
@@ -321,4 +323,73 @@ def test_evolve_packet_non_finite_raises(ws_unit):
     psi0[80] = np.nan
     with pytest.raises(NonFiniteError):
         evolve_packet_spectral(ws_unit, xs, psi0, xs[::8], T=1.0,
+                               n_below=33, n_above=65)
+
+
+def _packet_four_calls(model, x_grid, psi0, x_out, T, k_max, n_below, n_above):
+    """The packet convolution with every eigenstate evaluated by phi_grid:
+    each branch's conj=True form on x_grid and plain form on x_out."""
+    psi_w = _simpson_weights(x_grid.size, x_grid[1] - x_grid[0]) * psi0
+    m, h, kc = model.m, model.hbar, model.k_threshold
+    legs = []
+    if kc > 0.0:
+        us = np.linspace(0.0, math.pi / 2, n_below)
+        wu = _simpson_weights(n_below, us[1] - us[0])[1:]
+        us = us[1:]
+        legs.append((False, kc * np.sin(us), kc * np.cos(us),
+                     wu * kc * np.cos(us)))
+    qs = np.linspace(0.0, math.sqrt(max(k_max * k_max - kc * kc, 1.0)), n_above)
+    wq = _simpson_weights(n_above, qs[1] - qs[0])[1:]
+    qs = qs[1:]
+    ks = np.sqrt(kc * kc + qs ** 2)
+    legs.append((True, ks, qs, wq * qs / ks))
+    psi_T = np.zeros(x_out.size, dtype=complex)
+    for above, ks, qs, wk in legs:
+        rows = wk * np.exp(-1j * ks ** 2 * T / (2 * m * h))
+        branches, pairs = _kernel_pairs(model, ks + 0j, qs + 0j, above)
+        overlap = {b: phi_grid(model, b, ks, qs, x_grid, conj=True) @ psi_w
+                   for b in branches}
+        outm = {b: phi_grid(model, b, ks, qs, x_out) for b in branches}
+        for b1, b0, coef in pairs:
+            psi_T += (rows * coef * overlap[b0]) @ outm[b1]
+    return psi_T
+
+
+@pytest.mark.parametrize("md", [
+    StepModel(Family.WOODS_SAXON, 1, 1, 1, 1),
+    StepModel(Family.WOODS_SAXON, 1, 1, 5, 1),
+    StepModel(Family.WOODS_SAXON, 1, 1, 1, 0.5),
+    StepModel(Family.HEAVISIDE, 1, 1, 1, 1),
+    StepModel(Family.WOODS_SAXON, 1, 0.0, 1, 1),
+], ids=["ws1", "ws5", "ws1_h05", "heaviside", "free"])
+def test_evolve_packet_matches_four_call_assembly(md):
+    # one eigenstate matrix per grid and chunk, the other forms by
+    # conjugation, against every form evaluated directly
+    xs = np.linspace(-12.0, -2.0, 201)
+    psi0 = gaussian_packet(xs, center=-7.0, sigma=1.0, k_mean=1.2,
+                           hbar=md.hbar)
+    out = np.linspace(-40.0, 35.0, 151)
+    args = (md, xs, psi0, out, 2.0, 6.0, 65, 513)
+    psi_t = evolve_packet_spectral(*args)
+    assert np.max(np.abs(psi_t - _packet_four_calls(*args))) <= 1e-14
+    assert np.max(np.abs(psi_t)) > 0.1
+
+
+def test_evolve_packet_rejects_non_uniform_grid(ws_unit):
+    # a power-law grid over the same span: Simpson weights from its first
+    # spacing would give a wrong packet
+    s = np.linspace(0.0, 1.0, 161)
+    for xs in (-8.0 + 16.0 * s ** 1.5, np.linspace(8.0, -8.0, 161)):
+        psi0 = gaussian_packet(np.sort(xs), center=-2.0, sigma=1.0,
+                               k_mean=1.2)
+        with pytest.raises(ValidationError):
+            evolve_packet_spectral(ws_unit, xs, psi0, xs[::8], T=1.0,
+                                   n_below=33, n_above=65)
+
+
+def test_evolve_packet_rejects_psi0_off_the_grid(ws_unit):
+    xs = np.linspace(-8.0, 8.0, 161)
+    psi0 = gaussian_packet(xs, center=-2.0, sigma=1.0, k_mean=1.2)
+    with pytest.raises(ValidationError):
+        evolve_packet_spectral(ws_unit, xs, psi0[:-1], xs[::8], T=1.0,
                                n_below=33, n_above=65)
