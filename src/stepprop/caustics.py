@@ -1,16 +1,22 @@
 """Caustic curves and Stokes lines in the (x0, x1) configuration plane.
 
 The caustic at fixed T is the image of the critical curve of the
-initial-value map: integrate
+initial-value map x0, v0 -> x1 = x(T) of
 
     m x'' = -V'(x),  x(0) = x0,  x'(0) = v0,
 
-together with the variational factor J = dx(T)/dv0,
+the (x0, x1) images of the v0 roots of the variational factor
+J = dx(T)/dv0,
 
-    m J'' = -V''(x) J,  J(0) = 0,  J'(0) = 1,
+    m J'' = -V''(x) J,  J(0) = 0,  J'(0) = 1.
 
-and collect the (x0, x1 = x(T)) images of the v0 roots of J(T) = 0.  For the
-Heaviside step the map J never vanishes (reflections are instantaneous) and
+One batched integration of both equations over a grid of v0 brackets the
+sign flips of J(T); each is refined on the closed-form time relations of
+classical._endpoint, where J = m v0 dx1/dE.  integrate_ivp, the scalar
+integration, has no caller left in the package: it is the independent
+oracle of the tests and a span boundary of bench/layers.py.
+
+For the Heaviside step J never vanishes (reflections are instantaneous) and
 the caustic is the analytic triangle of merging closed-form paths.
 
 Stokes lines are the loci where the real parts of two saddle actions agree;
@@ -25,12 +31,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _t_bounce,
-                        caustic_saddle_curve, caustic_triangle_vertices,
-                        heaviside_three_path_region, solve_real_paths)
+from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _endpoint,
+                        _t_bounce, caustic_saddle_curve,
+                        caustic_triangle_vertices, heaviside_three_path_region,
+                        solve_real_paths)
 from .errors import (InsideCausticError, QuadratureError, StepPropError,
                      UnsupportedFamilyError)
-from .potential import Family, StepModel, potential_derivatives
+from .potential import (Family, StepModel, potential_derivatives,
+                        potential_value)
 
 __all__ = ["integrate_ivp", "caustic_curve", "cusp_points", "stokes_lines",
            "relevance_flag", "inside_caustic"]
@@ -48,11 +56,18 @@ def _rhs(model):
 
 
 def integrate_ivp(model: StepModel, x0: float, v0: float, T: float):
-    """Final position x(T) and variational factor J(T) = dx(T)/dv0."""
+    """Final position x(T) and variational factor J(T) = dx(T)/dv0.
+
+    An integration step moves at most half the wall width 1/alpha at the
+    top speed sqrt(2E/m): in free flight the error estimate vanishes, and
+    an unbounded step jumped a steep wall whole (at alpha = 50 it carried a
+    trajectory with E < V0 across)."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("the IVP integrator needs a smooth potential")
+    v_top = math.sqrt(v0 * v0 + 2.0 * potential_value(model, x0) / model.m)
     sol = solve_ivp(_rhs(model), (0.0, T), (x0, v0, 0.0, 1.0),
-                    method="DOP853", rtol=1e-10, atol=1e-10)
+                    method="DOP853", rtol=1e-10, atol=1e-10,
+                    max_step=0.5 / (model.alpha * v_top) if v_top else np.inf)
     if not sol.success:
         raise QuadratureError(f"IVP integration failed: {sol.message}")
     x, _, J, _ = sol.y[:, -1]
@@ -81,10 +96,15 @@ def _scan_batch(model, x0, v0s, T):
 
 
 def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
-    """Caustic points (x0, x1) for each x0 in the grid, from n_scan initial
-    velocities up to 5 sqrt(2 V0/m) (up to 5 for V0 = 0).
+    """Caustic points (x0, x1) for each x0 in the grid.
 
-    Empty output for an x0 with no critical initial velocity."""
+    The batched IVP scan over n_scan initial velocities up to 5 sqrt(2 V0/m)
+    (up to 5 for V0 = 0) brackets the sign flips of J(T); each flip, widened
+    by one cell on either side (the scan can misplace a marginal crossing by
+    one cell), is refined in E = m v0^2/2 + V(x0) on the closed-form
+    endpoint map: J = m v0 dx1/dE, so the caustic is the root of dx1/dE.
+    A widened bracket whose ends share a sign is skipped.  Empty output for
+    an x0 with no critical initial velocity."""
     if model.family is Family.HEAVISIDE:
         verts = caustic_triangle_vertices(model, T)
         pts = []
@@ -96,21 +116,19 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
                    else 1.0)
     points = []
     for x0 in np.atleast_1d(np.asarray(x0_grid, dtype=float)):
+        x0 = float(x0)
         v0s = np.linspace(1e-4, v_cap, n_scan)
-        _, Js = _scan_batch(model, float(x0), v0s, T)
+        _, Js = _scan_batch(model, x0, v0s, T)
         flips = np.where(np.diff(np.sign(Js)) != 0)[0]
-        f = lambda v: integrate_ivp(model, float(x0), float(v), T)[1]
+        Es = 0.5 * model.m * v0s ** 2 + potential_value(model, x0)
+        f = lambda E: _endpoint(model, x0, E, T)[1]
         for i in flips:
-            # confirm the bracket with the tight-tolerance integrator; the
-            # batched scan can misplace a marginal crossing by one cell
-            lo = v0s[max(i - 1, 0)]
-            hi = v0s[min(i + 2, n_scan - 1)]
-            f_lo, f_hi = f(lo), f(hi)
-            if np.sign(f_lo) == np.sign(f_hi):
+            lo = float(Es[max(i - 1, 0)])
+            hi = float(Es[min(i + 2, n_scan - 1)])
+            if np.sign(f(lo)) == np.sign(f(hi)):
                 continue
-            v_root = brentq(f, lo, hi, xtol=1e-10)
-            x1, _ = integrate_ivp(model, float(x0), v_root, T)
-            points.append((float(x0), float(x1)))
+            E_root = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+            points.append((x0, float(_endpoint(model, x0, E_root, T)[0])))
     return points
 
 

@@ -297,6 +297,48 @@ def _speed(model, E, x):
     return cmath.sqrt(2.0 * (E - potential_value(model, x)) / model.m)
 
 
+def _endpoint(model, x0, E, T):
+    """(x1, dx1/dE) of the trajectory that leaves x0 to the right at real
+    energy E > V(x0) and runs for a time T > 0.
+
+    t(x) rises with x on the allowed sheet (dt/dx = 1/v), +1 above V0 and
+    -1 below it up to the turning point x_t, so x1 is the one root of
+    t(x1) = t(x0) + T (incoming or transmitted), or of T_b = T,
+    t(x1) = -T - t(x0) (bounced, once T exceeds the time -t(x0) to x_t),
+    on a bracket from the speed bounds.  Implicit differentiation gives
+    dx1/dE = -v1 (dt1/dE - dt0/dE), or -v1 (dt1/dE + dt0/dE) when bounced;
+    J = dx(T)/dv0 = m v0 dx1/dE."""
+    from scipy.optimize import brentq
+    sheet = 1 if E > model.V0 else -1
+    t_at = lambda x: _t_s(model, E, EndpointState(model, x, E, sheet))[0].real
+    s0 = EndpointState(model, x0, E, sheet)
+    t0 = _t_s(model, E, s0)[0].real
+    v0 = _speed(model, E, x0).real
+    bounced = sheet == -1 and T > -t0
+    if sheet == 1:
+        v_inf = math.sqrt(2.0 * (E - model.V0) / model.m)
+        lo, hi = x0 + v_inf * T, x0 + v0 * T
+    else:
+        x_t = turning_point(model, E).real
+        if bounced:  # the speed on the way back is below sqrt(2E/m)
+            lo, hi = x_t - math.sqrt(2.0 * E / model.m) * (T + t0), x_t
+        else:
+            lo, hi = x0, min(x_t, x0 + v0 * T)
+    # a speed bound is attained in the free limit: pad it against rounding
+    pad = 1e-9 * (1.0 + hi - lo)
+    lo, hi = lo - pad, hi + pad
+    tau = -T - t0 if bounced else t0 + T
+    f = lambda x: t_at(x) - tau
+    if f(lo) > 0 or f(hi) < 0:
+        raise RootBracketError(f"endpoint of x0 = {x0:g}, E = {E:.17g}, "
+                               f"T = {T:g} not bracketed on [{lo:g}, {hi:g}]")
+    x1 = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    dt1 = _dt_dE(model, E, EndpointState(model, x1, E, sheet)).real
+    dt0 = _dt_dE(model, E, s0).real
+    v1 = _speed(model, E, x1).real
+    return x1, -v1 * (dt1 + dt0 if bounced else dt1 - dt0)
+
+
 def _vv(model, E, x0, x1, dT, bounce):
     """vv = 1/(v0 v1 dT/dE) at energy E; a bounce leaves x0 forward and
     returns to x1, so v1 = -v(x1), while a direct path has v1 = +v(x1)."""

@@ -346,8 +346,11 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
     the packet is expanded once in the orthonormal basis (overlaps on the
     x_grid via Simpson weights) and resummed at the output points.  x_grid
     must be uniform and increasing, with psi0 sampled on it, and resolve the
-    packet; k_max bounds the packet's momentum support.  A non-finite result
-    raises NonFiniteError.
+    packet; k_max bounds the packet's momentum support.  T must be finite
+    and >= 0 (T = 0 resums psi0 itself).  A non-finite result raises
+    NonFiniteError, and QuadratureError is raised when the expansion
+    captures a fraction of ||psi0||^2 that is off 1 by more than 1e-6 (a
+    packet beyond k_max, or a basis too coarse for it).
 
     Every node (k, q) lies on the real axis, where two identities hold: the
     i -> -i form of an eigenstate is its complex conjugate, and
@@ -365,13 +368,16 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
             step[0] > 0 and np.all(np.abs(step - step[0]) <= 1e-9 * step[0])):
         raise ValidationError("x_grid must be uniform and increasing, "
                               "with at least 3 nodes")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValidationError(f"evolution time must be finite and >= 0, "
+                              f"got {T!r}")
     psi_w = _simpson_weights(x_grid.size, step[0]) * psi0
     x_out = np.asarray(x_out, dtype=float)
     m, h = model.m, model.hbar
     kc = model.k_threshold
     # legs (above, k, q, dk weight); each drops its first node, where the
-    # weight vanishes (k = 0 below, Jacobian q/k = 0 above) and the
-    # normalizations are singular
+    # weight vanishes and the normalizations are singular: k = 0 below, and
+    # above q = t^2 makes the Jacobian 2 t q/k vanish even for kc = 0
     legs = []
     if kc > 0.0:
         us = np.linspace(0.0, math.pi / 2, n_below)
@@ -379,13 +385,15 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
         us, wu = us[1:], wu[1:]
         legs.append((False, kc * np.sin(us), kc * np.cos(us),
                      wu * kc * np.cos(us)))
-    qs = np.linspace(0.0, math.sqrt(max(k_max * k_max - kc * kc, 1.0)), n_above)
-    wq = _simpson_weights(n_above, qs[1] - qs[0])
-    qs, wq = qs[1:], wq[1:]
+    ts = np.linspace(0.0, max(k_max * k_max - kc * kc, 1.0) ** 0.25, n_above)
+    wt = _simpson_weights(n_above, ts[1] - ts[0])
+    ts, wt = ts[1:], wt[1:]
+    qs = ts ** 2
     ks = np.sqrt(kc * kc + qs ** 2)
-    legs.append((True, ks, qs, wq * qs / ks))
+    legs.append((True, ks, qs, wt * 2.0 * ts * qs / ks))
 
     psi_T = np.zeros(x_out.size, dtype=complex)
+    captured = 0.0  # ||psi0||^2 from the overlaps, the resummation at T = 0
     psi_pair = np.stack([psi_w.conj(), psi_w], axis=1)
     chunk = 256
     for above, ks_all, qs_all, wk_all in legs:
@@ -404,7 +412,14 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
                 c = rows[sl] * coef * overlap[b0]
                 # c @ phi_minus = conj(conj(c) @ phi_plus)
                 psi_T += c @ out if b1 == b else (c.conj() @ out).conj()
+                captured += float(np.sum(wk_all[sl] * coef * overlap[b0]
+                                         * overlap[b1].conj()).real)
     # a non-finite weight, overlap or eigenstate value propagates to here
     if not np.all(np.isfinite(psi_T)):
         raise NonFiniteError("non-finite amplitude in packet evolution")
+    norm0 = float(np.vdot(psi0, psi_w).real)
+    if abs(captured - norm0) > 1e-6 * norm0:
+        raise QuadratureError(
+            f"the eigenstate expansion captures {captured / norm0:.9g} of "
+            f"||psi0||^2; raise k_max or refine the k nodes")
     return psi_T

@@ -35,11 +35,79 @@ def test_ivp_energy_conservation(ws_unit):
     assert np.max(np.abs(E - E[0])) < 1e-9
 
 
+def test_ivp_does_not_step_over_a_steep_step():
+    # E = V0 - 0.036 at alpha = 50 after 13 units of free flight: an
+    # unbounded step jumped the wall and returned x1 = +0.4496, J = 10
+    md = StepModel(Family.WOODS_SAXON, 1, 1, 50.0, 1)
+    x0, v0, T = -13.435, 1.388464, 10.0
+    E = 0.5 * v0 * v0 + potential_value(md, x0)
+    x1, J = ca.integrate_ivp(md, x0, v0, T)
+    assert x1 < cl.turning_point(md, E).real
+    x1_cf, dx1_dE = cl._endpoint(md, x0, E, T)
+    assert x1 == pytest.approx(x1_cf, abs=1e-8)
+    assert J == pytest.approx(v0 * dx1_dE, rel=1e-6)
+
+
 def test_variational_sign_change_brackets_conjugate_time(ws_unit):
     # a bouncing orbit acquires a conjugate point: J(T) changes sign in T
     x0, v0 = -4.0, 1.05   # E ~ 0.55 < V0: reflected orbit
     js = [ca.integrate_ivp(ws_unit, x0, v0, T)[1] for T in (2.0, 14.0)]
     assert np.sign(js[0]) != np.sign(js[1])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0, 50.0])
+def test_endpoint_matches_ivp_in_all_branches(alpha):
+    # the closed-form endpoint map against the IVP, in every branch: the
+    # trajectory still incoming, bounced back, or transmitted above V0
+    md = StepModel(Family.WOODS_SAXON, 1, 1, alpha, 1)
+    rng = np.random.default_rng(int(alpha))
+    cases = []
+    for branch in ("incoming", "bounced", "transmitted"):
+        for _ in range(2):
+            x0 = float(rng.uniform(-8.0, -0.5))
+            V = potential_value(md, x0)
+            E = (float(rng.uniform(1.05, 1.8)) if branch == "transmitted"
+                 else float(rng.uniform(V + 0.05 * (1 - V), 0.95)))
+            t_turn = -cl.time_of_flight(md, E, x0).real
+            T = {"incoming": float(rng.uniform(0.2, 0.9)) * t_turn,
+                 "bounced": t_turn + float(rng.uniform(0.5, 8.0)),
+                 "transmitted": float(rng.uniform(1.0, 10.0))}[branch]
+            cases.append((branch, x0, math.sqrt(2.0 * (E - V)), E, T))
+    for branch, x0, v0, E, T in cases:
+        x1, dx1_dE = cl._endpoint(md, x0, E, T)
+        x_ivp, J = ca.integrate_ivp(md, x0, v0, T)
+        assert x1 == pytest.approx(x_ivp, abs=1e-8), branch
+        assert v0 * dx1_dE == pytest.approx(J, rel=1e-6), branch
+
+
+def _ivp_refined_curve(model, T, x0, n_scan):
+    """caustic_curve refined on the IVP: brentq on J(v0) over the widened
+    bracket of each scan flip, x1 from one more tight integration."""
+    from scipy.optimize import brentq
+    v0s = np.linspace(1e-4, 5.0 * math.sqrt(2.0 * model.V0 / model.m),
+                      n_scan)
+    _, Js = ca._scan_batch(model, x0, v0s, T)
+    f = lambda v: ca.integrate_ivp(model, x0, float(v), T)[1]
+    out = []
+    for i in np.where(np.diff(np.sign(Js)) != 0)[0]:
+        lo, hi = v0s[max(i - 1, 0)], v0s[min(i + 2, n_scan - 1)]
+        if np.sign(f(lo)) == np.sign(f(hi)):
+            continue
+        v = brentq(f, lo, hi, xtol=1e-10)
+        out.append(ca.integrate_ivp(model, x0, v, T)[0])
+    return out
+
+
+@pytest.mark.parametrize("alpha,x0", [(1.0, -5.9293), (1.0, -2.1764),
+                                      (5.0, -7.7029), (5.0, -1.9707)])
+def test_caustic_curve_matches_ivp_refinement(alpha, x0):
+    md = StepModel(Family.WOODS_SAXON, 1, 1, alpha, 1)
+    pts = ca.caustic_curve(md, 10.0, [x0], n_scan=220)
+    ref = _ivp_refined_curve(md, 10.0, x0, 220)
+    assert len(pts) == len(ref) == 2
+    for (a, b), r in zip(pts, ref):
+        assert a == x0
+        assert b == pytest.approx(r, abs=1e-8)
 
 
 def test_caustic_curve_encloses_three_path_region(ws_unit):

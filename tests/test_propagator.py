@@ -326,6 +326,44 @@ def test_evolve_packet_non_finite_raises(ws_unit):
                                n_below=33, n_above=65)
 
 
+def test_evolve_packet_rejects_negative_time(ws_unit):
+    # G vanishes for T < 0; the resummation must not run the phases backward
+    xs = np.linspace(-8.0, 8.0, 161)
+    psi0 = gaussian_packet(xs, center=-2.0, sigma=1.0, k_mean=1.2)
+    for T in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            evolve_packet_spectral(ws_unit, xs, psi0, xs[::8], T=T)
+    psi_0 = evolve_packet_spectral(ws_unit, xs, psi0, xs[::8], T=0.0)
+    assert np.max(np.abs(psi_0 - psi0[::8])) < 1e-4
+
+
+@pytest.mark.parametrize("family", [Family.WOODS_SAXON, Family.HEAVISIDE])
+def test_evolve_packet_free_matches_closed_form(family):
+    # kc = 0: the k = 0 node carries weight, and the t^2 variable keeps it
+    md = StepModel(family, 1, 0.0, 1, 1)
+    c, sigma, k, T = -7.0, 1.0, 1.2, 2.0
+    xs = np.linspace(-17.0, 3.0, 401)
+    out = np.linspace(-15.0, 5.0, 41)
+    psi_t = evolve_packet_spectral(md, xs, gaussian_packet(xs, c, sigma, k),
+                                   out, T=T)
+    a = sigma * sigma + 0.5j * T
+    exact = ((2 * math.pi * sigma ** 2) ** 0.25 / np.sqrt(2 * math.pi * a)
+             * np.exp(-(out - c - k * T) ** 2 / (4 * a)
+                      + 1j * (k * out - 0.5 * k * k * T)))
+    assert np.max(np.abs(psi_t - exact)) < 1e-9
+
+
+@pytest.mark.parametrize("k_max,fraction", [(3.0, "3.167"), (6.0, "0.9772")])
+def test_evolve_packet_beyond_k_max_raises(ws_unit, k_max, fraction):
+    # a k_mean = 5 packet: k_max = 3 keeps its far tail, k_max = 6 cuts its
+    # upper wing; both lose far more of ||psi0||^2 than 1e-6
+    xs = np.linspace(-23.0, -7.0, 401)
+    psi0 = gaussian_packet(xs, center=-15.0, sigma=1.0, k_mean=5.0)
+    with pytest.raises(QuadratureError, match=f"captures {fraction}"):
+        evolve_packet_spectral(ws_unit, xs, psi0, xs[::10], T=1.0,
+                               k_max=k_max)
+
+
 def _packet_four_calls(model, x_grid, psi0, x_out, T, k_max, n_below, n_above):
     """The packet convolution with every eigenstate evaluated by phi_grid:
     each branch's conj=True form on x_grid and plain form on x_out."""
@@ -338,11 +376,12 @@ def _packet_four_calls(model, x_grid, psi0, x_out, T, k_max, n_below, n_above):
         us = us[1:]
         legs.append((False, kc * np.sin(us), kc * np.cos(us),
                      wu * kc * np.cos(us)))
-    qs = np.linspace(0.0, math.sqrt(max(k_max * k_max - kc * kc, 1.0)), n_above)
-    wq = _simpson_weights(n_above, qs[1] - qs[0])[1:]
-    qs = qs[1:]
+    ts = np.linspace(0.0, max(k_max * k_max - kc * kc, 1.0) ** 0.25, n_above)
+    wt = _simpson_weights(n_above, ts[1] - ts[0])[1:]
+    ts = ts[1:]
+    qs = ts ** 2
     ks = np.sqrt(kc * kc + qs ** 2)
-    legs.append((True, ks, qs, wq * qs / ks))
+    legs.append((True, ks, qs, wt * 2.0 * ts * qs / ks))
     psi_T = np.zeros(x_out.size, dtype=complex)
     for above, ks, qs, wk in legs:
         rows = wk * np.exp(-1j * ks ** 2 * T / (2 * m * h))
