@@ -99,12 +99,14 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
     """Caustic points (x0, x1) for each x0 in the grid.
 
     The batched IVP scan over n_scan initial velocities up to 5 sqrt(2 V0/m)
-    (up to 5 for V0 = 0) brackets the sign flips of J(T); each flip, widened
-    by one cell on either side (the scan can misplace a marginal crossing by
-    one cell), is refined in E = m v0^2/2 + V(x0) on the closed-form
-    endpoint map: J = m v0 dx1/dE, so the caustic is the root of dx1/dE.
-    A widened bracket whose ends share a sign is skipped.  Empty output for
-    an x0 with no critical initial velocity."""
+    (up to 5 for V0 = 0) brackets the sign flips of J(T); each is refined
+    in E = m v0^2/2 + V(x0) on the closed-form endpoint map: J = m v0
+    dx1/dE, so the caustic is the root of dx1/dE.  A flip is bracketed on
+    its own scan cell, and widened by one cell on either side only when
+    dx1/dE has one sign at the cell's ends (the scan can misplace a marginal
+    crossing by one cell; two roots in adjacent cells each keep their own
+    cell).  A widened bracket whose ends share a sign is skipped.  Empty
+    output for an x0 with no critical initial velocity."""
     if model.family is Family.HEAVISIDE:
         verts = caustic_triangle_vertices(model, T)
         pts = []
@@ -123,10 +125,12 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
         Es = 0.5 * model.m * v0s ** 2 + potential_value(model, x0)
         f = lambda E: _endpoint(model, x0, E, T)[1]
         for i in flips:
-            lo = float(Es[max(i - 1, 0)])
-            hi = float(Es[min(i + 2, n_scan - 1)])
+            lo, hi = float(Es[i]), float(Es[i + 1])
             if np.sign(f(lo)) == np.sign(f(hi)):
-                continue
+                lo = float(Es[max(i - 1, 0)])
+                hi = float(Es[min(i + 2, n_scan - 1)])
+                if np.sign(f(lo)) == np.sign(f(hi)):
+                    continue
             E_root = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
             points.append((x0, float(_endpoint(model, x0, E_root, T)[0])))
     return points
@@ -173,9 +177,10 @@ def stokes_lines(model: StepModel, T: float, x0_values, x1_limit: float = None):
 
     For the Heaviside step this set is exactly the pair of axes bounding the
     reflecting quadrants; they are returned as sampled segments.  For the
-    smooth step each requested x0 row is walked outward from the fold with
-    the continued caustic saddle until the real parts cross; rows that stay
-    inside a relevant wedge contribute no points.
+    smooth step each requested x0 row is sampled outward from the fold with
+    the caustic saddle, and a sign change of the difference of the real
+    parts between neighbours is interpolated; rows that stay inside a
+    relevant wedge contribute no points.
     """
     if model.family is Family.HEAVISIDE:
         L = math.sqrt(2.0 * model.V0 / model.m) * T

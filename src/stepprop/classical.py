@@ -15,13 +15,15 @@ zero), and dt/dx = 1/v, ds/dx = m v along the classically allowed branch.
 Direct paths (_direct) use differences of t and s on the sheet where
 dt/dx = 1/v: A0 = arctanh(-sqrt(w0)) below V0 and arctanh(+sqrt(w0)) above
 it.  Every real and complex bounce uses the one relation _bounce,
-T = -(t(x0)+t(x1)) and S = -ET - (s(x0)+s(x1)), on fresh or tracked states.
+T = -(t(x0)+t(x1)) and S = -ET - (s(x0)+s(x1)), on states made at E.
 
 Complex saddles are analytic continuations of the bounce relation.  Each
-arctanh term carries an explicit sheet label (sqrt sign, i*pi winding) that
-is transported by continuity along the continuation path; this implements
-the equivalence-class continuation of the action through singularity
-crossings at the level of t(x) and s(x).
+state labels its sheet by the sign in front of the principal sqrt(w0).  The
+caustic saddle, the complex root that the two real bounces merge into at the
+fold, is the root of T_b(E) = T on the sheet A0 = arctanh(+sqrt(w0)), with
+the states made afresh at every Newton iterate; a census from 1e-3 off the
+fold out to x1 = -20, alpha = 1 ... 200, found no sheet change along a row,
+so no path has to carry the labels from the fold.
 
 Van Vleck factors come from implicit differentiation of the time relation:
 
@@ -32,7 +34,8 @@ with signed endpoint velocities and the closed-form energy derivative
     dt/dE = sqrt(m/2)/alpha [ (1/y0 - A0)/(2 r0^3) - (1/y1 - A1)/(2 r1^3) ],
 
 where y0, y1 are the signed roots in A0 = arctanh(y0), A1 = arctanh(y1) on
-the tracked sheet, r0 = sqrt(E - V0), r1 = sqrt(E); the i*pi winding drops out.
+the state's sheet, r0 = sqrt(E - V0), r1 = sqrt(E); the i*pi lattice of the
+arctanh drops out.
 """
 from __future__ import annotations
 
@@ -92,7 +95,7 @@ class ClassicalSaddle:
 
 
 # ---------------------------------------------------------------------------
-# branch-tracked arctanh terms
+# arctanh terms on a labelled sheet
 # ---------------------------------------------------------------------------
 
 def _log_sigmoid(y: float) -> float:
@@ -128,78 +131,41 @@ def _pv(s: int, y: complex, log_u: complex) -> complex:
 
 
 class _ArcTerm:
-    """One arctanh(y) term, y = s sqrt(w), continued on its (sign, winding)
-    lattice; keeps the signed root y for the energy derivative."""
+    """One arctanh(y) term, y = sign sqrt(w) with the principal sqrt(w);
+    keeps the signed root y for the energy derivative."""
 
-    __slots__ = ("s", "n", "y", "val")
+    __slots__ = ("y", "val")
 
-    def __init__(self, w, log_u, init_sign):
-        self.s = init_sign
-        self.n = 0
+    def __init__(self, w, log_u, sign):
         y = cmath.sqrt(_canon(w))
-        self.y = init_sign * y
-        self.val = _pv(init_sign, y, log_u)
-
-    def step(self, w, log_u):
-        y = cmath.sqrt(_canon(w))
-        best = None
-        for s in (1, -1):
-            pv = _pv(s, y, log_u)
-            for dn in (-1, 0, 1):
-                cand = pv + 1j * math.pi * (self.n + dn)
-                d = abs(cand - self.val)
-                if best is None or d < best[0]:
-                    best = (d, s, self.n + dn, cand)
-        _, self.s, self.n, self.val = best
-        self.y = self.s * y
-        return self.val
-
-    def clone(self):
-        c = _ArcTerm.__new__(_ArcTerm)
-        c.s, c.n, c.y, c.val = self.s, self.n, self.y, self.val
-        return c
+        self.y = sign * y
+        self.val = _pv(sign, y, log_u)
 
 
 class EndpointState:
-    """Arctanh branch state at a real or complex x, A0 = arctanh(sign sqrt(w0))."""
+    """Arctanh terms at a real or complex x and energy E,
+    A0 = arctanh(sign sqrt(w0)) and A1 = arctanh(+sqrt(w1))."""
 
-    __slots__ = ("model", "x", "a0", "a1")
+    __slots__ = ("x", "a0", "a1")
 
     def __init__(self, model: StepModel, x, E: complex, sign: int = -1):
-        self.model = model
         self.x = x if isinstance(x, complex) and x.imag else float(x.real)
-        w0, lu0, w1, lu1 = self._args(E)
-        self.a0 = _ArcTerm(w0, lu0, sign)
-        self.a1 = _ArcTerm(w1, lu1, +1)
-
-    def _args(self, E: complex):
-        md = self.model
-        if E == 0 or E == md.V0:
+        if E == 0 or E == model.V0:
             raise BranchDegenerateError("implicit solution degenerate at E in {0, V0}")
-        v = potential_value(md, self.x)
-        y2 = 2.0 * md.alpha * self.x
+        v = potential_value(model, self.x)
+        y2 = 2.0 * model.alpha * self.x
         log_sig = _log_sigmoid_c if isinstance(y2, complex) else _log_sigmoid
         emv = _canon(E - v)
-        w0 = _canon(emv / _canon(E - md.V0))
-        lu0 = (math.log(md.V0) + log_sig(-y2)
-               + cmath.log(_canon(-1.0 / _canon(E - md.V0))))
-        w1 = _canon(emv / _canon(E))
-        lu1 = math.log(md.V0) + log_sig(y2) - cmath.log(_canon(E))
-        return w0, lu0, w1, lu1
-
-    def terms(self, E: complex):
-        w0, lu0, w1, lu1 = self._args(E)
-        return self.a0.step(w0, lu0), self.a1.step(w1, lu1)
-
-    def clone(self):
-        c = EndpointState.__new__(EndpointState)
-        c.model, c.x = self.model, self.x
-        c.a0, c.a1 = self.a0.clone(), self.a1.clone()
-        return c
+        lu0 = (math.log(model.V0) + log_sig(-y2)
+               + cmath.log(_canon(-1.0 / _canon(E - model.V0))))
+        lu1 = math.log(model.V0) + log_sig(y2) - cmath.log(_canon(E))
+        self.a0 = _ArcTerm(_canon(emv / _canon(E - model.V0)), lu0, sign)
+        self.a1 = _ArcTerm(_canon(emv / _canon(E)), lu1, +1)
 
 
 def _t_s(model: StepModel, E: complex, state: EndpointState):
-    a0, a1 = state.terms(E)
+    """(t, s) at the energy E at which state was made."""
+    a0, a1 = state.a0.val, state.a1.val
     r0 = cmath.sqrt(_canon(E - model.V0))
     r1 = cmath.sqrt(_canon(E))
     c_t = math.sqrt(model.m / 2.0) / model.alpha
@@ -208,7 +174,7 @@ def _t_s(model: StepModel, E: complex, state: EndpointState):
 
 
 def _dt_dE(model: StepModel, E: complex, state: EndpointState):
-    """dt/dE on the sheet that state, already stepped to E, carries; from
+    """dt/dE on the sheet that state, made at E, carries; from
     dA0/dE = 1/(2 y0 (E - V0)), dA1/dE = 1/(2 y1 E), singular where y = 0."""
     a0, a1 = state.a0, state.a1
     r0 = cmath.sqrt(_canon(E - model.V0))
@@ -282,8 +248,8 @@ def _direct(model, E, x0, x1):
 
 def _bounce(model, E, s0, s1):
     """(T, W, dT/dE) of the bounce, T = -(t(x0) + t(x1)) and
-    W = -(s(x0) + s(x1)), on the sheets that the states s0, s1 carry once
-    stepped to E; dT/dE is a callable on the same states."""
+    W = -(s(x0) + s(x1)), on the sheets that the states s0, s1, made at E,
+    carry; dT/dE is a callable on the same states."""
     (t0, w0), (t1, w1) = _t_s(model, E, s0), _t_s(model, E, s1)
     return (-(t0 + t1), -(w0 + w1),
             lambda: -(_dt_dE(model, E, s0) + _dt_dE(model, E, s1)))
@@ -566,7 +532,7 @@ def solve_real_paths(model: StepModel, bvp: BoundarySpec):
 
 
 # ---------------------------------------------------------------------------
-# fold caustic and complex continuation
+# fold caustic and caustic saddle
 # ---------------------------------------------------------------------------
 
 def bounce_fold(model: StepModel, x0: float, T: float,
@@ -600,33 +566,6 @@ def bounce_fold(model: StepModel, x0: float, T: float,
     raise NewtonError(f"{row}: Newton did not converge")
 
 
-def _newton_tracked(model, E, s0, s1, T, itmax=80):
-    """Damped complex Newton on the branch-carried bounce relation."""
-    c0, c1 = s0.clone(), s1.clone()
-    Tb, _, dT = _bounce(model, E, c0, c1)
-    F0 = Tb - T
-    for _ in range(itmax):
-        if abs(F0) < 1e-13 * max(T, 1.0):
-            # commit branch state at the root
-            s0.a0, s0.a1, s1.a0, s1.a1 = c0.a0, c0.a1, c1.a0, c1.a1
-            return E
-        dF = dT()
-        if dF == 0:
-            raise NewtonError("vanishing derivative in complex Newton")
-        step = -F0 / dF
-        lam = 1.0
-        for _ in range(50):
-            t0, t1 = c0.clone(), c1.clone()
-            F, _, dT_t = _bounce(model, E + lam * step, t0, t1)
-            if abs(F - T) < abs(F0):
-                E, F0, c0, c1, dT = E + lam * step, F - T, t0, t1, dT_t
-                break
-            lam *= 0.5
-        else:
-            raise NewtonError("step damping failed in complex Newton")
-    raise NewtonError("complex Newton did not converge")
-
-
 def _saddle_from_state(model, E, s0, s1, T):
     """Complex bounce saddle on the sheets that s0, s1 carry at E."""
     _, W, dT = _bounce(model, E, s0, s1)
@@ -637,74 +576,63 @@ def _saddle_from_state(model, E, s0, s1, T):
                            sqrt_vv=complex(-cmath.sqrt(vv)))
 
 
-# corrector iteration cap, and the smallest x1 step before the walk gives up
-_CORRECTOR_ITMAX = 8
-_MIN_STEP = 1e-7
+_NEWTON_ITMAX = 60
 
 
-def _continuation_walk(model, x0, T, checkpoints):
-    """Walk the complex bounce root from the fold out along the x1 row.
+def _caustic_saddle(model, x0, x1, T):
+    """The caustic saddle at (x0, x1, T): the sheet +1 root of T_b(E) = T.
 
-    Yields (x1, E, s0, s1) at every checkpoint beyond the start point, the
-    nearest to the fold first.  A secant predictor and a capped Newton
-    corrector take adaptive steps that land exactly on each checkpoint; a
-    step is kept only if no arctanh term moved by pi/4 or more, so the
-    tracked sheet cannot jump.
-    """
-    fold = bounce_fold(model, x0, T, min(checkpoints), -1e-3)
-    x = fold - max(2e-3, 1e-3 * abs(fold))
-    E_min = _bounce_extrema(model, x0, x)[2]
-    if E_min is None:
-        raise RootBracketError(f"no T_b minimum just outside the fold {fold}")
-    s0 = EndpointState(model, x0, E_min)
-    s1 = EndpointState(model, x, E_min)
-    # Just outside the fold T_b(E) ~ T_min + c (E - E_min)^2 / 2 with
-    # T_min > T, so the two roots are E_min +- i r.  Newton on a quadratic
-    # converges to the root on the seed's side of the perpendicular bisector
-    # of the roots, here the real axis: any seed E_min + i delta with
-    # delta > 0 finds E_min + i r.
-    E = _newton_tracked(model, complex(E_min, 1e-3 * model.V0), s0, s1, T)
-    x_prev, E_prev = fold, E  # zero slope: the first predictor is E itself
-    h = 0.05
-    for cp in sorted({float(c) for c in checkpoints if c <= x}, reverse=True):
-        while x > cp:
-            x_new = max(x - h, cp)
-            E_pred = E + (E - E_prev) * (x_new - x) / (x - x_prev)
-            t0, t1 = s0.clone(), s1.clone()
-            t1.x = x_new
-            try:
-                E_new = _newton_tracked(model, E_pred, t0, t1, T,
-                                        itmax=_CORRECTOR_ITMAX)
-            except NewtonError:
-                E_new = None
-            moved = [abs(a.val - b.val) for a, b in zip(
-                (t0.a0, t0.a1, t1.a0, t1.a1), (s0.a0, s0.a1, s1.a0, s1.a1))]
-            if E_new is None or max(moved) >= math.pi / 4:
-                h *= 0.5
-                if h < _MIN_STEP:
-                    raise NewtonError(f"continuation step fell below "
-                                      f"{_MIN_STEP:g} at x1 = {x:.6g}")
-                continue
-            x_prev, E_prev, x, E, s0, s1 = x, E, x_new, E_new, t0, t1
-            h *= 1.5
-        yield x, E, s0, s1
+    Damped complex Newton on _bounce with fresh states on the sheet
+    A0 = arctanh(+sqrt(w0)), rebuilt at every iterate, from the free
+    bounce energy m (|x0| + |x1|)^2 / (2 T^2) shifted by 0.05 i V0.  The
+    relation is real on the real axis, so the roots come in conjugate
+    pairs; the one with Im E > 0 is taken, whose Im S >= 0."""
+    at = lambda E: _bounce(model, E, *_fresh(model, E, x0, x1, 1))
+    E = complex(model.m * (abs(x0) + abs(x1)) ** 2 / (2.0 * T * T),
+                0.05 * model.V0)
+    Tb, _, dT = at(E)
+    for _ in range(_NEWTON_ITMAX):
+        if abs(Tb - T) < 1e-13 * max(T, 1.0):
+            E = E.conjugate() if E.imag < 0 else E
+            return _saddle_from_state(model, E, *_fresh(model, E, x0, x1, 1), T)
+        dF = dT()
+        if dF == 0:
+            raise NewtonError("vanishing dT_b/dE in the caustic Newton")
+        step, lam = -(Tb - T) / dF, 1.0
+        for _ in range(50):
+            Tb_t, _, dT_t = at(E + lam * step)
+            if abs(Tb_t - T) < abs(Tb - T):
+                E, Tb, dT = E + lam * step, Tb_t, dT_t
+                break
+            lam *= 0.5
+        else:
+            raise NewtonError("step damping failed in the caustic Newton")
+    raise NewtonError(f"caustic Newton did not converge in {_NEWTON_ITMAX} "
+                      f"iterations at (x0, x1, T) = ({x0:g}, {x1:g}, {T:g})")
+
+
+def _fold(model, x0, T, x1_lo):
+    """x1 of the row's fold, from x1_lo outside the caustic loop."""
+    if model.family is not Family.WOODS_SAXON:
+        raise UnsupportedFamilyError("the caustic saddle needs the smooth step")
+    return bounce_fold(model, x0, T, x1_lo, -1e-3)
 
 
 def find_caustic_saddle(model: StepModel, bvp: BoundarySpec) -> ClassicalSaddle:
-    """Caustic saddle at bvp via continuation from the fold caustic."""
-    for sad in caustic_saddle_curve(model, bvp.x0, bvp.T, [bvp.x1]).values():
-        return sad
-    raise NewtonError("continuation did not reach the target configuration")
+    """Caustic saddle at bvp: the complex bounce root that the two real
+    bounces merge into at the row's fold.  A row with no fold raises
+    RootBracketError, and an x1 inside the caustic loop ValidationError."""
+    _fold(model, bvp.x0, bvp.T, bvp.x1)
+    return _caustic_saddle(model, bvp.x0, bvp.x1, bvp.T)
 
 
 def caustic_saddle_curve(model: StepModel, x0: float, T: float, x1_values):
-    """Caustic saddles along a row of x1 values sharing one continuation,
-    keyed by float(x1).  An x1 past the fold (inside the caustic loop, or
-    within the walk's start offset of the fold) is left out of the dict."""
-    if model.family is not Family.WOODS_SAXON:
-        raise UnsupportedFamilyError("caustic continuation needs the smooth step")
-    return {xx: _saddle_from_state(model, E, s0, s1, T)
-            for xx, E, s0, s1 in _continuation_walk(model, x0, T, x1_values)}
+    """Caustic saddles along a row of x1 values, keyed by float(x1), with the
+    errors of find_caustic_saddle at min(x1_values).  An x1 at or past the
+    fold (inside the caustic loop) is left out of the dict."""
+    fold = _fold(model, x0, T, min(x1_values))
+    return {float(x1): _caustic_saddle(model, x0, float(x1), T)
+            for x1 in x1_values if x1 < fold}
 
 
 # ---------------------------------------------------------------------------

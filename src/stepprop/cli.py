@@ -95,7 +95,7 @@ def _saddle_set(model, bvp, which, caustic=None):
 
 
 def _caustic_row(model, x0, T, x1s):
-    """Caustic saddles along a row of x1, from one walk out of the fold."""
+    """Caustic saddles along a row of x1, one fold search for the row."""
     curve = _classical.caustic_saddle_curve(model, x0, T, x1s)
     for x1 in x1s:
         if float(x1) not in curve:

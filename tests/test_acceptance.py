@@ -157,11 +157,13 @@ def test_criterion_06_real_path_census():
     assert _report(6, ok, f"{checked} grid points, {mis} misclassifications")
 
 
+WS50_ROWS = np.concatenate([np.linspace(-13.5, -1.0, 24), [-0.6, -0.3]])
+
+
 @pytest.fixture(scope="module")
 def ws50_caustic_points():
     md = StepModel(Family.WOODS_SAXON, 1, 1, 50.0, 1)
-    rows = np.concatenate([np.linspace(-13.5, -1.0, 24), [-0.6, -0.3]])
-    return ca.caustic_curve(md, 10.0, rows, n_scan=220)
+    return ca.caustic_curve(md, 10.0, WS50_ROWS, n_scan=220)
 
 
 def _dist_to_triangle(points, L):
@@ -203,6 +205,15 @@ def test_criterion_07_companion_corrected_triangle(ws50_caustic_points):
     assert _report("7c", ok,
                    f"{len(pts)} caustic points within {haus:.3f} of the "
                    "corrected triangle (boundary-layer scale ~0.4 at alpha=50)")
+
+
+@pytest.mark.slow
+def test_criterion_07_every_row_reaches_the_hypotenuse(ws50_caustic_points):
+    # every row meets the fold line x0 + x1 = -13.5852, also the row
+    # x0 = -13.5, whose two J roots fall in adjacent scan cells
+    on_line = {x0 for x0, x1 in ws50_caustic_points
+               if abs(x0 + x1 + 13.5852) < 1e-3}
+    assert on_line == {float(x0) for x0 in WS50_ROWS}
 
 
 @pytest.fixture(scope="module")

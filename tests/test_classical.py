@@ -339,16 +339,16 @@ def test_direct_path_near_the_energy_floor(dx):
 
 @pytest.mark.parametrize("E", [1.08 + 0.19j, 0.7 + 0.05j, 1.3 + 0.3j])
 def test_bounce_time_derivative_closed_form(ws_steep, E):
-    s0 = cl.EndpointState(ws_steep, BVP_REFL.x0, E)
-    s1 = cl.EndpointState(ws_steep, BVP_REFL.x1, E)
+    x0, x1 = BVP_REFL.x0, BVP_REFL.x1
+    s0, s1 = cl._fresh(ws_steep, E, x0, x1)
     dtb = cl._bounce(ws_steep, E, s0, s1)[2]
     h = 1e-5 * abs(E)
-    fd = (cl._bounce(ws_steep, E + h, s0.clone(), s1.clone())[0]
-          - cl._bounce(ws_steep, E - h, s0.clone(), s1.clone())[0]) / (2 * h)
+    fd = (cl._t_bounce(ws_steep, E + h, x0, x1)
+          - cl._t_bounce(ws_steep, E - h, x0, x1)) / (2 * h)
     assert dtb() == pytest.approx(fd, rel=1e-7)
 
-    def dtb_at(e):  # dT_b/dE on the sheets carried from E to e
-        return cl._bounce(ws_steep, e, s0.clone(), s1.clone())[2]()
+    def dtb_at(e):  # dT_b/dE on the sheet -1 states made at e
+        return cl._bounce(ws_steep, e, *cl._fresh(ws_steep, e, x0, x1))[2]()
 
     fd2 = (dtb_at(E + h) - dtb_at(E - h)) / (2 * h)
     d2 = -(cl._d2t_dE2(ws_steep, E, s0) + cl._d2t_dE2(ws_steep, E, s1))
@@ -461,8 +461,8 @@ def test_real_paths_match_ivp_near_step_side_caustic(alpha, T, x0, x1,
 
 
 def test_caustic_saddle_rows_without_fold_raise(ws_unit):
-    # T_min > T wherever T_b has a minimum on these rows: no fold to start
-    # the continuation from
+    # T_min > T wherever T_b has a minimum on these rows: no fold, so no
+    # complex root that the two real bounces merge into
     for x0, T, x1 in [(-2.0, 5.0, -6.571), (-3.0, 5.0, -5.57),
                       (-4.0, 6.0, -8.0)]:
         with pytest.raises(RootBracketError, match=f"x0 = {x0:g}, T = {T:g}"):
@@ -470,19 +470,20 @@ def test_caustic_saddle_rows_without_fold_raise(ws_unit):
 
 
 # ---------------------------------------------------------------------------
-# complex saddles (regression against the continuation machinery)
+# complex saddles (the sheet +1 root of the bounce relation)
 # ---------------------------------------------------------------------------
 
 def test_caustic_saddle_reference_configuration(ws_steep):
     sad = cl.find_caustic_saddle(ws_steep, BVP_REFL)
-    # frozen regression values from this implementation's continuation
+    # frozen regression values, first reached by continuation from the fold
     assert sad.E == pytest.approx(1.0875286669 + 0.1906064118j, rel=1e-6)
     assert sad.S == pytest.approx(10.3844613036 + 0.2562310669j, rel=1e-6)
     assert sad.relevant
-    # residual of the continued time relation at the root
-    s0 = cl.EndpointState(ws_steep, BVP_REFL.x0, sad.E)
-    # fresh principal states do not reproduce the continued sheet, so verify
-    # through the public interface instead: Schwarz symmetry of the relation
+    # the root solves the bounce relation on fresh sheet +1 states
+    tb = cl._bounce(ws_steep, sad.E, *cl._fresh(ws_steep, sad.E, BVP_REFL.x0,
+                                                BVP_REFL.x1, 1))[0]
+    assert abs(tb - BVP_REFL.T) < 1e-12
+    # the sheet -1 relation is real on the real axis: Schwarz symmetry
     tb = cl._t_bounce(ws_steep, np.conj(sad.E), BVP_REFL.x0, BVP_REFL.x1)
     tb2 = cl._t_bounce(ws_steep, sad.E, BVP_REFL.x0, BVP_REFL.x1)
     assert tb == pytest.approx(np.conj(tb2), rel=1e-10)
@@ -529,22 +530,51 @@ def test_caustic_saddle_curve_matches_single_calls(alpha, x0, lo, hi):
             assert abs(a - b) <= 1e-11 * abs(b)
 
 
-def test_caustic_walk_gives_up_when_corrector_fails(ws_steep, monkeypatch):
-    # every corrector step fails: the step halves down to its floor and the
-    # walk raises instead of looping
-    newton = cl._newton_tracked
+def test_caustic_saddle_closes_the_gap_at_the_fold(ws_steep):
+    # 2.5e-3 from the fold the two conjugate roots have barely split
+    fold = cl.bounce_fold(ws_steep, -5.0, 10.0, -8.0, -1e-3)
+    sad = cl.find_caustic_saddle(ws_steep,
+                                 cl.BoundarySpec(-5.0, fold - 2.5e-3, 10.0))
+    assert 0 < sad.S.imag < 1e-4
+    assert sad.S.real == pytest.approx(6.8183, abs=1e-4)
+
+
+def test_caustic_saddle_census_is_continuous():
+    # from 1e-3 off the fold out to x1 = -20, on steps from alpha = 1 to 200:
+    # each point is its own Newton, and the sheet never flips along a row
+    for alpha in (1.0, 5.0, 10.0, 50.0, 200.0):
+        md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
+        for x0, T in ((-5.0, 10.0), (-3.0, 10.0), (-2.0, 6.0), (-0.5, 10.0)):
+            fold = cl.bounce_fold(md, x0, T, -20.0, -1e-3)
+            xs = fold - np.geomspace(1e-3, fold + 20.0, 20)
+            row = cl.caustic_saddle_curve(md, x0, T, xs)
+            assert sorted(row) == sorted(xs)
+            S = np.array([row[float(x1)].S for x1 in xs])
+            for x1 in xs:
+                E = row[float(x1)].E
+                tb = cl._bounce(md, E, *cl._fresh(md, E, x0, x1, 1))[0]
+                assert abs(tb - T) <= 1e-12, (alpha, x0, T, x1)
+            assert S[0].imag >= 0 and np.all(np.diff(S.imag) > 0), (alpha, x0)
+            assert np.max(np.abs(np.diff(S) / np.diff(xs))) <= 4.0, (alpha, x0)
+    with pytest.raises(RootBracketError):
+        cl.caustic_saddle_curve(StepModel(Family.WOODS_SAXON, 1, 1, 1, 1),
+                                -2.0, 5.0, [-8.0, -6.571])
+
+
+def test_caustic_newton_gives_up_within_its_cap(ws_steep, monkeypatch):
+    # T_b = T + E^-0.1 never reaches T: every Newton step lowers the
+    # residual by a factor 11^-0.1, and Newton raises at its iteration cap
+    # instead of looping
     calls = []
 
-    def failing(model, E, s0, s1, T, itmax=80):
-        if itmax != cl._CORRECTOR_ITMAX:
-            return newton(model, E, s0, s1, T, itmax)  # the fold seed
+    def never(model, E, s0, s1):
         calls.append(E)
-        raise NewtonError("complex Newton did not converge")
+        return (10.0 + E ** -0.1, 0.0, lambda: -0.1 * E ** -1.1)
 
-    monkeypatch.setattr(cl, "_newton_tracked", failing)
-    with pytest.raises(NewtonError, match="continuation step"):
-        cl.find_caustic_saddle(ws_steep, BVP_REFL)
-    assert 1 < len(calls) < 40
+    monkeypatch.setattr(cl, "_bounce", never)
+    with pytest.raises(NewtonError, match="did not converge"):
+        cl._caustic_saddle(ws_steep, -5.0, -9.25, 10.0)
+    assert len(calls) == cl._NEWTON_ITMAX + 1
 
 
 def test_topological_saddle_reference_configuration(ws_steep):

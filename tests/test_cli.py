@@ -224,7 +224,7 @@ def test_contour_rows_obey_reciprocity():
 
 def test_fig10_rows_are_the_continued_saddle():
     # fig10 writes the principal-root initial velocity of the caustic saddle
-    # continued from the fold, at (x0, T) = (-4, 10) on the unit smooth step
+    # beyond the fold, at (x0, T) = (-4, 10) on the unit smooth step
     name, _, rows, _ = next(_recipes(True)["fig10"]())
     assert name == "fig10_complex_v0.csv" and len(rows) == 57
     for x1, re_v0, im_v0 in rows:
@@ -254,7 +254,7 @@ def test_wkb_row_inside_the_caustic_loop_exits_2(capsys):
 
 
 def test_wkb_row_matches_one_point_saddles(tmp_path):
-    # one continuation along the row gives the saddles of one-point solves
+    # one row call (one fold search) gives the saddles of one-point solves
     out = tmp_path / "wkb.csv"
     assert main(["wkb", "--model", WS5, "--x0=-5", "--x1-range=-10:-8.5:3",
                  "--T", "10", "--hbar", "0.1", "--saddles", "real+caustic",
