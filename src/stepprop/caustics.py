@@ -35,8 +35,8 @@ from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _endpoint,
                         _t_bounce, caustic_saddle_curve,
                         caustic_triangle_vertices, heaviside_three_path_region,
                         solve_real_paths)
-from .errors import (InsideCausticError, QuadratureError, StepPropError,
-                     UnsupportedFamilyError)
+from .errors import (InsideCausticError, QuadratureError, RootBracketError,
+                     UnsupportedFamilyError, ValidationError)
 from .potential import (Family, StepModel, potential_derivatives,
                         potential_value)
 
@@ -172,6 +172,13 @@ def inside_caustic(model: StepModel, bvp: BoundarySpec) -> bool:
     return len(solve_real_paths(model, bvp)) >= 3
 
 
+def _stokes_gap(model, bvp, caustic):
+    """Re S_caustic - Re S_direct at bvp; None when there is no direct path."""
+    direct = [s for s in solve_real_paths(model, bvp)
+              if s.kind is SaddleKind.DIRECT]
+    return caustic.S.real - direct[0].S.real if direct else None
+
+
 def stokes_lines(model: StepModel, T: float, x0_values, x1_limit: float = None):
     """Points (x0, x1) where Re(S_caustic) = Re(S_direct).
 
@@ -195,17 +202,14 @@ def stokes_lines(model: StepModel, T: float, x0_values, x1_limit: float = None):
         xs = np.linspace(limit, limit * 0.2, 60)
         try:
             saddles = caustic_saddle_curve(model, float(x0), T, xs)
-        except StepPropError:
-            continue
+        except (RootBracketError, ValidationError):
+            continue  # no fold on this row, or the row starts inside the loop
         prev = None
         for key in sorted(saddles, reverse=True):
-            sad = saddles[key]
             bvp = BoundarySpec(float(x0), float(key), T)
-            direct = [s for s in solve_real_paths(model, bvp)
-                      if s.kind is SaddleKind.DIRECT]
-            if not direct:
+            diff = _stokes_gap(model, bvp, saddles[key])
+            if diff is None:
                 continue
-            diff = sad.S.real - direct[0].S.real
             if prev is not None and np.sign(diff) != np.sign(prev[1]):
                 x_lo, d_lo = prev
                 x_cross = x_lo + (key - x_lo) * d_lo / (d_lo - diff)
@@ -229,11 +233,7 @@ def relevance_flag(model: StepModel, bvp: BoundarySpec) -> bool:
         return s_refl >= s_dir
     if bvp.x0 < 0 and bvp.x1 < 0:
         from .classical import find_caustic_saddle
-        sad = find_caustic_saddle(model, bvp)
-        direct = [s for s in solve_real_paths(model, bvp)
-                  if s.kind is SaddleKind.DIRECT]
-        if not direct:
-            return True
-        return sad.S.real >= direct[0].S.real
+        gap = _stokes_gap(model, bvp, find_caustic_saddle(model, bvp))
+        return gap is None or gap >= 0
     # away from the reflecting quadrant the Heaviside classification applies
     return (bvp.x0 > 0 and bvp.x1 > 0) or (bvp.x0 * bvp.x1 == 0.0)

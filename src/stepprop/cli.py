@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -127,10 +127,6 @@ def _cmd_rates(args):
 ROW_BLOCK = 16
 
 
-def _propagate_job(job):
-    return propagate(*job)
-
-
 def _cmd_propagate(args):
     model = _parse_model(args.model)
     xs = _parse_range(args.x1_range)
@@ -140,9 +136,9 @@ def _cmd_propagate(args):
     if args.threads > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=args.threads) as ex:
-            blocks = list(ex.map(_propagate_job, jobs))
+            blocks = list(ex.map(propagate, *zip(*jobs)))
     else:
-        blocks = [_propagate_job(j) for j in jobs]
+        blocks = [propagate(*j) for j in jobs]
     rows = [(s.x0, s.x1, s.T, s.G.real, s.G.imag, abs(s.G) ** 2, s.est_error)
             for block in blocks for s in block.samples]
     _write_rows(args.out, ("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"),
@@ -373,13 +369,9 @@ def _recipes(coarse):
         for x1 in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0):
             floor = _classical._energy_floor(_WS1, -5.0, x1) * (1 + 1e-10)
             for E in np.geomspace(floor, 0.999, 400):
-                try:
-                    td = _classical._direct(_WS1, float(E), -5.0, x1)[0]
-                    tb = _classical._t_bounce(_WS1, float(E), -5.0, x1)
-                    tb = float(tb.real)
-                except StepPropError:
-                    continue
-                rows.append((x1, E, td, tb))
+                td = _classical._direct(_WS1, float(E), -5.0, x1)[0]
+                tb = _classical._t_bounce(_WS1, float(E), -5.0, x1)
+                rows.append((x1, E, td, float(tb.real)))
         yield ("fig8a_time_vs_energy.csv", ("x1", "E", "T_direct", "T_bounce"),
                rows, {"recipe": "fig8a"})
         # paths for (x0, x1, T) = (-4, -3, 10)
@@ -536,6 +528,7 @@ def _cmd_reproduce(args):
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser():
     p = argparse.ArgumentParser(prog="stepprop",
                                 description="step-potential propagator toolkit")

@@ -103,19 +103,12 @@ def _sigmoid(y):
         e = float(np.exp(t))
         return e / (1.0 + e) if y < 0 else 1.0 / (1.0 + e)
     y = np.asarray(y)
-    if np.iscomplexobj(y):
-        out = np.empty(y.shape, dtype=complex)
-        pos = y.real >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-        e = np.exp(y[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out if out.shape else complex(out)
-    out = np.empty(y.shape, dtype=float)
-    pos = y >= 0
+    out = np.empty(y.shape, dtype=np.result_type(y, float))
+    pos = y.real >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
     e = np.exp(y[~pos])
     out[~pos] = e / (1.0 + e)
-    return out if out.shape else float(out)
+    return out if out.shape else out.item()
 
 
 def pole_distance(model: StepModel, x) -> np.ndarray:

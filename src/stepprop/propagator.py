@@ -40,6 +40,10 @@ __all__ = ["QuadratureConfig", "PropagatorSample", "PropagatorRow",
            "propagate", "energy_propagator", "free_propagator",
            "evolve_packet_spectral"]
 
+#: the deformed above-threshold leg of a column ends at K_MAX_FACTOR x
+#: max(kc, k_star, damp, 1); a column still loud there raises
+K_MAX_FACTOR = 40.0
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -48,15 +52,12 @@ class QuadratureConfig:
     theta: float = 0.1
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
-    k_max_factor: float = 40.0
 
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi / 4):
             raise ValidationError("deformation angle must lie in (0, pi/4)")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValidationError("tolerances must be positive")
-        if self.k_max_factor <= 1:
-            raise ValidationError("k_max_factor must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def _above_leg_deformed(model, x0, x1, T, cfg):
     panel level inside the call where a further call costs a whole
     refinement pass.  Further blocks follow one at a time for the columns
     that have not stopped.  A column that reaches its cap
-    k_max_factor * max(kc, k_star, damp, 1) first raises QuadratureError.
+    K_MAX_FACTOR * max(kc, k_star, damp, 1) first raises QuadratureError.
     """
     kc = model.k_threshold
     m, h = model.m, model.hbar
@@ -195,7 +196,7 @@ def _above_leg_deformed(model, x0, x1, T, cfg):
     k_star = m * (abs(x0) + np.abs(x1s)) / T
     reach = k_star + 4 * damp
     block = max(1.5 * damp, 1.0)
-    t_cap = cfg.k_max_factor * np.maximum(max(kc, damp, 1.0), k_star)
+    t_cap = K_MAX_FACTOR * np.maximum(max(kc, damp, 1.0), k_star)
     quiet_level = max(1e-13, cfg.abs_tol * 1e-2)
     n_first = int(np.max(reach) // block) + 3
     edges = block * np.arange(n_first + 1)

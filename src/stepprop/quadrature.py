@@ -20,6 +20,9 @@ from .errors import QuadratureError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _CWEIGHTS = _WEIGHTS.astype(complex)
+#: accepted plus pending panels one (interval, column) pair may hold;
+#: exceeding it raises QuadratureError
+MAX_PANELS = 20_000
 
 
 def _panel_values(f, los, his):
@@ -47,7 +50,7 @@ def _halves(lo, hi):
 
 
 def integrate_adaptive(f, a, b, abs_tol: float = 1e-9,
-                       rel_tol: float = 1e-8, max_panels: int = 20_000):
+                       rel_tol: float = 1e-8):
     """Integrate complex-valued f over [a, b].
 
     f maps a real node array of shape (n,) to complex values of shape (n,)
@@ -56,7 +59,8 @@ def integrate_adaptive(f, a, b, abs_tol: float = 1e-9,
     interval ends.  Returns (value, error_estimate, n_evals): value and
     error have shape a.shape + (m,) ((m,) dropped when f returns (n,)), so
     a one-interval, one-column call returns a complex and a float.  n_evals
-    counts the shared integrand nodes.
+    counts the shared integrand nodes.  A pair whose panels outgrow
+    MAX_PANELS raises QuadratureError.
     """
     a_arr, b_arr = np.atleast_1d(np.asarray(a, float), np.asarray(b, float))
     width = b_arr - a_arr
@@ -74,14 +78,14 @@ def integrate_adaptive(f, a, b, abs_tol: float = 1e-9,
     live = np.ones((owner.size, n_col), dtype=bool)  # pairs still refining
     while owner.size:
         # a pair's pending panels never outnumber the front
-        if owner.size + n_accepted.max() > max_panels:
+        if owner.size + n_accepted.max() > MAX_PANELS:
             pending = np.zeros(total.shape, dtype=np.int64)
             np.add.at(pending, owner, live)
-            over = n_accepted + pending > max_panels
+            over = n_accepted + pending > MAX_PANELS
             if np.any(over):
                 i = int(np.argwhere(over)[0, 0])
                 raise QuadratureError(
-                    f"panel budget {max_panels} exhausted "
+                    f"panel budget {MAX_PANELS} exhausted "
                     f"(interval [{a_arr[i]}, {b_arr[i]}])")
         c_lo, c_hi = _halves(los, his)
         child_vals, _ = _panel_values(f, c_lo, c_hi)

@@ -117,14 +117,14 @@ def _gamma_ratio(num, den):
     return np.where(kill, 0.0, out)
 
 
-def _transformed(a, b, c, zc, lzc):
+def _transformed(a, b, c, zc, lzc, series=_series):
     """z > 1/2 branch via the z -> 1-z connection formula, zc = 1-z and
-    lzc = log(zc)."""
+    lzc = log(zc); ``series`` sums the two 2F1 at zc."""
     w = c - a - b
     g1 = _gamma_ratio([c, w], [c - a, c - b])
     g2 = _gamma_ratio([c, -w], [a, b])
-    f1 = _series(a, b, 1.0 - w, zc)
-    f2 = _series(c - a, c - b, 1.0 + w, zc)
+    f1 = series(a, b, 1.0 - w, zc)
+    f2 = series(c - a, c - b, 1.0 + w, zc)
     return g1 * f1 + g2 * np.exp(w * lzc) * f2
 
 
@@ -296,8 +296,5 @@ def hyp2f1_cols_rows(a_col, b_col, c_col, z_row, zc_row):
             a_col + 0 * z_row, b_col + 0 * z_row, c_col + 0 * z_row,
             z_row + 0 * a_col.real, zc_row + 0 * a_col.real)
         return hyp2f1_with_complement(A, B, C, Z, ZC)
-    g1 = _gamma_ratio([c_col, w], [c_col - a_col, c_col - b_col])
-    g2 = _gamma_ratio([c_col, -w], [a_col, b_col])
-    f1 = _series_cols_rows(a_col, b_col, 1.0 - w, zc_row)
-    f2 = _series_cols_rows(c_col - a_col, c_col - b_col, 1.0 + w, zc_row)
-    return g1 * f1 + g2 * np.exp(w * np.log(zc_row + 0j)) * f2
+    return _transformed(a_col, b_col, c_col, zc_row, np.log(zc_row + 0j),
+                        _series_cols_rows)

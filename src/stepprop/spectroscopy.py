@@ -76,16 +76,12 @@ def propagator_omega_samples(model: StepModel, bvp: BoundarySpec,
     if threads > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=threads) as ex:
-            samples = list(ex.map(_propagate_star, args, chunksize=16))
+            samples = list(ex.map(propagate, *zip(*args), chunksize=16))
     else:
-        samples = [_propagate_star(a) for a in args]
+        samples = [propagate(*a) for a in args]
     values = np.array([s.G for s in samples])
     err = float(np.sum([s.est_error for s in samples]) / len(samples))
     return omegas, values, err
-
-
-def _propagate_star(args):
-    return propagate(*args)
 
 
 def _kernel_row(omegas, g_values):
@@ -155,37 +151,32 @@ def _transform(kind, omegas, g_values, out_grid):
     return out
 
 
+def _spectrum(kind, model, bvp, window, grid, samples, min_separation=0.0):
+    """|F|^2 or |L|^2 of the samples (fetched when None) on the grid, with
+    detected peaks."""
+    grid = np.asarray(grid, dtype=float)
+    if samples is None:
+        samples = propagator_omega_samples(model, bvp, window)
+    omegas, gv, err = samples
+    vals = np.abs(_transform(kind, omegas, gv, grid)) ** 2
+    return SpectrumSeries(kind=kind, grid=grid, values=vals,
+                          peaks=detect_peaks(grid, vals, min_separation),
+                          est_error=err)
+
+
 def fourier_spectrum(model: StepModel, bvp: BoundarySpec, window: OmegaWindow,
                      tau_grid, samples=None) -> SpectrumSeries:
     """|F(tau)|^2 with detected peaks; peak actions are -tau_peak."""
-    if samples is None:
-        omegas, gv, err = propagator_omega_samples(model, bvp, window)
-    else:
-        omegas, gv, err = samples
-    F = _transform("fourier", omegas, gv, tau_grid)
-    vals = np.abs(F) ** 2
     sep = 1.6 * 2.0 * math.pi / (window.B - window.A)
-    return SpectrumSeries(kind="fourier", grid=np.asarray(tau_grid, float),
-                          values=vals,
-                          peaks=detect_peaks(tau_grid, vals,
-                                             min_separation=sep),
-                          est_error=err)
+    return _spectrum("fourier", model, bvp, window, tau_grid, samples, sep)
 
 
 def laplace_spectrum(model: StepModel, bvp: BoundarySpec, window: OmegaWindow,
                      s_grid, samples=None) -> SpectrumSeries:
     """|L(s)|^2 on the s grid (s >= 0)."""
-    s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(s_grid < 0):
+    if np.any(np.asarray(s_grid, dtype=float) < 0):
         raise ValidationError("Laplace grid must be non-negative")
-    if samples is None:
-        omegas, gv, err = propagator_omega_samples(model, bvp, window)
-    else:
-        omegas, gv, err = samples
-    L = _transform("laplace", omegas, gv, s_grid)
-    vals = np.abs(L) ** 2
-    return SpectrumSeries(kind="laplace", grid=s_grid, values=vals,
-                          peaks=detect_peaks(s_grid, vals), est_error=err)
+    return _spectrum("laplace", model, bvp, window, s_grid, samples)
 
 
 def wkb_model_laplace(saddles, window: OmegaWindow, s_grid):

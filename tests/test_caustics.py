@@ -190,6 +190,18 @@ def test_stokes_lines_propagates_programming_errors(ws_unit, monkeypatch):
         ca.stokes_lines(ws_unit, 10.0, [-3.0], x1_limit=-9.0)
 
 
+def test_stokes_lines_propagates_saddle_failure(ws_unit, monkeypatch):
+    # only a row with no fold, or one that starts inside the loop, is
+    # skipped; a failed caustic Newton on a row with a fold is an error
+    def fail(*args):
+        raise NewtonError("caustic Newton did not converge")
+
+    monkeypatch.setattr(cl, "_caustic_saddle", fail)
+    assert ca.stokes_lines(ws_unit, 10.0, [1.0]) == []
+    with pytest.raises(NewtonError):
+        ca.stokes_lines(ws_unit, 10.0, [-3.0], x1_limit=-9.0)
+
+
 def test_stokes_relevant_wedge_on_smooth_row(ws_unit):
     # a row through the lower-left (relevant) wedge never crosses a Stokes
     # line: Re S_caustic stays above Re S_direct all the way out, and the

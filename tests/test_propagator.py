@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stepprop import propagator
 from stepprop.errors import NonFiniteError, QuadratureError, ValidationError
 from stepprop.oracle import gaussian_packet
 from stepprop.potential import Family, StepModel, potential_value
@@ -91,11 +92,11 @@ def test_row_zero_for_nonpositive_time(ws_unit):
     assert row.n_evals == 0
 
 
-def test_contour_cap_raises_instead_of_padding(ws_unit):
+def test_contour_cap_raises_instead_of_padding(ws_unit, monkeypatch):
     # the cap t = 1.01 max(kc, k*, damp, 1) ends before two quiet blocks
+    monkeypatch.setattr(propagator, "K_MAX_FACTOR", 1.01)
     with pytest.raises(QuadratureError, match="x1 = -6.0"):
-        propagate(ws_unit, -4.0, -6.0, 10.0,
-                  QuadratureConfig(k_max_factor=1.01))
+        propagate(ws_unit, -4.0, -6.0, 10.0)
 
 
 def test_meaningless_G_raises():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stepprop import quadrature
 from stepprop.errors import QuadratureError
 from stepprop.quadrature import integrate_adaptive
 
@@ -34,10 +35,10 @@ def test_one_interval_one_column_returns_scalars():
     assert abs(v - np.sin(1.0)) < 1e-12 and n > 0
 
 
-def test_panel_budget_is_per_column():
+def test_panel_budget_is_per_column(monkeypatch):
     # the oscillatory column alone exhausts a small budget
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     with pytest.raises(QuadratureError, match="panel budget 8"):
         integrate_adaptive(lambda xs: np.stack(
-            [np.cos(xs), np.cos(400.0 * xs * xs)], axis=1), 0.0, 3.0,
-            max_panels=8)
-    integrate_adaptive(np.cos, 0.0, 3.0, max_panels=8)
+            [np.cos(xs), np.cos(400.0 * xs * xs)], axis=1), 0.0, 3.0)
+    integrate_adaptive(np.cos, 0.0, 3.0)
