@@ -179,7 +179,7 @@ def _stokes_gap(model, bvp, caustic):
     return caustic.S.real - direct[0].S.real if direct else None
 
 
-def stokes_lines(model: StepModel, T: float, x0_values, x1_limit: float = None):
+def stokes_lines(model: StepModel, T: float, x0_values):
     """Points (x0, x1) where Re(S_caustic) = Re(S_direct).
 
     For the Heaviside step this set is exactly the pair of axes bounding the
@@ -195,10 +195,7 @@ def stokes_lines(model: StepModel, T: float, x0_values, x1_limit: float = None):
         return [(0.0, float(s)) for s in seg] + [(float(s), 0.0) for s in seg]
     points = []
     for x0 in np.atleast_1d(np.asarray(x0_values, dtype=float)):
-        if x1_limit is None:
-            limit = -3.0 * abs(x0) - 3.0
-        else:
-            limit = x1_limit
+        limit = -3.0 * abs(x0) - 3.0
         xs = np.linspace(limit, limit * 0.2, 60)
         try:
             saddles = caustic_saddle_curve(model, float(x0), T, xs)

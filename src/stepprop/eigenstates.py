@@ -21,9 +21,10 @@ that the sinh/gamma growth at small alpha*hbar never overflows.
 
 All momentum-like arguments may be complex: the propagator module deforms its
 integration contour, and every function here is an analytic continuation of
-the real-k formula.  Functions with a ``conj`` flag evaluate the i -> -i form,
-which equals the complex conjugate for real arguments and stays analytic off
-the real axis.
+the real-k formula.  The i -> -i form of any of them, analytic in (k, q) and
+equal to the complex conjugate on the real axis, is the reflection
+conj(f(conj(k), conj(q))): every factor is a principal-branch exp, log, sqrt
+or loggamma, or a 2F1 series with real coefficients, at real x.
 """
 from __future__ import annotations
 
@@ -102,28 +103,26 @@ def _heaviside_like(model):
 # The 2F1 parameters, the exponent and the left plane-wave amplitudes k -/+ a
 # all follow from a, so the branch table is written once, in _branch.
 
-def _branch(model, branch, k, q, conj):
-    """(i, k, a): the imaginary unit of the (conj) form, k, and the
-    transmitted momentum a of the branch."""
-    i = -1j if conj else 1j
+def _branch(model, branch, k, q):
+    """(k, a): k and the transmitted momentum a of the branch."""
     k = np.asarray(k, dtype=complex)
     q = np.asarray(q, dtype=complex)
     if model.V0 == 0.0 and branch != "c":
         # free particle: both scattering branches degenerate to plane waves
         q = k
     if branch == "c":
-        return i, k, i * q
+        return k, 1j * q
     if branch == "plus":
-        return i, k, q
+        return k, q
     if branch == "minus":
-        return i, k, -q
+        return k, -q
     raise BranchMismatchError(f"unknown branch {branch!r}")
 
 
-def _ws_params(model, i, k, a):
+def _ws_params(model, k, a):
     """(nu, c, s): phi = 2^{-nu} e^{s x/2h} sech(alpha x)^nu 2F1(1+nu, nu; c; z)."""
     ah = model.alpha * model.hbar
-    return i * (k - a) / (2.0 * ah), 1.0 - i * a / ah, i * (k + a)
+    return 1j * (k - a) / (2.0 * ah), 1.0 - 1j * a / ah, 1j * (k + a)
 
 
 def _logistic(model, x):
@@ -137,14 +136,14 @@ def _logistic(model, x):
             -np.abs(ax) + math.log(2.0) - np.log1p(e))
 
 
-def _phi_ws_full(model, branch, k, q, x, conj=False):
+def _phi_ws_full(model, branch, k, q, x):
     """Woods-Saxon 2F1 form; q = mu for 'c', q = p for 'plus'/'minus'.
 
     A scalar x uses the elementwise 2F1; a row of x uses the column x row
     grid evaluation, split so that no row straddles z = 1/2.
     """
-    i, k, a = _branch(model, branch, k, q, conj)
-    nu, cpar, s = _ws_params(model, i, k, a)
+    k, a = _branch(model, branch, k, q)
+    nu, cpar, s = _ws_params(model, k, a)
     z, zc, logsech = _logistic(model, x)
     pref = np.exp(-nu * math.log(2.0) + s * x / (2.0 * model.hbar) + nu * logsech)
     if np.ndim(x) == 0:
@@ -159,19 +158,19 @@ def _phi_ws_full(model, branch, k, q, x, conj=False):
     return pref * vals
 
 
-def _phi_ws_asym_left(model, branch, k, q, x, conj=False):
+def _phi_ws_asym_left(model, branch, k, q, x):
     """x -> -inf plane waves (k - a) e^{-ikx/h}, (k + a) e^{ikx/h} with the
     gamma-function coefficients of the z -> 1 limit, in log space."""
-    i, k, a = _branch(model, branch, k, q, conj)
-    nu, cpar, s = _ws_params(model, i, k, a)
+    k, a = _branch(model, branch, k, q)
+    nu, cpar, s = _ws_params(model, k, a)
     ah = model.alpha * model.hbar
     h = model.hbar
     logc = (math.log(math.pi) + loggamma(cpar) - math.log(2.0 * ah)
             - _logsinh(math.pi * k / ah))
-    den_in = loggamma(1.0 - i * k / ah) + 2.0 * loggamma(1.0 + nu)
-    den_out = loggamma(1.0 + i * k / ah) + 2.0 * loggamma(1.0 - s / (2 * ah))
-    out = ((k - a) * np.exp(logc - den_in - i * k * x / h)
-           + (k + a) * np.exp(logc - den_out + i * k * x / h))
+    den_in = loggamma(1.0 - 1j * k / ah) + 2.0 * loggamma(1.0 + nu)
+    den_out = loggamma(1.0 + 1j * k / ah) + 2.0 * loggamma(1.0 - s / (2 * ah))
+    out = ((k - a) * np.exp(logc - den_in - 1j * k * x / h)
+           + (k + a) * np.exp(logc - den_out + 1j * k * x / h))
     bad = ~np.isfinite(out)
     if np.any(bad):
         # k = 0 (sinh) or k = i n alpha hbar (gamma) at their poles
@@ -181,21 +180,21 @@ def _phi_ws_asym_left(model, branch, k, q, x, conj=False):
     return out
 
 
-def _phi_right(model, branch, k, q, x, conj=False):
+def _phi_right(model, branch, k, q, x):
     """Right of the step: e^{i a x/h}, for both families."""
-    i, k, a = _branch(model, branch, k, q, conj)
-    return np.exp(i * a * x / model.hbar)
+    k, a = _branch(model, branch, k, q)
+    return np.exp(1j * a * x / model.hbar)
 
 
-def _phi_heaviside_left(model, branch, k, q, x, conj=False):
+def _phi_heaviside_left(model, branch, k, q, x):
     """Left of the sharp step: ((k - a) e^{-ikx/h} + (k + a) e^{ikx/h}) / 2k."""
-    i, k, a = _branch(model, branch, k, q, conj)
+    k, a = _branch(model, branch, k, q)
     h = model.hbar
-    return ((k - a) / (2 * k) * np.exp(-i * k * x / h)
-            + (k + a) / (2 * k) * np.exp(i * k * x / h))
+    return ((k - a) / (2 * k) * np.exp(-1j * k * x / h)
+            + (k + a) / (2 * k) * np.exp(1j * k * x / h))
 
 
-def phi(model: StepModel, branch: str, k, q, x: float, conj: bool = False):
+def phi(model: StepModel, branch: str, k, q, x: float):
     """Un-normalized eigenstate at position x, analytic in (k, q).
 
     Dispatches between full, asymptotic, and Heaviside forms.  ``q`` is the
@@ -208,10 +207,10 @@ def phi(model: StepModel, branch: str, k, q, x: float, conj: bool = False):
         ax = model.alpha * x
         form = (_phi_ws_asym_left if ax < -X_ASYM
                 else _phi_right if ax > X_ASYM else _phi_ws_full)
-    return form(model, branch, k, q, x, conj)
+    return form(model, branch, k, q, x)
 
 
-def phi_grid(model: StepModel, branch: str, k, q, xs, conj: bool = False):
+def phi_grid(model: StepModel, branch: str, k, q, xs):
     """Eigenstate matrix phi[k_i, x_j]; same dispatch rules as :func:`phi`."""
     k = np.asarray(k, dtype=complex).reshape(-1, 1)
     q = np.asarray(q, dtype=complex).reshape(-1, 1)
@@ -227,34 +226,39 @@ def phi_grid(model: StepModel, branch: str, k, q, xs, conj: bool = False):
     out = np.empty((k.shape[0], xs.shape[1]), dtype=complex)
     for cols, form in regions:
         if np.any(cols):
-            out[:, cols] = form(model, branch, k, q, xs[:, cols], conj)
+            out[:, cols] = form(model, branch, k, q, xs[:, cols])
     return out
+
+
+def _companion(model, branch, k):
+    """The real companion momentum of branch at real k: mu below the step
+    for 'c', p above it for 'plus'/'minus'; a k on the wrong side raises."""
+    ms = momentum_spec(model, k)
+    kc = model.k_threshold
+    if branch == "c":
+        if ms.k >= kc:
+            raise BranchMismatchError("branch 'c' requires k < sqrt(2 m V0)")
+        return ms.mu.real
+    if branch in ("plus", "minus"):
+        if ms.k <= kc:
+            raise BranchMismatchError("branches '+'/'-' require k > sqrt(2 m V0)")
+        return ms.p.real
+    raise BranchMismatchError(f"unknown branch {branch!r}")
 
 
 def eigenstate_ws(model: StepModel, branch: str, k: float, x: float) -> complex:
     """Woods-Saxon eigenstate phi^branch_k(x) for real k and x."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("eigenstate_ws requires the smooth step")
-    ms = momentum_spec(model, k)
-    kc = model.k_threshold
-    if branch == "c":
-        if ms.k >= kc:
-            raise BranchMismatchError("branch 'c' requires k < sqrt(2 m V0)")
-        q = ms.mu
-    elif branch in ("plus", "minus"):
-        if ms.k <= kc:
-            raise BranchMismatchError("branches '+'/'-' require k > sqrt(2 m V0)")
-        q = ms.p
-    else:
-        raise BranchMismatchError(f"unknown branch {branch!r}")
-    return complex(phi(model, branch, k, q, x))
+    return complex(phi(model, branch, k, _companion(model, branch, k), x))
 
 
 def eigenstate_ws_asymptotic(model: StepModel, branch: str, k: float, x: float,
                              side: str) -> complex:
-    """Plane-wave/evanescent asymptotic form on the requested side."""
-    ms = momentum_spec(model, k)
-    q = ms.mu if branch == "c" else ms.p
+    """Woods-Saxon plane-wave/evanescent asymptotic form on the given side."""
+    if model.family is not Family.WOODS_SAXON:
+        raise UnsupportedFamilyError("asymptotic forms are of the smooth step")
+    q = _companion(model, branch, k)
     if side == "left":
         return complex(_phi_ws_asym_left(model, branch, k, q, x))
     if side == "right":
@@ -366,19 +370,18 @@ def ncc_analytic(model, k, mu):
     return np.exp(_log_ncc(model, np.asarray(k, complex), np.asarray(mu, complex)))
 
 
-def npm_analytic(model, k, p, conj=False):
-    """N^{+-} (or its i -> -i partner) as an analytic function of (k, p)."""
+def npm_analytic(model, k, p):
+    """N^{+-} as an analytic function of (k, p)."""
     k = np.asarray(k, dtype=complex)
     p = np.asarray(p, dtype=complex)
     if _heaviside_like(model):
         return math.pi * model.m * model.V0 / (k * k) + 0.0 * p
-    i = -1j if conj else 1j
     ah = model.alpha * model.hbar
     lg = (math.log(model.m * model.V0 * math.pi ** 2) - np.log(ah * k)
           - _logsinh(math.pi * k / ah)
-          + 2.0 * loggamma(1.0 - i * p / ah)
-          - 2.0 * loggamma(1.0 + i * (k - p) / (2 * ah))
-          - 2.0 * loggamma(1.0 - i * (k + p) / (2 * ah)))
+          + 2.0 * loggamma(1.0 - 1j * p / ah)
+          - 2.0 * loggamma(1.0 + 1j * (k - p) / (2 * ah))
+          - 2.0 * loggamma(1.0 - 1j * (k + p) / (2 * ah)))
     return np.exp(lg)
 
 
@@ -451,27 +454,19 @@ def npm_phase(model: StepModel, k: float) -> complex:
 
 def orthonormal_state(model: StepModel, branch: str, k: float, x) -> complex:
     """Delta-normalized eigenstate varphi^branch_k(x) for real k."""
-    ms = momentum_spec(model, k)
-    kc = model.k_threshold
+    q = _companion(model, branch, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if branch == "c":
-        if k >= kc:
-            raise BranchMismatchError("branch 'c' requires k < sqrt(2 m V0)")
-        ncc = float(np.real(ncc_analytic(model, k, ms.mu.real)))
-        out = phi_grid(model, "c", k, ms.mu.real, xs)[0] / math.sqrt(model.hbar * ncc)
-    elif branch in ("plus", "minus"):
-        if k <= kc:
-            raise BranchMismatchError("branches '+'/'-' require k > sqrt(2 m V0)")
-        p = ms.p.real
+        ncc = float(np.real(ncc_analytic(model, k, q)))
+        out = phi_grid(model, "c", k, q, xs)[0] / math.sqrt(model.hbar * ncc)
+    else:
         eta = npm_phase(model, k)
-        cp, cm = norm_combos(model, k, p)
+        cp, cm = norm_combos(model, k, q)
         combo = cp if branch == "plus" else cm
         sgn = 1.0 if branch == "plus" else -1.0
-        vals_p = phi_grid(model, "plus", k, p, xs)[0]
-        vals_m = phi_grid(model, "minus", k, p, xs)[0]
+        vals_p = phi_grid(model, "plus", k, q, xs)[0]
+        vals_m = phi_grid(model, "minus", k, q, xs)[0]
         out = (vals_p + sgn * eta * vals_m) / np.sqrt(2.0 * model.hbar * np.real(combo))
-    else:
-        raise BranchMismatchError(f"unknown branch {branch!r}")
     if np.isscalar(x) or np.asarray(x).shape == ():
         return complex(out[0])
     return out

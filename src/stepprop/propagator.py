@@ -8,9 +8,9 @@ with kc = sqrt(2 m V0) and the orthonormal-eigenstate kernels
     w_c  = varphi_c(x1)  varphi_c(x0)^*,
     w_pm = varphi_-(x1) varphi_-(x0)^* + varphi_+(x1) varphi_+(x0)^*,
 
-written as analytic functions of k (conjugates replaced by their i -> -i
-closed forms), so the above-threshold leg can be deformed into the lower
-half-plane where the kernel decays like a Gaussian.
+written as analytic functions of k (each conjugate f(k, q)^* continued as
+the reflection conj(f(conj(k), conj(q)))), so the above-threshold leg can be
+deformed into the lower half-plane where the kernel decays like a Gaussian.
 
 Substitutions remove the square-root branch points at threshold:
 below, k = kc sin(u); above, p = t e^{-i theta} with k = sqrt(kc^2 + p^2).
@@ -101,9 +101,10 @@ def _kernel_pairs(model, k, q, above):
     """The spectral kernel as a bilinear form in the eigenstates.
 
     Returns (branches, [(b1, b0, coef)]) with w = sum coef phi_b1(x1)
-    phi_b0(x0)^*, the conjugates taken as their analytic i -> -i forms.  Below the step the
-    only pair is (c, c) with coef 1/(hbar N^cc).  Above it the +-
-    orthonormal combinations are expanded so that no absolute value appears:
+    phi_b0(x0)^*, each conjugate continued as the reflection
+    conj(f(conj(k), conj(q))).  Below the step the only pair is (c, c) with
+    coef 1/(hbar N^cc).  Above it the +- orthonormal combinations are
+    expanded so that no absolute value appears:
 
         (+,+), (-,-): N^{++}/D,   (+,-): -Nbar^{+-}/D,   (-,+): -N^{+-}/D,
 
@@ -118,7 +119,8 @@ def _kernel_pairs(model, k, q, above):
     npp = npp_analytic(model, k, q) / denom
     return ("plus", "minus"), [
         ("plus", "plus", npp), ("minus", "minus", npp),
-        ("plus", "minus", -npm_analytic(model, k, q, conj=True) / denom),
+        ("plus", "minus",
+         -np.conj(npm_analytic(model, np.conj(k), np.conj(q))) / denom),
         ("minus", "plus", -npm_analytic(model, k, q) / denom)]
 
 
@@ -127,7 +129,8 @@ def _spectral_weight(model, k, q, x0, x1, above):
     in (k, q).  Shape k.shape for a float x1, and (k.size, x1.size) for a
     1-D row of x1, whose eigenstates come from phi_grid."""
     branches, pairs = _kernel_pairs(model, k, q, above)
-    bar = {b: phi(model, b, k, q, x0, conj=True) for b in branches}
+    kb, qb = np.conj(k), np.conj(q)
+    bar = {b: np.conj(phi(model, b, kb, qb, x0)) for b in branches}
     if np.ndim(x1) == 0:
         out = {b: phi(model, b, k, q, x1) for b in branches}
         return sum(coef * out[b1] * bar[b0] for b1, b0, coef in pairs)
@@ -353,8 +356,8 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
     captures a fraction of ||psi0||^2 that is off 1 by more than 1e-6 (a
     packet beyond k_max, or a basis too coarse for it).
 
-    Every node (k, q) lies on the real axis, where two identities hold: the
-    i -> -i form of an eigenstate is its complex conjugate, and
+    Every node (k, q) lies on the real axis, where the reflection
+    conj(phi(conj(k), conj(q))) is the complex conjugate of phi, and
     phi_minus = conj(phi_plus), both being the eigenstate at energy E with
     e^{-iqx/hbar} on the right.  So each chunk of k evaluates one eigenstate
     matrix (c below the step, plus above it) per grid, x_grid and x_out,

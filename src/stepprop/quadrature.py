@@ -26,17 +26,13 @@ MAX_PANELS = 20_000
 
 
 def _panel_values(f, los, his):
-    """Evaluate f on the GL nodes of every (lo, hi) panel in one batch.
-
-    Returns the (panel, column) integrals and whether f returned one
-    column (shape (n,)) rather than a column axis."""
+    """The (panel, column) integrals of f on the GL nodes of every (lo, hi)
+    panel, evaluated in one batch."""
     mids = 0.5 * (los + his)
     half = 0.5 * (his - los)
     xs = (mids[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    vals = np.asarray(f(xs), dtype=complex)
-    one_col = vals.ndim == 1
-    vals = vals.reshape(los.size, _NODES.size, -1)
-    return half[:, None] * np.matmul(_CWEIGHTS, vals), one_col
+    vals = np.asarray(f(xs), dtype=complex).reshape(los.size, _NODES.size, -1)
+    return half[:, None] * np.matmul(_CWEIGHTS, vals)
 
 
 def _halves(lo, hi):
@@ -53,23 +49,21 @@ def integrate_adaptive(f, a, b, abs_tol: float = 1e-9,
                        rel_tol: float = 1e-8):
     """Integrate complex-valued f over [a, b].
 
-    f maps a real node array of shape (n,) to complex values of shape (n,)
-    or (n, m) (m integrand columns); any complex path is the caller's
-    parametrization.  a and b are floats or equal-length 1-D arrays of
-    interval ends.  Returns (value, error_estimate, n_evals): value and
-    error have shape a.shape + (m,) ((m,) dropped when f returns (n,)), so
-    a one-interval, one-column call returns a complex and a float.  n_evals
-    counts the shared integrand nodes.  A pair whose panels outgrow
-    MAX_PANELS raises QuadratureError.
+    f maps a real node array of shape (n,) to complex values of shape
+    (n, m) (m integrand columns; shape (n,) is one column); any complex
+    path is the caller's parametrization.  a and b are floats or
+    equal-length 1-D arrays of interval ends.  Returns (value,
+    error_estimate, n_evals): value and error have shape a.shape + (m,),
+    and n_evals counts the shared integrand nodes.  A pair whose panels
+    outgrow MAX_PANELS raises QuadratureError.
     """
     a_arr, b_arr = np.atleast_1d(np.asarray(a, float), np.asarray(b, float))
     width = b_arr - a_arr
     owner = np.flatnonzero(width != 0)            # interval of each panel
     los, his = a_arr[owner], b_arr[owner]
-    one_col = True
     parent_vals = np.zeros((0, 1), dtype=complex)
     if owner.size:
-        parent_vals, one_col = _panel_values(f, los, his)
+        parent_vals = _panel_values(f, los, his)
     n_evals = owner.size * _NODES.size
     n_col = parent_vals.shape[1]
     total = np.zeros((a_arr.size, n_col), dtype=complex)
@@ -88,7 +82,7 @@ def integrate_adaptive(f, a, b, abs_tol: float = 1e-9,
                     f"panel budget {MAX_PANELS} exhausted "
                     f"(interval [{a_arr[i]}, {b_arr[i]}])")
         c_lo, c_hi = _halves(los, his)
-        child_vals, _ = _panel_values(f, c_lo, c_hi)
+        child_vals = _panel_values(f, c_lo, c_hi)
         n_evals += c_lo.size * _NODES.size
         left, right = child_vals[0::2], child_vals[1::2]
         # tolerance scale of each pair: max(|total|, sum |child|) over the
@@ -113,8 +107,5 @@ def integrate_adaptive(f, a, b, abs_tol: float = 1e-9,
         owner = np.repeat(owner, 2)[keep]
         live = np.repeat(live, 2, axis=0)[keep]
         parent_vals = child_vals[keep]
-    shape = np.shape(a) + (() if one_col else (n_col,))
-    total, err = total.reshape(shape), err.reshape(shape)
-    if not shape:
-        return complex(total), float(err), n_evals
-    return total, err, n_evals
+    shape = np.shape(a) + (n_col,)
+    return total.reshape(shape), err.reshape(shape), n_evals

@@ -187,7 +187,7 @@ def test_stokes_lines_propagates_programming_errors(ws_unit, monkeypatch):
 
     monkeypatch.setattr(ca, "caustic_saddle_curve", broken)
     with pytest.raises(TypeError):
-        ca.stokes_lines(ws_unit, 10.0, [-3.0], x1_limit=-9.0)
+        ca.stokes_lines(ws_unit, 10.0, [-3.0])
 
 
 def test_stokes_lines_propagates_saddle_failure(ws_unit, monkeypatch):
@@ -199,14 +199,14 @@ def test_stokes_lines_propagates_saddle_failure(ws_unit, monkeypatch):
     monkeypatch.setattr(cl, "_caustic_saddle", fail)
     assert ca.stokes_lines(ws_unit, 10.0, [1.0]) == []
     with pytest.raises(NewtonError):
-        ca.stokes_lines(ws_unit, 10.0, [-3.0], x1_limit=-9.0)
+        ca.stokes_lines(ws_unit, 10.0, [-3.0])
 
 
 def test_stokes_relevant_wedge_on_smooth_row(ws_unit):
     # a row through the lower-left (relevant) wedge never crosses a Stokes
     # line: Re S_caustic stays above Re S_direct all the way out, and the
     # row-walker correctly returns no crossing points
-    pts = ca.stokes_lines(ws_unit, 10.0, [-3.0], x1_limit=-9.0)
+    pts = ca.stokes_lines(ws_unit, 10.0, [-3.0])
     assert pts == []
     xs = np.linspace(-9.0, -5.2, 9)
     sads = cl.caustic_saddle_curve(ws_unit, -3.0, 10.0, xs)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepprop import eigenstates as eig
-from stepprop.errors import BranchMismatchError, NonFiniteError
+from stepprop.errors import (BranchMismatchError, NonFiniteError,
+                             UnsupportedFamilyError)
 from stepprop.potential import Family, StepModel, potential_value
 
 KC = math.sqrt(2.0)  # m = V0 = 1
@@ -16,6 +17,18 @@ def test_branch_energy_guards(ws_unit):
         eig.eigenstate_ws(ws_unit, "c", 2.0, 0.0)
     with pytest.raises(BranchMismatchError):
         eig.eigenstate_ws(ws_unit, "plus", 1.0, 0.0)
+
+
+def test_asymptotic_form_checks_branch_and_family(ws_unit, heaviside_unit):
+    # k on the wrong side of the threshold has no real companion momentum
+    with pytest.raises(BranchMismatchError):
+        eig.eigenstate_ws_asymptotic(ws_unit, "c", 2.0, -40.0, "left")
+    with pytest.raises(BranchMismatchError):
+        eig.eigenstate_ws_asymptotic(ws_unit, "plus", 0.5, -40.0, "left")
+    # the sharp step has no gamma-function asymptotics
+    with pytest.raises(UnsupportedFamilyError):
+        eig.eigenstate_ws_asymptotic(heaviside_unit, "plus", 2.0, -40.0,
+                                     "left")
 
 
 def test_right_asymptotics(ws_unit):
@@ -228,13 +241,13 @@ def test_windowed_orthogonality_growth(heaviside_unit):
 PHI_XS = np.array([-45.0, -30.5, -12.0, -0.4, 0.0, 0.3, 7.0, 30.5, 40.0])
 
 
-@pytest.mark.parametrize("conj", [False, True])
+@pytest.mark.parametrize("reflect", [False, True])
 @pytest.mark.parametrize("branch", ["c", "plus", "minus"])
 @pytest.mark.parametrize("family, V0", [(Family.WOODS_SAXON, 1.0),
                                         (Family.HEAVISIDE, 1.0),
                                         (Family.WOODS_SAXON, 0.0)],
                          ids=["ws", "heaviside", "free"])
-def test_phi_grid_matches_scalar(family, V0, branch, conj):
+def test_phi_grid_matches_scalar(family, V0, branch, reflect):
     md = StepModel(family, 1, V0, 1, 1)
     kc = md.k_threshold
     if branch == "c":
@@ -247,9 +260,12 @@ def test_phi_grid_matches_scalar(family, V0, branch, conj):
         # nodes of the deformed above-threshold contour p = t e^{-i theta}
         q = np.exp(-0.1j) * np.array([0.05, 0.7, 3.0])
         k = np.sqrt(kc * kc + q * q)
-    grid = eig.phi_grid(md, branch, k, q, PHI_XS, conj)
+    if reflect:
+        # the nodes at which the propagator evaluates conjugates
+        k, q = np.conj(k), np.conj(q)
+    grid = eig.phi_grid(md, branch, k, q, PHI_XS)
     for j, x in enumerate(PHI_XS):
-        ref = eig.phi(md, branch, k, q, float(x), conj)
+        ref = eig.phi(md, branch, k, q, float(x))
         assert grid[:, j] == pytest.approx(ref, rel=1e-12)
 
 
@@ -279,14 +295,65 @@ def _real_nodes(md, branch):
     return np.sqrt(kc * kc + q * q) + 0j, q + 0j
 
 
-@pytest.mark.parametrize("md, branch", [
+def _mp_reflected_form(mpmath, md, branch, k, q, x):
+    """The i -> -i closed form at (k, q): every i of the 2F1 form (or of
+    the plane waves) replaced by -i, with mpmath.hyp2f1."""
+    j = mpmath.mpc(0, -1)
+    k, q, h = mpmath.mpc(k), mpmath.mpc(q), md.hbar
+    if md.V0 == 0.0 and branch != "c":
+        q = k
+    a = {"c": j * q, "plus": q, "minus": -q}[branch]
+    if md.family is Family.HEAVISIDE or md.V0 == 0.0:
+        if x > 0:
+            return mpmath.exp(j * a * x / h)
+        return ((k - a) * mpmath.exp(-j * k * x / h)
+                + (k + a) * mpmath.exp(j * k * x / h)) / (2 * k)
+    ah = md.alpha * h
+    nu = j * (k - a) / (2 * ah)
+    ax = md.alpha * mpmath.mpf(x)
+    return (mpmath.power(2, -nu) * mpmath.exp(j * (k + a) * x / (2 * h))
+            * mpmath.sech(ax) ** nu
+            * mpmath.hyp2f1(1 + nu, nu, 1 - j * a / ah,
+                            1 / (1 + mpmath.exp(2 * ax))))
+
+
+REAL_AXIS_CASES = [
     pytest.param(md, branch, id=f"{name}-{branch}")
     for md, name in zip(REAL_AXIS_FAMILIES, REAL_AXIS_IDS)
-    for branch in ("c", "plus", "minus") if md.V0 > 0 or branch != "c"])
+    for branch in ("c", "plus", "minus") if md.V0 > 0 or branch != "c"]
+
+
+@pytest.mark.parametrize("md, branch", REAL_AXIS_CASES)
 def test_conj_form_is_complex_conjugate_on_real_axis(md, branch):
+    # the propagator's conjugate, the reflection at (k - 0j, q - 0j), is
+    # bit for bit the plain conjugate that packet evolution takes
     k, q = _real_nodes(md, branch)
-    assert np.array_equal(eig.phi_grid(md, branch, k, q, REAL_XS, conj=True),
-                          eig.phi_grid(md, branch, k, q, REAL_XS).conj())
+    assert np.array_equal(
+        np.conj(eig.phi_grid(md, branch, np.conj(k), np.conj(q), REAL_XS)),
+        eig.phi_grid(md, branch, k, q, REAL_XS).conj())
+
+
+@pytest.mark.parametrize("md, branch", REAL_AXIS_CASES)
+def test_reflection_is_the_i_to_minus_i_form(md, branch):
+    # the propagator continues phi^* off the real axis as the reflection
+    # conj(phi(conj k, conj q)); at complex nodes of both legs it must be
+    # the closed form with i -> -i, here in the 2F1 region |alpha x| <= 30
+    mpmath = pytest.importorskip("mpmath")
+    kc = md.k_threshold
+    tilt = np.exp(-0.1j) * np.linspace(0.05, 1.5, 5)
+    if branch == "c":
+        k, q = kc * np.sin(tilt), kc * np.cos(tilt)
+    else:
+        q = 2.0 * tilt
+        k = np.sqrt(kc * kc + q * q)
+    xs = np.linspace(-30.0, 30.0, 7) / md.alpha
+    got = np.conj(eig.phi_grid(md, branch, np.conj(k), np.conj(q), xs))
+    for j, x in enumerate(xs):
+        with mpmath.workdps(40 + int(abs(md.alpha * x))):
+            ref = np.array([complex(_mp_reflected_form(mpmath, md, branch,
+                                                       kk, qq, x))
+                            for kk, qq in zip(k, q)])
+        assert np.all(np.abs(got[:, j] - ref) <= 1e-12 * np.abs(ref)), x
 
 
 @pytest.mark.parametrize("md", REAL_AXIS_FAMILIES, ids=REAL_AXIS_IDS)

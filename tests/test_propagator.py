@@ -367,7 +367,7 @@ def test_evolve_packet_beyond_k_max_raises(ws_unit, k_max, fraction):
 
 def _packet_four_calls(model, x_grid, psi0, x_out, T, k_max, n_below, n_above):
     """The packet convolution with every eigenstate evaluated by phi_grid:
-    each branch's conj=True form on x_grid and plain form on x_out."""
+    each branch's conjugate on x_grid and plain form on x_out."""
     psi_w = _simpson_weights(x_grid.size, x_grid[1] - x_grid[0]) * psi0
     m, h, kc = model.m, model.hbar, model.k_threshold
     legs = []
@@ -387,7 +387,7 @@ def _packet_four_calls(model, x_grid, psi0, x_out, T, k_max, n_below, n_above):
     for above, ks, qs, wk in legs:
         rows = wk * np.exp(-1j * ks ** 2 * T / (2 * m * h))
         branches, pairs = _kernel_pairs(model, ks + 0j, qs + 0j, above)
-        overlap = {b: phi_grid(model, b, ks, qs, x_grid, conj=True) @ psi_w
+        overlap = {b: np.conj(phi_grid(model, b, ks, qs, x_grid)) @ psi_w
                    for b in branches}
         outm = {b: phi_grid(model, b, ks, qs, x_out) for b in branches}
         for b1, b0, coef in pairs:
