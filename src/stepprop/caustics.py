@@ -40,8 +40,8 @@ from .errors import (InsideCausticError, QuadratureError, RootBracketError,
 from .potential import (Family, StepModel, potential_derivatives,
                         potential_value)
 
-__all__ = ["integrate_ivp", "caustic_curve", "cusp_points", "stokes_lines",
-           "relevance_flag", "inside_caustic"]
+__all__ = ["integrate_ivp", "caustic_curve", "stokes_lines", "relevance_flag",
+           "inside_caustic"]
 
 
 def _rhs(model):
@@ -134,29 +134,6 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
             E_root = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
             points.append((x0, float(_endpoint(model, x0, E_root, T)[0])))
     return points
-
-
-def cusp_points(curve_points):
-    """Corner points of an ordered caustic polyline: turning angle above
-    0.6 rad."""
-    pts = np.asarray(curve_points, dtype=float)
-    if len(pts) < 5:
-        return []
-    center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(*(pts - center).T[::-1]))
-    loop = pts[order]
-    out = []
-    n = len(loop)
-    for i in range(n):
-        a, b, c = loop[i - 1], loop[i], loop[(i + 1) % n]
-        u, v = b - a, c - b
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu < 1e-12 or nv < 1e-12:
-            continue
-        cosang = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
-        if math.acos(cosang) > 0.6:
-            out.append(tuple(b))
-    return out
 
 
 def inside_caustic(model: StepModel, bvp: BoundarySpec) -> bool:

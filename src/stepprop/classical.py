@@ -55,8 +55,8 @@ __all__ = ["BoundarySpec", "SaddleKind", "ClassicalSaddle", "turning_point",
            "time_of_flight", "reduced_action", "heaviside_paths",
            "solve_real_paths", "find_caustic_saddle",
            "caustic_saddle_curve", "topological_saddle", "bounce_fold",
-           "caustic_triangle_vertices",
-           "heaviside_three_path_region"]
+           "caustic_triangle_vertices", "heaviside_three_path_region",
+           "heaviside_reflection_action", "EndpointState"]
 
 
 @dataclass(frozen=True)

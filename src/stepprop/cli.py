@@ -201,7 +201,7 @@ def _cmd_stokes(args):
 def _cmd_wkb(args):
     model = _parse_model(args.model)
     xs = _parse_range(args.x1_range)
-    hbar = args.hbar if args.hbar else model.hbar
+    hbar = args.hbar if args.hbar is not None else model.hbar
     if args.calibrate:
         g_exact = propagate(replace(model, hbar=hbar), args.x0, xs, args.T).G
     caustic = (_caustic_row(model, args.x0, args.T, xs)

@@ -15,9 +15,9 @@ with ah = alpha*hbar, h = hbar.  Beyond |alpha x| > X_ASYM the hypergeometric
 argument is exponentially close to its z = 1 pole, so evaluation switches to
 the exact plane-wave asymptotics with their gamma-function coefficients.
 
-Scattering amplitudes, rates, normalization coefficients and the orthonormal
-basis follow the same closed forms; everything is evaluated in log space so
-that the sinh/gamma growth at small alpha*hbar never overflows.
+The scattering rates and the normalization coefficients of the spectral
+kernels follow the same closed forms; everything is evaluated in log space
+so that the sinh/gamma growth at small alpha*hbar never overflows.
 
 All momentum-like arguments may be complex: the propagator module deforms its
 integration contour, and every function here is an analytic continuation of
@@ -29,7 +29,6 @@ or loggamma, or a 2F1 series with real coefficients, at real x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
@@ -41,43 +40,9 @@ from .specfun import hyp2f1_cols_rows, hyp2f1_with_complement
 #: |alpha x| beyond which eigenstate_ws delegates to the asymptotic forms
 X_ASYM = 30.0
 
-BRANCHES = ("c", "plus", "minus")
-
-
-@dataclass(frozen=True)
-class MomentumSpec:
-    """Momentum labels of a spectral branch at incident momentum k."""
-
-    k: float
-    E: float
-    p: complex
-    mu: complex
-
-
-@dataclass(frozen=True)
-class ScatterAmplitudes:
-    R: complex
-    T: complex
-
-
-@dataclass(frozen=True)
-class NormalizationCoeffs:
-    Ncc: float
-    Npp: float
-    Npm: complex
-
-
-def momentum_spec(model: StepModel, k: float) -> MomentumSpec:
-    k = float(k)
-    if k <= 0:
-        raise BranchMismatchError("momentum label k must be positive")
-    two_m_v0 = 2.0 * model.m * model.V0
-    return MomentumSpec(
-        k=k,
-        E=k * k / (2.0 * model.m),
-        p=complex(np.sqrt(complex(k * k - two_m_v0))),
-        mu=complex(np.sqrt(complex(two_m_v0 - k * k))),
-    )
+__all__ = ["phi", "phi_grid", "eigenstate_ws", "scatter_rates",
+           "log_reflection_rate", "reflection_rate_smallhbar_asymptote",
+           "ncc_analytic", "npm_analytic", "npp_analytic", "norm_combos"]
 
 
 def _logsinh(w):
@@ -233,16 +198,18 @@ def phi_grid(model: StepModel, branch: str, k, q, xs):
 def _companion(model, branch, k):
     """The real companion momentum of branch at real k: mu below the step
     for 'c', p above it for 'plus'/'minus'; a k on the wrong side raises."""
-    ms = momentum_spec(model, k)
+    k = float(k)
+    if k <= 0:
+        raise BranchMismatchError("momentum label k must be positive")
     kc = model.k_threshold
     if branch == "c":
-        if ms.k >= kc:
+        if k >= kc:
             raise BranchMismatchError("branch 'c' requires k < sqrt(2 m V0)")
-        return ms.mu.real
+        return math.sqrt(2.0 * model.m * model.V0 - k * k)
     if branch in ("plus", "minus"):
-        if ms.k <= kc:
+        if k <= kc:
             raise BranchMismatchError("branches '+'/'-' require k > sqrt(2 m V0)")
-        return ms.p.real
+        return math.sqrt(k * k - 2.0 * model.m * model.V0)
     raise BranchMismatchError(f"unknown branch {branch!r}")
 
 
@@ -253,41 +220,17 @@ def eigenstate_ws(model: StepModel, branch: str, k: float, x: float) -> complex:
     return complex(phi(model, branch, k, _companion(model, branch, k), x))
 
 
-def eigenstate_ws_asymptotic(model: StepModel, branch: str, k: float, x: float,
-                             side: str) -> complex:
-    """Woods-Saxon plane-wave/evanescent asymptotic form on the given side."""
-    if model.family is not Family.WOODS_SAXON:
-        raise UnsupportedFamilyError("asymptotic forms are of the smooth step")
-    q = _companion(model, branch, k)
-    if side == "left":
-        return complex(_phi_ws_asym_left(model, branch, k, q, x))
-    if side == "right":
-        return complex(_phi_right(model, branch, k, q, x))
-    raise ValueError("side must be 'left' or 'right'")
-
-
 # ---------------------------------------------------------------------------
-# scattering amplitudes and rates
+# scattering rates
 # ---------------------------------------------------------------------------
 
-def scatter_amplitudes(model: StepModel, k: float) -> ScatterAmplitudes:
-    """Reflection/transmission amplitudes for k at or above the step."""
-    ms = momentum_spec(model, k)
-    if ms.E < model.V0:
-        raise BranchMismatchError("scattering amplitudes require E >= V0")
-    p = ms.p.real
-    if _heaviside_like(model):
-        return ScatterAmplitudes(R=(k - p) / (k + p),
-                                 T=2.0 * math.sqrt(k * p) / (k + p))
+def _log_r2_ws(model, k, p):
+    """log |R|^2 = 2 log(sinh(pi (k-p)/2ah) / sinh(pi (k+p)/2ah)) above the
+    smooth step, overflow-free; k and p are scalars or arrays."""
     ah = model.alpha * model.hbar
-    lg_r = (loggamma(1 + 1j * k / ah) + 2 * loggamma(1 - 1j * (k + p) / (2 * ah))
-            - loggamma(1 - 1j * k / ah) - 2 * loggamma(1 + 1j * (k - p) / (2 * ah)))
-    R = (k - p) / (k + p) * np.exp(lg_r)
-    lg_t = (_logsinh(math.pi * k / ah) + loggamma(1 + 1j * k / ah)
-            + 2 * loggamma(1 - 1j * (k + p) / (2 * ah))
-            - math.log(math.pi) - loggamma(1 - 1j * p / ah))
-    T = 2.0 * ah * math.sqrt(p / k) / (k + p) * np.exp(lg_t)
-    return ScatterAmplitudes(R=complex(R), T=complex(T))
+    ls = lambda w: np.real(_logsinh(w))
+    return 2.0 * (ls(math.pi * (k - p) / (2 * ah))
+                  - ls(math.pi * (k + p) / (2 * ah)))
 
 
 def scatter_rates(model: StepModel, k):
@@ -308,12 +251,10 @@ def scatter_rates(model: StepModel, k):
             T2[above] = 4.0 * ka * p / (ka + p) ** 2
         else:
             ah = model.alpha * model.hbar
-            ls = lambda w: np.real(_logsinh(np.asarray(w, dtype=complex)))
-            lr = 2.0 * (ls(math.pi * (ka - p) / (2 * ah))
-                        - ls(math.pi * (ka + p) / (2 * ah)))
+            ls = lambda w: np.real(_logsinh(w))
             lt = (ls(math.pi * ka / ah) + ls(math.pi * p / ah)
                   - 2.0 * ls(math.pi * (ka + p) / (2 * ah)))
-            R2[above] = np.exp(lr)
+            R2[above] = np.exp(_log_r2_ws(model, ka, p))
             T2[above] = np.exp(lt)
     if R2.shape == ():
         return float(R2), float(T2)
@@ -322,15 +263,14 @@ def scatter_rates(model: StepModel, k):
 
 def log_reflection_rate(model: StepModel, k: float) -> float:
     """log |R|^2 for E > V0, stable deep in the semiclassical regime."""
-    ms = momentum_spec(model, k)
-    if not (ms.E > model.V0):
+    if k <= 0:
+        raise BranchMismatchError("momentum label k must be positive")
+    if not (k * k / (2.0 * model.m) > model.V0):
         return 0.0
-    p = ms.p.real
+    p = math.sqrt(k * k - 2.0 * model.m * model.V0)
     if _heaviside_like(model):
         return 2.0 * math.log((k - p) / (k + p))
-    ah = model.alpha * model.hbar
-    ls = lambda w: float(np.real(_logsinh(complex(w))))
-    return 2.0 * (ls(math.pi * (k - p) / (2 * ah)) - ls(math.pi * (k + p) / (2 * ah)))
+    return float(_log_r2_ws(model, k, p))
 
 
 def reflection_rate_smallhbar_asymptote(model: StepModel, k: float):
@@ -341,17 +281,20 @@ def reflection_rate_smallhbar_asymptote(model: StepModel, k: float):
     """
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("asymptote defined for the smooth step")
-    ms = momentum_spec(model, k)
-    if ms.E < model.V0:
+    if k <= 0:
+        raise BranchMismatchError("momentum label k must be positive")
+    E = k * k / (2.0 * model.m)
+    if E < model.V0:
         raise BranchMismatchError("asymptote requires E >= V0")
-    p = ms.p.real
+    # E = V0 can leave k^2 an ulp below 2 m V0: p is then 0
+    p = math.sqrt(max(k * k - 2.0 * model.m * model.V0, 0.0))
     asym = math.exp(-2.0 * math.pi * p / (model.alpha * model.hbar))
-    s_instanton = 1j * math.pi * math.sqrt(2.0 * model.m * (ms.E - model.V0)) / model.alpha
+    s_instanton = 1j * math.pi * math.sqrt(2.0 * model.m * (E - model.V0)) / model.alpha
     return asym, s_instanton
 
 
 # ---------------------------------------------------------------------------
-# normalization coefficients and the orthonormal basis
+# normalization coefficients
 # ---------------------------------------------------------------------------
 
 def _log_ncc(model, k, mu):
@@ -418,55 +361,3 @@ def norm_combos(model, k, p):
     plus = base / ((1.0 + ea) * (1.0 - eb))
     minus = base / ((1.0 - ea) * (1.0 + eb))
     return plus, minus
-
-
-def normalization_coeffs(model: StepModel, k: float) -> NormalizationCoeffs:
-    """Closed-form normalization coefficients at real k.
-
-    Ncc is reported for k below the step (0 if above); Npp/Npm above it.
-    """
-    ms = momentum_spec(model, k)
-    kc = model.k_threshold
-    ncc = npp = 0.0
-    npm = 0.0 + 0.0j
-    if k < kc:
-        ncc = float(np.real(ncc_analytic(model, k, ms.mu.real)))
-    elif k > kc:
-        p = ms.p.real
-        npp = float(np.real(npp_analytic(model, k, p)))
-        npm = complex(npm_analytic(model, k, p))
-    return NormalizationCoeffs(Ncc=ncc, Npp=npp, Npm=npm)
-
-
-def npm_phase(model: StepModel, k: float) -> complex:
-    """Deterministic phase N^{+-}/|N^{+-}| from the displayed gamma ratio."""
-    ms = momentum_spec(model, k)
-    if model.family is Family.HEAVISIDE:
-        return 1.0 + 0.0j
-    p = ms.p.real
-    ah = model.alpha * model.hbar
-    lg = (loggamma(1 - 1j * (k - p) / (2 * ah)) + loggamma(1 - 1j * p / ah)
-          + loggamma(1 + 1j * (k + p) / (2 * ah))
-          - loggamma(1 + 1j * (k - p) / (2 * ah)) - loggamma(1 + 1j * p / ah)
-          - loggamma(1 - 1j * (k + p) / (2 * ah)))
-    return complex(np.exp(lg))
-
-
-def orthonormal_state(model: StepModel, branch: str, k: float, x) -> complex:
-    """Delta-normalized eigenstate varphi^branch_k(x) for real k."""
-    q = _companion(model, branch, k)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if branch == "c":
-        ncc = float(np.real(ncc_analytic(model, k, q)))
-        out = phi_grid(model, "c", k, q, xs)[0] / math.sqrt(model.hbar * ncc)
-    else:
-        eta = npm_phase(model, k)
-        cp, cm = norm_combos(model, k, q)
-        combo = cp if branch == "plus" else cm
-        sgn = 1.0 if branch == "plus" else -1.0
-        vals_p = phi_grid(model, "plus", k, q, xs)[0]
-        vals_m = phi_grid(model, "minus", k, q, xs)[0]
-        out = (vals_p + sgn * eta * vals_m) / np.sqrt(2.0 * model.hbar * np.real(combo))
-    if np.isscalar(x) or np.asarray(x).shape == ():
-        return complex(out[0])
-    return out

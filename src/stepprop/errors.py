@@ -14,7 +14,7 @@ class ValidationError(StepPropError):
 
 
 class GammaPoleError(StepPropError):
-    """log_gamma / gamma evaluated at a non-positive integer."""
+    """2F1 parameter c at a non-positive integer, a pole of Gamma(c)."""
 
 
 class SeriesConvergenceError(StepPropError):

@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import PotentialPoleError, UnsupportedFamilyError, ValidationError
 
+__all__ = ["Family", "StepModel", "pole_distance", "potential_value",
+           "potential_derivatives", "singularity_locations", "rescale"]
+
 #: guard radius around the analytic-continuation poles, in units of 1/alpha
 POLE_GUARD = 1e-8
 
@@ -120,15 +123,6 @@ def pole_distance(model: StepModel, x) -> np.ndarray:
     return np.abs(x - nearest)
 
 
-def _guard_poles(model, x):
-    """PotentialPoleError for a complex array x within the guard radius of
-    a pole of the smooth step."""
-    if (np.iscomplexobj(x)
-            and np.any(pole_distance(model, x) < POLE_GUARD / model.alpha)):
-        raise PotentialPoleError(
-            "position within guard radius of a potential pole")
-
-
 def potential_value(model: StepModel, x):
     """V(x); complex x supported for the Woods-Saxon family only.
     A real scalar x on the smooth step skips the array path."""
@@ -142,18 +136,11 @@ def potential_value(model: StepModel, x):
         xr = np.real(x).astype(float)
         out = model.V0 * np.where(xr > 0, 1.0, np.where(xr < 0, 0.0, 0.5))
         return out if out.shape else float(out)
-    _guard_poles(model, x)
+    if (np.iscomplexobj(x)
+            and np.any(pole_distance(model, x) < POLE_GUARD / model.alpha)):
+        raise PotentialPoleError(
+            "position within guard radius of a potential pole")
     return model.V0 * _sigmoid(2.0 * model.alpha * x)
-
-
-def potential_complement(model: StepModel, x):
-    """V(x) - V0, computed without cancellation (exact left tail)."""
-    if model.family is Family.HEAVISIDE:
-        return potential_value(model, x) - model.V0
-    if not _is_scalar(x):
-        x = np.asarray(x)
-        _guard_poles(model, x)
-    return -model.V0 * _sigmoid(-2.0 * model.alpha * x)
 
 
 def potential_derivatives(model: StepModel, x):

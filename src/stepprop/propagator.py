@@ -37,8 +37,7 @@ from .potential import StepModel
 from .quadrature import integrate_adaptive
 
 __all__ = ["QuadratureConfig", "PropagatorSample", "PropagatorRow",
-           "propagate", "energy_propagator", "free_propagator",
-           "evolve_packet_spectral"]
+           "propagate", "energy_propagator", "evolve_packet_spectral"]
 
 #: the deformed above-threshold leg of a column ends at K_MAX_FACTOR x
 #: max(kc, k_star, damp, 1); a column still loud there raises
@@ -137,15 +136,6 @@ def _spectral_weight(model, k, q, x0, x1, above):
     out = {b: phi_grid(model, b, k, q, x1) for b in branches}
     return sum(np.reshape(coef, (-1, 1)) * out[b1] * bar[b0][:, None]
                for b1, b0, coef in pairs)
-
-
-def free_propagator(model: StepModel, x0: float, x1: float, T: float) -> complex:
-    """Closed-form free propagator sqrt(m/(2 pi i hbar T)) e^{i m dx^2/(2 hbar T)}."""
-    if T <= 0:
-        return 0.0 + 0.0j
-    m, h = model.m, model.hbar
-    return complex(np.sqrt(m / (2j * math.pi * h * T))
-                   * np.exp(1j * m * (x1 - x0) ** 2 / (2 * h * T)))
 
 
 def _below_leg(model, x0, x1, T, cfg):

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
+__all__ = ["integrate_adaptive"]
+
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _CWEIGHTS = _WEIGHTS.astype(complex)
 #: accepted plus pending panels one (interval, column) pair may hold;

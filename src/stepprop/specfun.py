@@ -1,4 +1,4 @@
-"""Complex special functions: log-gamma, gamma, and Gauss 2F1.
+"""Gauss hypergeometric function 2F1 for complex parameters.
 
 The hypergeometric function is needed for complex parameters a, b, c and a
 real argument z in [0, 1),
@@ -33,6 +33,8 @@ from scipy import special as _sp
 
 from .errors import GammaPoleError, SeriesConvergenceError
 
+__all__ = ["hyp2f1_with_complement", "hyp2f1", "hyp2f1_cols_rows"]
+
 #: termwise stopping tolerance of the power series
 SERIES_TOL = 1e-14
 #: iteration cap; exceeding it is an error, never a silent truncation
@@ -50,22 +52,6 @@ def _as_complex(*vals):
 def _at_pole(v):
     """v at 0, -1, -2, ...: the poles of Gamma (v complex)."""
     return (v.imag == 0.0) & (v.real <= 0.0) & (v.real == np.round(v.real))
-
-
-def log_gamma(z):
-    """Principal branch of log Gamma(z) for complex z.
-
-    Raises GammaPoleError at the poles (non-positive integers).
-    """
-    (z,) = _as_complex(z)
-    if np.any(_at_pole(z)):
-        raise GammaPoleError("log_gamma pole at non-positive integer z")
-    return _sp.loggamma(z)
-
-
-def gamma(z):
-    """Gamma(z) for complex z via exp(log_gamma)."""
-    return np.exp(log_gamma(z))
 
 
 def _series(a, b, c, z):
@@ -100,7 +86,7 @@ def _series(a, b, c, z):
 
 
 def _gamma_ratio(num, den):
-    """exp(sum log_gamma(num) - sum log_gamma(den)); 0 when a denominator
+    """exp(sum loggamma(num) - sum loggamma(den)); 0 when a denominator
     argument sits at a pole (reciprocal-gamma convention)."""
     num = [np.asarray(v, dtype=complex) for v in num]
     den = [np.asarray(v, dtype=complex) for v in den]

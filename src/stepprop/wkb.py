@@ -8,6 +8,10 @@ phase (-i)^(nu+1) |vv|^(1/2), fixed by the free-particle limit; for complex
 saddles the default branch is -sqrt(vv), the analytic continuation through
 the fold (its WKB coefficient tends to one in the semiclassical limit).
 
+BoundarySpec admits only T > 0, so Theta(T) = 1 wherever the sum is taken.
+A saddle whose |vv| exceeds VV_CAUSTIC_LIMIT sits too close to a caustic for
+the sum to hold, and raises.
+
 The residual Stokes sign of a complex saddle can be pinned against a single
 exact propagator sample with :func:`fix_complex_saddle_phase`.
 """
@@ -15,49 +19,32 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .classical import BoundarySpec, ClassicalSaddle, SaddleKind
+from .classical import BoundarySpec, SaddleKind
 from .errors import ValidationError
 from .potential import StepModel
 
-__all__ = ["WkbTerm", "wkb_propagator", "wkb_term", "fix_complex_saddle_phase"]
+__all__ = ["wkb_propagator", "fix_complex_saddle_phase"]
 
 #: |vv| above which the WKB amplitude is considered caustic-divergent
 VV_CAUSTIC_LIMIT = 1e6
 
 
-@dataclass(frozen=True)
-class WkbTerm:
-    saddle: ClassicalSaddle
-    amplitude: complex
-
-
-def wkb_term(model: StepModel, saddle: ClassicalSaddle,
-             hbar: float | None = None) -> WkbTerm:
-    """Single-saddle contribution sqrt(i/(2 pi hbar)) sqrt_vv e^{iS/hbar}."""
+def wkb_propagator(model: StepModel, bvp: BoundarySpec, saddles,
+                   hbar: float | None = None) -> complex:
+    """Sum of the single-saddle terms sqrt(i/(2 pi hbar)) sqrt_vv e^{iS/hbar}
+    over the supplied (relevant) saddles at the endpoints of bvp."""
     h = model.hbar if hbar is None else float(hbar)
     if h <= 0:
         raise ValidationError("hbar must be positive")
-    if abs(saddle.vv) > VV_CAUSTIC_LIMIT:
-        raise ValidationError(
-            "Van Vleck factor diverges: WKB invalid this close to a caustic")
-    sqrt_vv = saddle.sqrt_vv
-    if sqrt_vv is None:
-        sqrt_vv = cmath.sqrt(saddle.vv)
     pref = cmath.sqrt(1j / (2.0 * math.pi * h))
-    amp = pref * sqrt_vv * cmath.exp(1j * saddle.S / h)
-    return WkbTerm(saddle=saddle, amplitude=complex(amp))
-
-
-def wkb_propagator(model: StepModel, bvp: BoundarySpec, saddles,
-                   hbar: float | None = None) -> complex:
-    """Sum of WKB terms over the supplied (relevant) saddles."""
-    if bvp.T <= 0:
-        return 0.0 + 0.0j
     total = 0.0 + 0.0j
     for sad in saddles:
-        total += wkb_term(model, sad, hbar).amplitude
+        if abs(sad.vv) > VV_CAUSTIC_LIMIT:
+            raise ValidationError(
+                "Van Vleck factor diverges: WKB invalid this close to a caustic")
+        sqrt_vv = cmath.sqrt(sad.vv) if sad.sqrt_vv is None else sad.sqrt_vv
+        total += complex(pref * sqrt_vv * cmath.exp(1j * sad.S / h))
     return complex(total)
 
 

@@ -31,11 +31,11 @@ import pytest
 from stepprop import caustics as ca
 from stepprop import classical as cl
 from stepprop import eigenstates as eig
+from oracles import free_propagator
 from stepprop import spectroscopy as sp
 from stepprop.oracle import GridSpec, evolve_packet, gaussian_packet, norm_l2
 from stepprop.potential import Family, StepModel, rescale
-from stepprop.propagator import (QuadratureConfig, evolve_packet_spectral,
-                                 free_propagator, propagate)
+from stepprop.propagator import evolve_packet_spectral, propagate
 from stepprop.wkb import fix_complex_saddle_phase, wkb_propagator
 
 WS1 = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)

@@ -141,13 +141,6 @@ def test_heaviside_caustic_is_analytic_triangle(heaviside_unit):
         assert on_edges
 
 
-def test_cusp_detection_on_smooth_loop(ws_unit):
-    x0s = np.linspace(-4.5, -0.3, 36)
-    pts = ca.caustic_curve(ws_unit, 10.0, x0s, n_scan=250)
-    cusps = ca.cusp_points(pts)
-    assert len(cusps) >= 2
-
-
 def test_stokes_lines_heaviside_axes(heaviside_unit):
     pts = ca.stokes_lines(heaviside_unit, 10.0, [0.0])
     assert all(abs(a) < 1e-12 or abs(b) < 1e-12 for a, b in pts)

@@ -78,7 +78,10 @@ def test_unknown_model_key_exits_2(capsys):
     ["rates", "--model", HV, "--k-range", "a:b:3"],
     ["rates", "--model", HV, "--k-range", "1:2:2.5"],
     ["rates", "--model", json.dumps({"family": "heaviside", "hbar": "x"})],
-], ids=["range_not_numbers", "range_fractional_count", "model_not_number"])
+    ["wkb", "--model", HV, "--x0=-5", "--x1-range=-10:-8:3", "--T", "10",
+     "--hbar", "0", "--saddles", "real"],
+], ids=["range_not_numbers", "range_fractional_count", "model_not_number",
+        "wkb_hbar_zero"])
 def test_malformed_number_exits_2(argv, capsys):
     assert main(argv) == 2
     record = json.loads(capsys.readouterr().err.strip())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import orthonormal_state
 from stepprop import eigenstates as eig
 from stepprop.errors import (BranchMismatchError, NonFiniteError,
                              UnsupportedFamilyError)
@@ -20,15 +21,15 @@ def test_branch_energy_guards(ws_unit):
 
 
 def test_asymptotic_form_checks_branch_and_family(ws_unit, heaviside_unit):
+    # at alpha x = -40 eigenstate_ws takes the plane-wave asymptotic form;
     # k on the wrong side of the threshold has no real companion momentum
     with pytest.raises(BranchMismatchError):
-        eig.eigenstate_ws_asymptotic(ws_unit, "c", 2.0, -40.0, "left")
+        eig.eigenstate_ws(ws_unit, "c", 2.0, -40.0)
     with pytest.raises(BranchMismatchError):
-        eig.eigenstate_ws_asymptotic(ws_unit, "plus", 0.5, -40.0, "left")
+        eig.eigenstate_ws(ws_unit, "plus", 0.5, -40.0)
     # the sharp step has no gamma-function asymptotics
     with pytest.raises(UnsupportedFamilyError):
-        eig.eigenstate_ws_asymptotic(heaviside_unit, "plus", 2.0, -40.0,
-                                     "left")
+        eig.eigenstate_ws(heaviside_unit, "plus", 2.0, -40.0)
 
 
 def test_right_asymptotics(ws_unit):
@@ -52,7 +53,7 @@ def test_left_asymptotic_matches_full_form(ws_unit):
         q = (math.sqrt(2.0 - k * k) if branch == "c"
              else math.sqrt(k * k - 2.0))
         full = eig._phi_ws_full(ws_unit, branch, k, q, x)
-        asym = eig.eigenstate_ws_asymptotic(ws_unit, branch, k, x, "left")
+        asym = eig._phi_ws_asym_left(ws_unit, branch, k, q, x)
         assert abs(full - asym) < 1e-8 * abs(asym)
 
 
@@ -110,10 +111,11 @@ def test_eigenstate_scaling_invariance():
 
 
 def test_heaviside_threshold_total_reflection(heaviside_unit):
-    # float(sqrt(2)) leaves p ~ 2e-8, so the rates agree to ~1e-7
-    amp = eig.scatter_amplitudes(heaviside_unit, KC)
-    assert abs(amp.R) ** 2 == pytest.approx(1.0, abs=1e-6)
-    assert abs(amp.T) ** 2 == pytest.approx(0.0, abs=1e-6)
+    assert eig.scatter_rates(heaviside_unit, KC) == (1.0, 0.0)
+    # one ulp above the threshold p ~ 3e-8: the rates agree to ~1e-7
+    r2, t2 = eig.scatter_rates(heaviside_unit, np.nextafter(KC, 2.0))
+    assert r2 == pytest.approx(1.0, abs=1e-6)
+    assert t2 == pytest.approx(0.0, abs=1e-6)
 
 
 def test_ws_rates_match_sinh_identity(ws_unit):
@@ -124,9 +126,9 @@ def test_ws_rates_match_sinh_identity(ws_unit):
                   / math.sinh(math.pi * (k + p) / (2 * ah)) ** 2)
         r2, t2 = eig.scatter_rates(ws_unit, k)
         assert r2 == pytest.approx(r2_ref, rel=1e-12)
-        amp = eig.scatter_amplitudes(ws_unit, k)
-        assert abs(amp.R) ** 2 == pytest.approx(r2_ref, rel=1e-10)
-        assert abs(amp.R) ** 2 + abs(amp.T) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert r2 + t2 == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(eig.log_reflection_rate(ws_unit, k)) == pytest.approx(
+            r2_ref, rel=1e-12)
 
 
 @given(st.floats(1.0001, 10.0), st.sampled_from([0.1, 1.0, 2.0, 3.0, 4.0]))
@@ -176,14 +178,16 @@ def test_smallhbar_instanton_asymptote():
 
 def test_heaviside_normalization_closed_forms(heaviside_unit):
     k = 0.8 * KC
-    nc = eig.normalization_coeffs(heaviside_unit, k)
-    assert nc.Ncc == pytest.approx(math.pi / k ** 2, rel=1e-13)
+    mu = math.sqrt(2.0 - k * k)
+    ncc = eig.ncc_analytic(heaviside_unit, k, mu)
+    assert ncc == pytest.approx(math.pi / k ** 2, rel=1e-13)
     k = 1.6 * KC
     p = math.sqrt(k * k - 2.0)
-    nc = eig.normalization_coeffs(heaviside_unit, k)
-    assert nc.Npm == pytest.approx(math.pi / k ** 2, rel=1e-13)
-    assert nc.Npp == pytest.approx(math.pi * (p / k + (k * k + p * p) / (2 * k * k)),
-                                   rel=1e-13)
+    npm = eig.npm_analytic(heaviside_unit, k, p)
+    assert npm == pytest.approx(math.pi / k ** 2, rel=1e-13)
+    npp = eig.npp_analytic(heaviside_unit, k, p)
+    assert npp == pytest.approx(math.pi * (p / k + (k * k + p * p) / (2 * k * k)),
+                                rel=1e-13)
 
 
 def test_ws_norm_combos_match_coefficients(ws_unit):
@@ -201,19 +205,19 @@ def test_heaviside_orthonormal_closed_forms(heaviside_unit):
     k = 1.5 * KC
     p = math.sqrt(k * k - 2.0)
     x = -1.3
-    val = eig.orthonormal_state(heaviside_unit, "plus", k, x)
+    val = orthonormal_state(heaviside_unit, "plus", k, x)
     ref = 2 * k * math.cos(k * x) / math.sqrt(math.pi * ((k + p) ** 2 + 2.0))
     assert val == pytest.approx(ref, rel=1e-10)
     k = 0.7 * KC
     mu = math.sqrt(2.0 - k * k)
     x = 1.1
-    val = eig.orthonormal_state(heaviside_unit, "c", k, x)
+    val = orthonormal_state(heaviside_unit, "c", k, x)
     ref = k * math.exp(-mu * x) / math.sqrt(math.pi)
     assert val == pytest.approx(ref, rel=1e-10)
     # minus branch on the right: 2 i k sin(p x)/sqrt(pi ((k+p)^2 - 2 m V0))
     k = 1.5 * KC
     x = 0.9
-    val = eig.orthonormal_state(heaviside_unit, "minus", k, x)
+    val = orthonormal_state(heaviside_unit, "minus", k, x)
     ref = 2j * k * math.sin(p * x) / math.sqrt(math.pi * ((k + p) ** 2 - 2.0))
     assert val == pytest.approx(ref, rel=1e-10)
 
@@ -225,8 +229,8 @@ def test_windowed_orthogonality_growth(heaviside_unit):
 
     def windowed(branch_b, L):
         xs = np.linspace(-L, L, int(80 * L) + 1)
-        a = eig.orthonormal_state(heaviside_unit, "plus", k, xs)
-        b = eig.orthonormal_state(heaviside_unit, branch_b, k, xs)
+        a = orthonormal_state(heaviside_unit, "plus", k, xs)
+        b = orthonormal_state(heaviside_unit, branch_b, k, xs)
         return abs(np.trapezoid(a * np.conj(b), xs))
 
     cross_50, cross_200 = windowed("minus", 50.0), windowed("minus", 200.0)

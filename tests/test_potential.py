@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from stepprop.errors import (PotentialPoleError, UnsupportedFamilyError,
                              ValidationError)
 from stepprop.potential import (POLE_GUARD, Family, StepModel,
-                                pole_distance, potential_complement,
+                                pole_distance,
                                 potential_derivatives, potential_value,
                                 rescale, singularity_locations)
 from stepprop.propagator import propagate
@@ -61,18 +61,12 @@ def test_ws_to_heaviside_pointwise():
         if x < 0:
             gap = abs(potential_value(md, x) - potential_value(hv, x))
         else:
-            # V_h = V0 there; use the cancellation-free complement
-            gap = abs(potential_complement(md, x))
+            # V_h = V0 there, and V(x) - V0 = -V(-x) on the smooth step:
+            # the gap without the cancellation in V - V0
+            assert abs(potential_value(md, x) - md.V0
+                       + potential_value(md, -x)) <= 2.3e-16 * md.V0
+            gap = abs(potential_value(md, -x))
         assert gap <= math.exp(-2 * 50.0 * abs(x)) * md.V0 * (1 + 1e-12)
-
-
-def test_potential_complement_exact_tail(ws_unit):
-    # on the right the naive V - V0 cancels to zero; the complement keeps
-    # the exponential tail exactly
-    x = 20.0
-    assert potential_value(ws_unit, x) - 1.0 == 0.0
-    assert potential_complement(ws_unit, x) == pytest.approx(
-        -math.exp(-2 * 20.0), rel=1e-12)
 
 
 def test_derivative_closed_forms(ws_unit):
@@ -135,7 +129,7 @@ def _on_array(f, md, x):
 def _check_scalar_path(md, x):
     """Scalar results are Python scalars equal to the numpy path's.
 
-    V and V - V0 are bit-identical: a real x takes numpy's exp on one
+    V is bit-identical: a real x takes numpy's exp on one
     float, which runs the array kernel, and a complex x takes the array
     path itself.  On a real x so are V' and V''.  On a complex x, V' and
     V'' are formed from V in Python's complex arithmetic, whose quotients
@@ -145,10 +139,8 @@ def _check_scalar_path(md, x):
     (1 + 2|V/V0|)^k of their terms."""
     ws = md.family is Family.WOODS_SAXON
     kind = complex if ws and isinstance(x, complex) else float
-    fs = [potential_value, potential_complement]
-    got = [f(md, x) for f in fs]
-    want = [_on_array(f, md, x) for f in fs]
-    assert all(type(g) is kind for g in got)
+    got, want = potential_value(md, x), _on_array(potential_value, md, x)
+    assert type(got) is kind
     assert got == want
     if not ws:
         return
@@ -198,7 +190,7 @@ def test_scalar_path_matches_array_path_complex(name, re, im):
                                complex(0.0, math.inf)])
 def test_scalar_path_non_finite_like_array_path(name, x):
     md = SCALAR_MODELS[name]
-    fs = [potential_value, potential_complement]
+    fs = [potential_value]
     if md.family is Family.WOODS_SAXON:
         fs.append(potential_derivatives)
     for f in fs:
@@ -220,13 +212,11 @@ def test_scalar_pole_guard_matches_array_path(alpha, n, direction):
     pole = singularity_locations(md, (n, n))[0]
     inside = pole + 0.5 * POLE_GUARD / alpha * direction
     for x in (inside, np.complex128(inside), np.array([inside])):
-        for f in (potential_value, potential_complement,
-                  potential_derivatives):
+        for f in (potential_value, potential_derivatives):
             with pytest.raises(PotentialPoleError):
                 f(md, x)
     outside = pole + 2.0 * POLE_GUARD / alpha * direction
     assert cmath.isfinite(potential_value(md, outside))
-    assert cmath.isfinite(potential_complement(md, outside))
     _check_scalar_path(md, outside)
 
 
@@ -242,10 +232,8 @@ def test_scalar_inputs_return_python_scalars(ws_steep, heaviside_unit):
     for md in (ws_steep, heaviside_unit):
         for x in (2, -0.3, np.float64(-0.3)):
             assert type(potential_value(md, x)) is float
-            assert type(potential_complement(md, x)) is float
     for x in (-0.3 + 0.1j, np.complex128(-0.3 + 0.1j)):
         assert type(potential_value(ws_steep, x)) is complex
-        assert type(potential_complement(ws_steep, x)) is complex
     # a 0-d array still leaves as a Python scalar, as before
     assert type(potential_value(ws_steep, np.array(-0.3))) is float
 

@@ -7,12 +7,12 @@ import pytest
 from stepprop import propagator
 from stepprop.errors import NonFiniteError, QuadratureError, ValidationError
 from stepprop.oracle import gaussian_packet
+from oracles import free_propagator
 from stepprop.potential import Family, StepModel, potential_value
 from stepprop.eigenstates import phi_grid
 from stepprop.propagator import (QuadratureConfig, _kernel_pairs,
                                  _simpson_weights, energy_propagator,
-                                 evolve_packet_spectral, free_propagator,
-                                 propagate)
+                                 evolve_packet_spectral, propagate)
 
 
 def test_retarded_convention_zero_for_nonpositive_time(ws_unit):

@@ -1,0 +1,102 @@
+"""The public surface of stepprop is what the package itself uses.
+
+Every public top-level function or class of a module is listed in the
+module's __all__, and every name in an __all__ is referenced somewhere in
+src/ beyond its own definition, the __all__ and the package re-export, or
+is named in KEEP with the one-line reason it stays public.  A helper that
+only the tests call belongs in tests/oracles.py, not in the package.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stepprop"
+TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+         for p in sorted(SRC.glob("*.py"))}
+
+#: modules without __all__: the package re-exports, the exception hierarchy
+#: (every class is raised or caught by name) and the command-line frontend
+NO_ALL = {"__init__", "errors", "cli"}
+
+#: public names that nothing in src/ calls, and why each stays public
+KEEP = {
+    "log_reflection_rate": "acceptance criterion 3: log |R|^2 at small hbar",
+    "reflection_rate_smallhbar_asymptote": "the reflection instanton action",
+    "singularity_locations": "the complex poles of the smooth step",
+    "heaviside_reflection_action": "a gate of the saddle_wkb benchmark",
+    "norm_l2": "a gate of the packet_evolution benchmark",
+    "complex_actions": "acceptance criterion 13: actions by matrix pencil",
+    "synthetic_omega_samples": "acceptance criterion 13: its calibration data",
+    "residue_against_wkb": "acceptance criterion 11: the Laplace residue",
+    "relevance_flag": "whether the caustic saddle is on the Stokes-relevant side",
+    "reduced_action": "the reduced action s(x) of the README",
+    "hyp2f1": "the plain 2F1 entry point that the special-function tests check",
+    "integrate_ivp": "the tests' IVP oracle and a benchmark span boundary",
+    "rescale": "acceptance criterion 12: the exact scaling map",
+    "evolve_packet_spectral": "acceptance criterion 4 and the packet benchmark",
+}
+
+MODULES = sorted(set(TREES) - NO_ALL)
+
+
+def _all(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return None
+
+
+def _public_defs(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced(name, home):
+    """True when a Name or attribute in src/ refers to name, outside the
+    body of its own definition in its home module."""
+    for module, tree in TREES.items():
+        own = set()
+        if module == home:
+            for node in tree.body:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name == name):
+                    own = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_defs_are_in_all(module):
+    names = _all(TREES[module])
+    assert names is not None, f"stepprop.{module} has no __all__"
+    missing = sorted(set(_public_defs(TREES[module])) - set(names))
+    assert not missing, f"public in stepprop.{module} but not in __all__"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_are_used_or_kept(module):
+    names = _all(TREES[module]) or []
+    defined = set(_public_defs(TREES[module])) | {
+        t.id for node in TREES[module].body if isinstance(node, ast.Assign)
+        for t in node.targets if isinstance(t, ast.Name)}
+    assert not sorted(set(names) - defined), "__all__ names an undefined name"
+    unused = sorted(n for n in names
+                    if n not in KEEP and not _referenced(n, module))
+    assert not unused, f"no caller in src/ and no KEEP reason: {unused}"
+
+
+def test_keep_entries_are_public_and_uncalled():
+    # a KEEP name that left every __all__, or gained a caller in src/,
+    # leaves KEEP too
+    home = {n: m for m in MODULES for n in _all(TREES[m]) or []}
+    stale = sorted(n for n in KEEP if n not in home or _referenced(n, home[n]))
+    assert not stale

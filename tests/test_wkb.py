@@ -1,14 +1,12 @@
-import cmath
-import math
-
 import numpy as np
 import pytest
 
+from oracles import free_propagator
 from stepprop import classical as cl
 from stepprop.errors import ValidationError
 from stepprop.potential import Family, StepModel
-from stepprop.propagator import free_propagator, propagate
-from stepprop.wkb import fix_complex_saddle_phase, wkb_propagator, wkb_term
+from stepprop.propagator import propagate
+from stepprop.wkb import fix_complex_saddle_phase, wkb_propagator
 
 
 def test_free_particle_wkb_is_exact():
@@ -19,16 +17,19 @@ def test_free_particle_wkb_is_exact():
     assert g == pytest.approx(free_propagator(md, -4.0, -7.0, 10.0), rel=1e-12)
 
 
-def test_wkb_zero_for_nonpositive_time(ws_unit):
-    bvp = cl.BoundarySpec(-4.0, -7.0, 10.0)
-    assert wkb_propagator(ws_unit, cl.BoundarySpec(-4.0, -7.0, 1e-9), []) == 0
+def test_nonpositive_time_rejected_before_wkb():
+    # the retarded Theta(T) of the saddle sum is 1 on every BoundarySpec
+    for T in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            cl.BoundarySpec(-4.0, -7.0, T)
 
 
 def test_hbar_scaling_of_complex_saddle(ws_steep):
     bvp = cl.BoundarySpec(-5.0, -9.25, 10.0)
     sad = cl.find_caustic_saddle(ws_steep, bvp)
     hbars = np.array([1.0, 0.5, 0.25])
-    mags = np.array([abs(wkb_term(ws_steep, sad, h).amplitude) for h in hbars])
+    mags = np.array([abs(wkb_propagator(ws_steep, bvp, [sad], h))
+                     for h in hbars])
     # log(|amp| sqrt(hbar)) is linear in 1/hbar with slope -Im S
     y = np.log(mags * np.sqrt(hbars))
     x = 1.0 / hbars
@@ -44,7 +45,7 @@ def test_caustic_proximity_error(ws_unit):
     sad = cl.ClassicalSaddle(kind=cl.SaddleKind.DIRECT, E=0.1, S=1.0,
                              vv=2e6 + 0j, sqrt_vv=None)
     with pytest.raises(ValidationError):
-        wkb_term(ws_unit, sad)
+        wkb_propagator(ws_unit, cl.BoundarySpec(-4.0, -7.0, 10.0), [sad])
 
 
 def test_branch_continuity_along_row(ws_steep):
