@@ -11,10 +11,10 @@ J = dx(T)/dv0,
     m J'' = -V''(x) J,  J(0) = 0,  J'(0) = 1.
 
 One batched integration of both equations over a grid of v0 brackets the
-sign flips of J(T); each is refined on the closed-form time relations of
-classical._endpoint, where J = m v0 dx1/dE.  integrate_ivp, the scalar
-integration, has no caller left in the package: it is the independent
-oracle of the tests and a span boundary of bench/layers.py.
+sign flips of J(T); each is refined on classical.endpoint, the closed-form
+endpoint map of the time relation, where J = m v0 dx1/dE.  integrate_ivp,
+the scalar integration, has no caller left in the package: it is the
+independent oracle of the tests and a span boundary of bench/layers.py.
 
 For the Heaviside step J never vanishes (reflections are instantaneous) and
 the caustic is the analytic triangle of merging closed-form paths.
@@ -31,9 +31,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _endpoint,
-                        _t_bounce, caustic_saddle_curve,
-                        caustic_triangle_vertices, heaviside_three_path_region,
+from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _t_bounce,
+                        caustic_saddle_curve, caustic_triangle_vertices,
+                        endpoint, heaviside_three_path_region,
                         solve_real_paths)
 from .errors import (InsideCausticError, QuadratureError, RootBracketError,
                      UnsupportedFamilyError, ValidationError)
@@ -123,7 +123,7 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
         _, Js = _scan_batch(model, x0, v0s, T)
         flips = np.where(np.diff(np.sign(Js)) != 0)[0]
         Es = 0.5 * model.m * v0s ** 2 + potential_value(model, x0)
-        f = lambda E: _endpoint(model, x0, E, T)[1]
+        f = lambda E: endpoint(model, x0, E, T)[1]
         for i in flips:
             lo, hi = float(Es[i]), float(Es[i + 1])
             if np.sign(f(lo)) == np.sign(f(hi)):
@@ -132,7 +132,7 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
                 if np.sign(f(lo)) == np.sign(f(hi)):
                     continue
             E_root = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-            points.append((x0, float(_endpoint(model, x0, E_root, T)[0])))
+            points.append((x0, float(endpoint(model, x0, E_root, T)[0])))
     return points
 
 
@@ -197,17 +197,15 @@ def relevance_flag(model: StepModel, bvp: BoundarySpec) -> bool:
 
     Classification by the Stokes criterion Re(S_reflected) >= Re(S_direct);
     ties on the line count as relevant.  Undefined inside the caustic loop.
+    On the sharp step, and on the smooth one outside the reflecting
+    quadrant x0, x1 < 0, the criterion is the sign rule x0 x1 >= 0: the
+    sharp step's actions m (x0 + x1)^2/2T and m (x1 - x0)^2/2T differ by
+    2 m x0 x1/T.
     """
     if inside_caustic(model, bvp):
         raise InsideCausticError("relevance undefined where three real paths exist")
-    if model.family is Family.HEAVISIDE:
-        m, V0, T = model.m, model.V0, bvp.T
-        s_refl = m * (bvp.x0 + bvp.x1) ** 2 / (2 * T)
-        s_dir = m * (bvp.x1 - bvp.x0) ** 2 / (2 * T)
-        return s_refl >= s_dir
-    if bvp.x0 < 0 and bvp.x1 < 0:
+    if model.family is Family.WOODS_SAXON and bvp.x0 < 0 and bvp.x1 < 0:
         from .classical import find_caustic_saddle
         gap = _stokes_gap(model, bvp, find_caustic_saddle(model, bvp))
         return gap is None or gap >= 0
-    # away from the reflecting quadrant the Heaviside classification applies
-    return (bvp.x0 > 0 and bvp.x1 > 0) or (bvp.x0 * bvp.x1 == 0.0)
+    return bvp.x0 * bvp.x1 >= 0

@@ -52,7 +52,7 @@ from .errors import (BranchDegenerateError, CausticDivergenceError,
 from .potential import Family, StepModel, potential_value
 
 __all__ = ["BoundarySpec", "SaddleKind", "ClassicalSaddle", "turning_point",
-           "time_of_flight", "reduced_action", "heaviside_paths",
+           "time_of_flight", "reduced_action", "endpoint", "heaviside_paths",
            "solve_real_paths", "find_caustic_saddle",
            "caustic_saddle_curve", "topological_saddle", "bounce_fold",
            "caustic_triangle_vertices", "heaviside_three_path_region",
@@ -66,6 +66,8 @@ class BoundarySpec:
     T: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.x1, self.T))):
+            raise ValidationError("x0, x1 and T must be finite")
         if not (self.T > 0):
             raise ValidationError("propagation time T must be positive")
 
@@ -263,9 +265,10 @@ def _speed(model, E, x):
     return cmath.sqrt(2.0 * (E - potential_value(model, x)) / model.m)
 
 
-def _endpoint(model, x0, E, T):
-    """(x1, dx1/dE) of the trajectory that leaves x0 to the right at real
-    energy E > V(x0) and runs for a time T > 0.
+def endpoint(model: StepModel, x0: float, E: float, T: float):
+    """(x1, dx1/dE) of the smooth-step trajectory that leaves x0 to the
+    right at real energy E > V(x0) and runs for a time T >= 0: the closed
+    form of the map (x0, E, T) -> x(T), on the time relation.
 
     t(x) rises with x on the allowed sheet (dt/dx = 1/v), +1 above V0 and
     -1 below it up to the turning point x_t, so x1 is the one root of
@@ -274,6 +277,8 @@ def _endpoint(model, x0, E, T):
     on a bracket from the speed bounds.  Implicit differentiation gives
     dx1/dE = -v1 (dt1/dE - dt0/dE), or -v1 (dt1/dE + dt0/dE) when bounced;
     J = dx(T)/dv0 = m v0 dx1/dE."""
+    if model.family is not Family.WOODS_SAXON:
+        raise UnsupportedFamilyError("the endpoint map needs the smooth step")
     from scipy.optimize import brentq
     sheet = 1 if E > model.V0 else -1
     t_at = lambda x: _t_s(model, E, EndpointState(model, x, E, sheet))[0].real
@@ -369,8 +374,9 @@ def _heaviside_crossing(model, bvp):
 
 
 def heaviside_paths(model: StepModel, bvp: BoundarySpec):
-    """All real classical saddles of the Heaviside step, closed forms."""
-    if model.family is not Family.HEAVISIDE:
+    """All real classical saddles of the Heaviside step, closed forms; at
+    V0 = 0, where every family is free, the one direct path."""
+    if model.family is not Family.HEAVISIDE and model.V0 != 0.0:
         raise UnsupportedFamilyError("heaviside_paths requires the Heaviside family")
     m, V0, T = model.m, model.V0, bvp.T
     x0, x1 = bvp.x0, bvp.x1
@@ -415,10 +421,6 @@ def heaviside_reflection_action(model: StepModel, bvp: BoundarySpec) -> complex:
 # ---------------------------------------------------------------------------
 # smooth-step real paths
 # ---------------------------------------------------------------------------
-
-def _energy_floor(model, x0, x1):
-    return max(potential_value(model, x0), potential_value(model, x1))
-
 
 def _solve_direct_ws(model, bvp):
     """Direct-path energy of T_dir(E) = T, None if there is none.
@@ -466,7 +468,8 @@ def _bounce_extrema(model, x0, x1):
     (None if dT_b/dE < 0 at e_lo) and E_min above; if not, T_b is monotone.
     A bracket end whose sign breaks this shape raises RootBracketError."""
     from scipy.optimize import brentq
-    e_lo = max(_energy_floor(model, x0, x1) * (1 + 1e-10), 1e-12 * model.V0)
+    floor = max(potential_value(model, x0), potential_value(model, x1))
+    e_lo = max(floor * (1 + 1e-10), 1e-12 * model.V0)
     e_hi = model.V0 * _E_TOP
     if e_lo >= e_hi:
         return e_lo, None, None
@@ -512,7 +515,7 @@ def _solve_bounces_ws(model, bvp):
 
 def solve_real_paths(model: StepModel, bvp: BoundarySpec):
     """All real classical saddles (one or three) of the boundary-value problem."""
-    if model.family is Family.HEAVISIDE:
+    if model.family is Family.HEAVISIDE or model.V0 == 0.0:
         return heaviside_paths(model, bvp)
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
     out = []

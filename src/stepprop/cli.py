@@ -367,11 +367,11 @@ def _recipes(coarse):
     def fig8():
         rows = []
         for x1 in (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0):
-            floor = _classical._energy_floor(_WS1, -5.0, x1) * (1 + 1e-10)
-            for E in np.geomspace(floor, 0.999, 400):
-                td = _classical._direct(_WS1, float(E), -5.0, x1)[0]
-                tb = _classical._t_bounce(_WS1, float(E), -5.0, x1)
-                rows.append((x1, E, td, float(tb.real)))
+            floor = max(potential_value(_WS1, x) for x in (-5.0, x1))
+            for E in np.geomspace(floor * (1 + 1e-10), 0.999, 400):
+                t0, t1 = (_classical.time_of_flight(_WS1, float(E), x)
+                          for x in (-5.0, x1))
+                rows.append((x1, E, abs((t1 - t0).real), -(t0 + t1).real))
         yield ("fig8a_time_vs_energy.csv", ("x1", "E", "T_direct", "T_bounce"),
                rows, {"recipe": "fig8a"})
         # paths for (x0, x1, T) = (-4, -3, 10)
@@ -422,7 +422,8 @@ def _recipes(coarse):
         for er in np.linspace(0.7, 1.6, 61):
             for ei in np.linspace(0.0, 0.5, 41):
                 E = complex(er, ei if ei > 0 else 1e-9)
-                tb = _classical._t_bounce(_WS5, E, -5.0, -9.25)
+                tb = -(_classical.time_of_flight(_WS5, E, -5.0)
+                       + _classical.time_of_flight(_WS5, E, -9.25))
                 rows.append((er, ei, tb.real, tb.imag))
         yield ("fig11_complex_energy_map.csv", ("ReE", "ImE", "ReT", "ImT"),
                rows, {"recipe": "fig11"})
@@ -487,7 +488,9 @@ def _recipes(coarse):
 
 def _path_samples(model, saddle, bvp, n=200):
     """(t, x) samples of a real path: closed-form legs on the Heaviside
-    step, the equations of motion of caustics._rhs on the smooth one."""
+    step, the endpoint map classical.endpoint on the smooth one.  The map
+    follows rightward departures only; every bounce departs rightward, and
+    a leftward direct path on the smooth step raises ValidationError."""
     x0, x1, T = bvp.x0, bvp.x1, bvp.T
     ts = np.linspace(0, T, n)
     kind = saddle.kind.value
@@ -504,14 +507,10 @@ def _path_samples(model, saddle, bvp, n=200):
                           np.where(ts < T - abs(x1) / v, 0.0,
                                    x1 + v * (T - ts)))
         return list(zip(ts, xs))
-    from scipy.integrate import solve_ivp
-    sgn = (np.sign(x1 - x0) or 1.0) if kind == "direct" else 1.0
-    E = saddle.E.real
-    v0 = sgn * math.sqrt(max(2 * (E - potential_value(model, x0)), 0.0)
-                         / model.m)
-    sol = solve_ivp(_caustics._rhs(model), (0, T), [x0, v0, 0.0, 1.0],
-                    t_eval=ts, rtol=1e-10, atol=1e-12)
-    return list(zip(sol.t, sol.y[0]))
+    if kind == "direct" and x1 < x0:
+        raise ValidationError("the endpoint map draws no leftward path")
+    return [(t, _classical.endpoint(model, x0, saddle.E.real, float(t))[0])
+            for t in ts]
 
 
 def _cmd_reproduce(args):

@@ -268,8 +268,8 @@ def log_reflection_rate(model: StepModel, k: float) -> float:
     if not (k * k / (2.0 * model.m) > model.V0):
         return 0.0
     p = math.sqrt(k * k - 2.0 * model.m * model.V0)
-    if _heaviside_like(model):
-        return 2.0 * math.log((k - p) / (k + p))
+    if _heaviside_like(model):  # p = k at V0 = 0, where |R|^2 = 0
+        return 2.0 * math.log((k - p) / (k + p)) if p < k else -math.inf
     return float(_log_r2_ws(model, k, p))
 
 

@@ -49,6 +49,9 @@ class StepModel:
     def __post_init__(self):
         if isinstance(self.family, str):
             object.__setattr__(self, "family", Family(self.family))
+        for k in ("m", "V0", "alpha", "hbar"):
+            if not math.isfinite(getattr(self, k)):
+                raise ValidationError(f"model key {k!r} must be finite")
         if not (self.m > 0):
             raise ValidationError("mass m must be positive")
         if self.V0 < 0:

@@ -244,6 +244,8 @@ def propagate(model: StepModel, x0: float, x1, T: float,
             raise ValidationError("x1 must be a float or a 1-D row")
     else:
         x1 = float(x1)
+    if not (math.isfinite(x0) and math.isfinite(T) and np.isfinite(x1).all()):
+        raise ValidationError("x0, x1 and T must be finite")
     if T <= 0 or np.size(x1) == 0:
         G, err, n_evals = (np.zeros(np.size(x1), dtype=complex),
                            np.zeros(np.size(x1)), 0)
@@ -298,6 +300,8 @@ def energy_propagator(model: StepModel, x0: float, x1: float, E: float):
     step, or at E = V0 with one at or right of it) ValidationError is
     raised, and NonFiniteError for a non-finite K.
     """
+    if not all(map(math.isfinite, (x0, x1, E))):
+        raise ValidationError("x0, x1 and E must be finite")
     m, h = model.m, model.hbar
     k, a = cmath.sqrt(2.0 * m * E), cmath.sqrt(2.0 * m * (E - model.V0))
     lo, hi = min(x0, x1), max(x0, x1)

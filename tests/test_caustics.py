@@ -43,7 +43,7 @@ def test_ivp_does_not_step_over_a_steep_step():
     E = 0.5 * v0 * v0 + potential_value(md, x0)
     x1, J = ca.integrate_ivp(md, x0, v0, T)
     assert x1 < cl.turning_point(md, E).real
-    x1_cf, dx1_dE = cl._endpoint(md, x0, E, T)
+    x1_cf, dx1_dE = cl.endpoint(md, x0, E, T)
     assert x1 == pytest.approx(x1_cf, abs=1e-8)
     assert J == pytest.approx(v0 * dx1_dE, rel=1e-6)
 
@@ -74,7 +74,7 @@ def test_endpoint_matches_ivp_in_all_branches(alpha):
                  "transmitted": float(rng.uniform(1.0, 10.0))}[branch]
             cases.append((branch, x0, math.sqrt(2.0 * (E - V)), E, T))
     for branch, x0, v0, E, T in cases:
-        x1, dx1_dE = cl._endpoint(md, x0, E, T)
+        x1, dx1_dE = cl.endpoint(md, x0, E, T)
         x_ivp, J = ca.integrate_ivp(md, x0, v0, T)
         assert x1 == pytest.approx(x_ivp, abs=1e-8), branch
         assert v0 * dx1_dE == pytest.approx(J, rel=1e-6), branch

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oracles import free_propagator
 from stepprop import caustics as ca
 from stepprop import classical as cl
-from stepprop.cli import ROW_BLOCK, _grid_abs2, _recipes, main
+from stepprop.cli import ROW_BLOCK, _grid_abs2, _path_samples, _recipes, main
+from stepprop.errors import ValidationError
 from stepprop.potential import Family, StepModel, potential_value
 from stepprop.propagator import propagate
 from stepprop.wkb import wkb_propagator
@@ -80,12 +82,35 @@ def test_unknown_model_key_exits_2(capsys):
     ["rates", "--model", json.dumps({"family": "heaviside", "hbar": "x"})],
     ["wkb", "--model", HV, "--x0=-5", "--x1-range=-10:-8:3", "--T", "10",
      "--hbar", "0", "--saddles", "real"],
+    ["rates", "--model", json.dumps({"family": "heaviside", "V0": "nan"})],
+    ["propagate", "--model", WS, "--x0=-1", "--x1-range=-2:-1:2", "--T",
+     "inf"],
+    ["propagate", "--model", WS, "--x0=-1", "--x1-range=nan:-2:2", "--T",
+     "1"],
+    ["energy", "--model", WS, "--x0=nan", "--x1=1", "--E-range=0.5:1:2"],
+    ["energy", "--model", WS, "--x0=-1", "--x1=1", "--E-range=nan:1:2"],
 ], ids=["range_not_numbers", "range_fractional_count", "model_not_number",
-        "wkb_hbar_zero"])
+        "wkb_hbar_zero", "model_V0_nan", "propagate_T_inf",
+        "propagate_x1_nan", "energy_x0_nan", "energy_E_nan"])
 def test_malformed_number_exits_2(argv, capsys):
     assert main(argv) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValidationError"
+
+
+def test_zero_step_height_smooth_step_saddles(capsys):
+    # V0 = 0 reduces the smooth step to the free particle: one direct path
+    md = json.dumps({"family": "woods_saxon", "V0": 0})
+    ends = ["--x0=-1", "--T", "1"]
+    assert main(["classical", "--model", md, "--x1=-2", *ends]) == 0
+    (sad,) = json.loads(capsys.readouterr().out)["saddles"]
+    assert sad["kind"] == "direct" and sad["S_re"] == 0.5
+    assert main(["wkb", "--model", md, "--x1-range=-2:-2:1", "--saddles",
+                 "real", *ends]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    re_g, im_g = float(row[3]), float(row[4])
+    ref = free_propagator(StepModel(Family.WOODS_SAXON, V0=0.0), -1, -2, 1)
+    assert abs(complex(re_g, im_g) - ref) <= 1e-14
 
 
 def test_oracle_negative_time_exits_2(capsys):
@@ -206,6 +231,52 @@ def test_fig8a_rows_lie_above_the_energy_floor():
     md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
     for x1, E, _, _ in rows:
         assert E > potential_value(md, x1), (x1, E)
+
+
+def test_fig8b_paths_join_their_endpoints():
+    # every path of (x0, x1, T) = (-4, -3, 10) leaves x0 at t = 0 and
+    # lands on x1 at t = T; the ODE copy once ended its alpha = 5 high
+    # bounce 2.9e-9 off
+    (_, _, rows, _), = list(_recipes(True)["fig8"]())[1:]
+    paths = {}
+    for a, kind, t, x in rows:
+        paths.setdefault((a, kind), []).append((t, x))
+    assert len(paths) == 9
+    for key, samples in paths.items():
+        (t0, x0), (t1, x1) = samples[0], samples[-1]
+        assert t0 == 0.0 and t1 == 10.0
+        assert abs(x0 + 4.0) <= 1e-10 and abs(x1 + 3.0) <= 1e-10, key
+
+
+@pytest.mark.parametrize("alpha", [20.0, 50.0])
+def test_path_samples_on_steep_steps(alpha):
+    # the endpoint map against a DOP853 IVP whose step is bounded as in
+    # caustics.integrate_ivp, at tighter tolerances: at its 1e-10 the IVP
+    # ends the alpha = 50 high bounce 2e-8 off x1.  An unbounded step
+    # ended the low and high bounces 6.0 and 13.1 away from x1 at both
+    md = StepModel(Family.WOODS_SAXON, 1, 1, alpha, 1)
+    bvp = cl.BoundarySpec(-4.0, -3.0, 10.0)
+    saddles = cl.solve_real_paths(md, bvp)
+    assert len(saddles) == 3
+    for s in saddles:
+        ts, xs = np.array(_path_samples(md, s, bvp)).T
+        assert abs(xs[-1] - bvp.x1) <= 1e-10, s.kind
+        E = s.E.real
+        v0 = math.sqrt(2.0 * (E - potential_value(md, bvp.x0)))
+        sol = solve_ivp(ca._rhs(md), (0.0, bvp.T), (bvp.x0, v0, 0.0, 1.0),
+                        method="DOP853", rtol=1e-12, atol=1e-12, t_eval=ts,
+                        max_step=0.5 / (alpha * math.sqrt(2.0 * E)))
+        assert np.max(np.abs(sol.y[0] - xs)) <= 1e-9, s.kind
+
+
+def test_path_samples_refuse_a_leftward_smooth_path():
+    # the endpoint map follows departures to the right only
+    md = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
+    bvp = cl.BoundarySpec(-3.0, -4.0, 10.0)
+    (direct,) = [s for s in cl.solve_real_paths(md, bvp)
+                 if s.kind is cl.SaddleKind.DIRECT]
+    with pytest.raises(ValidationError):
+        _path_samples(md, direct, bvp)
 
 
 def test_contour_rows_obey_reciprocity():

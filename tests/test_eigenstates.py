@@ -131,6 +131,14 @@ def test_ws_rates_match_sinh_identity(ws_unit):
             r2_ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_log_reflection_rate_at_zero_step_height(family):
+    # p = k at V0 = 0: |R|^2 is exactly 0, as scatter_rates says
+    md = StepModel(family, V0=0.0)
+    assert eig.log_reflection_rate(md, 1.5) == -math.inf
+    assert eig.scatter_rates(md, 1.5) == (0.0, 1.0)
+
+
 @given(st.floats(1.0001, 10.0), st.sampled_from([0.1, 1.0, 2.0, 3.0, 4.0]))
 @settings(max_examples=80, deadline=None)
 def test_unitarity_property(kfrac, alpha):

@@ -110,6 +110,18 @@ def test_model_json_roundtrip_and_validation():
     assert StepModel(Family.WOODS_SAXON, V0=0.0).V0 == 0.0
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("key,value", [
+    ("V0", math.nan), ("V0", math.inf), ("m", math.inf), ("m", math.nan),
+    ("alpha", math.inf), ("alpha", math.nan), ("hbar", math.inf)])
+def test_model_rejects_non_finite_parameters(family, key, value):
+    # a NaN V0 once gave |R|^2 = 1 and |T|^2 = 0 at every k
+    with pytest.raises(ValidationError, match="finite"):
+        StepModel(family, **{key: value})
+    with pytest.raises(ValidationError, match="finite"):
+        StepModel.from_dict({"family": family.value, key: str(value)})
+
+
 # -- the scalar path against the numpy path ---------------------------------
 
 SCALAR_MODELS = {

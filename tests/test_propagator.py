@@ -20,6 +20,16 @@ def test_retarded_convention_zero_for_nonpositive_time(ws_unit):
     assert propagate(ws_unit, -1.0, -2.0, -3.0).G == 0.0
 
 
+@pytest.mark.parametrize("x0,x1,T", [
+    (math.nan, -2.0, 10.0), (-1.0, math.inf, 10.0), (-1.0, -2.0, math.inf),
+    (-1.0, -2.0, math.nan), (-1.0, np.array([-2.0, math.nan]), 10.0),
+    (-1.0, -2.0, -math.inf)])
+def test_propagate_rejects_non_finite_inputs(ws_unit, x0, x1, T):
+    # before the panel budget: --T inf once ran 20,000 panels to exit 3
+    with pytest.raises(ValidationError, match="finite"):
+        propagate(ws_unit, x0, x1, T)
+
+
 @pytest.mark.parametrize("family", [Family.WOODS_SAXON, Family.HEAVISIDE])
 def test_free_particle_reduction(family, rng):
     md = StepModel(family, m=1.0, V0=0.0, alpha=1.0, hbar=1.0)
@@ -260,6 +270,15 @@ def test_energy_propagator_plane_wave_zero_over_zero(heaviside_unit):
     for E in (0.0, 1.0):
         K = energy_propagator(ws, 1.0, 2.0, E)[0]
         assert abs(K - _mp_energy_propagator(ws, 1.0, 2.0, E)) <= 1e-10 * abs(K)
+
+
+@pytest.mark.parametrize("x0,x1,E", [
+    (math.nan, 2.0, 0.5), (1.0, -math.inf, 0.5), (1.0, 2.0, math.nan),
+    (1.0, 2.0, math.inf)])
+def test_energy_propagator_rejects_non_finite_inputs(ws_unit, x0, x1, E):
+    # before the 2F1 series: x0 = nan once summed 10,000 terms to exit 3
+    with pytest.raises(ValidationError, match="finite"):
+        energy_propagator(ws_unit, x0, x1, E)
 
 
 def test_energy_propagator_non_finite_raises(heaviside_unit):

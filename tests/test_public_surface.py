@@ -100,3 +100,49 @@ def test_keep_entries_are_public_and_uncalled():
     home = {n: m for m in MODULES for n in _all(TREES[m]) or []}
     stale = sorted(n for n in KEEP if n not in home or _referenced(n, home[n]))
     assert not stale
+
+
+def _cli_violations(tree):
+    """Private stepprop names and scipy.integrate imports in a CLI tree."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            own = node.level > 0 or (node.module or "").startswith("stepprop")
+            if (node.module or "").startswith("scipy.integrate") or (
+                    node.module == "scipy"
+                    and any(a.name == "integrate" for a in node.names)):
+                found.append("imports from scipy.integrate")
+            for a in node.names if own else ():
+                if a.name.startswith("_"):
+                    found.append(f"imports {a.name}")
+                if node.module is None:  # from . import module
+                    modules.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("scipy.integrate"):
+                    found.append("imports scipy.integrate")
+                if a.name.startswith("stepprop"):
+                    modules.add(a.asname or a.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append(f"uses {node.value.id}.{node.attr}")
+    return found
+
+
+def test_cli_uses_only_public_library_names():
+    # the CLI parses and formats: figure recipes call public library
+    # functions and integrate no equations of motion of their own
+    assert _cli_violations(TREES["cli"]) == []
+
+
+def test_cli_check_catches_private_names():
+    tree = ast.parse("from . import classical as _classical\n"
+                     "from .caustics import _rhs\n"
+                     "def f():\n"
+                     "    from scipy.integrate import solve_ivp\n"
+                     "    return _classical._direct\n")
+    assert _cli_violations(tree) == ["imports _rhs",
+                                     "imports from scipy.integrate",
+                                     "uses _classical._direct"]

@@ -24,6 +24,14 @@ def test_nonpositive_time_rejected_before_wkb():
             cl.BoundarySpec(-4.0, -7.0, T)
 
 
+@pytest.mark.parametrize("x0,x1,T", [
+    (np.nan, -7.0, 10.0), (-4.0, -np.inf, 10.0), (-4.0, -7.0, np.inf),
+    (-4.0, -7.0, np.nan)])
+def test_non_finite_boundary_rejected(x0, x1, T):
+    with pytest.raises(ValidationError, match="finite"):
+        cl.BoundarySpec(x0, x1, T)
+
+
 def test_hbar_scaling_of_complex_saddle(ws_steep):
     bvp = cl.BoundarySpec(-5.0, -9.25, 10.0)
     sad = cl.find_caustic_saddle(ws_steep, bvp)
