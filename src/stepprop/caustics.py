@@ -32,9 +32,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _t_bounce,
-                        caustic_saddle_curve, caustic_triangle_vertices,
-                        endpoint, heaviside_three_path_region,
-                        solve_real_paths)
+                        bounce_fold, caustic_saddle_curve,
+                        caustic_triangle_vertices, endpoint,
+                        heaviside_three_path_region, solve_real_paths)
 from .errors import (InsideCausticError, QuadratureError, RootBracketError,
                      UnsupportedFamilyError, ValidationError)
 from .potential import (Family, StepModel, potential_derivatives,
@@ -173,15 +173,16 @@ def stokes_lines(model: StepModel, T: float, x0_values):
     points = []
     for x0 in np.atleast_1d(np.asarray(x0_values, dtype=float)):
         limit = -3.0 * abs(x0) - 3.0
-        xs = np.linspace(limit, limit * 0.2, 60)
         try:
-            saddles = caustic_saddle_curve(model, float(x0), T, xs)
+            fold = bounce_fold(model, float(x0), T, limit, -1e-3)
         except (RootBracketError, ValidationError):
             continue  # no fold on this row, or the row starts inside the loop
+        xs = [x1 for x1 in np.linspace(limit, limit * 0.2, 60) if x1 < fold]
+        saddles = caustic_saddle_curve(model, float(x0), T, xs) if xs else []
         prev = None
-        for key in sorted(saddles, reverse=True):
+        for key, saddle in reversed(list(zip(xs, saddles))):
             bvp = BoundarySpec(float(x0), float(key), T)
-            diff = _stokes_gap(model, bvp, saddles[key])
+            diff = _stokes_gap(model, bvp, saddle)
             if diff is None:
                 continue
             if prev is not None and np.sign(diff) != np.sign(prev[1]):
@@ -196,11 +197,16 @@ def relevance_flag(model: StepModel, bvp: BoundarySpec) -> bool:
     """True when the reflected (caustic) saddle contributes at bvp.
 
     Classification by the Stokes criterion Re(S_reflected) >= Re(S_direct);
-    ties on the line count as relevant.  Undefined inside the caustic loop.
-    On the sharp step, and on the smooth one outside the reflecting
-    quadrant x0, x1 < 0, the criterion is the sign rule x0 x1 >= 0: the
-    sharp step's actions m (x0 + x1)^2/2T and m (x1 - x0)^2/2T differ by
-    2 m x0 x1/T.
+    ties on the line count as relevant.  On the sharp step, and on the
+    smooth one outside the reflecting quadrant x0, x1 < 0, the criterion is
+    the sign rule x0 x1 >= 0: the sharp step's actions m (x0 + x1)^2/2T and
+    m (x1 - x0)^2/2T differ by 2 m x0 x1/T.
+
+    Undefined inside the caustic loop (InsideCausticError).  Inside the
+    smooth step's reflecting quadrant the gap needs the caustic saddle,
+    which needs a fold on the x0 row: where the row has none, for example
+    at alpha = 1, T = 10 at (-15, -3) or (-1e-5, -1e-5), RootBracketError
+    is raised (ROADMAP item 4).
     """
     if inside_caustic(model, bvp):
         raise InsideCausticError("relevance undefined where three real paths exist")

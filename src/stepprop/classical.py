@@ -86,10 +86,10 @@ class ClassicalSaddle:
     E: complex
     S: complex
     vv: complex
+    #: branch-resolved sqrt of vv entering the WKB sum: the Maslov phase
+    #: times |vv|^(1/2) for real kinds, -sqrt(vv) for the complex ones
+    sqrt_vv: complex
     relevant: bool = True
-    #: branch-resolved sqrt of vv entering the WKB sum (includes the Maslov
-    #: phase for real kinds); None for degenerate saddles
-    sqrt_vv: complex | None = None
     maslov: int | None = None
 
     def with_sqrt_vv(self, value: complex) -> "ClassicalSaddle":
@@ -144,6 +144,10 @@ class _ArcTerm:
         self.val = _pv(sign, y, log_u)
 
 
+#: the arctanh terms take log(V0), and the free particle has no turning point
+_FREE = "the implicit solution needs a step, V0 > 0"
+
+
 class EndpointState:
     """Arctanh terms at a real or complex x and energy E,
     A0 = arctanh(sign sqrt(w0)) and A1 = arctanh(+sqrt(w1))."""
@@ -152,6 +156,8 @@ class EndpointState:
 
     def __init__(self, model: StepModel, x, E: complex, sign: int = -1):
         self.x = x if isinstance(x, complex) and x.imag else float(x.real)
+        if model.V0 == 0:
+            raise ValidationError(_FREE)
         if E == 0 or E == model.V0:
             raise BranchDegenerateError("implicit solution degenerate at E in {0, V0}")
         v = potential_value(model, self.x)
@@ -202,6 +208,8 @@ def turning_point(model: StepModel, E) -> complex:
     """x_t = arctanh(2E/V0 - 1)/alpha, the square-root branch point of t(x)."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("turning point defined for the smooth step")
+    if model.V0 == 0:
+        raise ValidationError(_FREE)
     E = complex(E)
     if E == 0 or E == model.V0:
         raise BranchDegenerateError("turning point degenerate at E in {0, V0}")
@@ -614,28 +622,26 @@ def _caustic_saddle(model, x0, x1, T):
                       f"iterations at (x0, x1, T) = ({x0:g}, {x1:g}, {T:g})")
 
 
-def _fold(model, x0, T, x1_lo):
-    """x1 of the row's fold, from x1_lo outside the caustic loop."""
-    if model.family is not Family.WOODS_SAXON:
-        raise UnsupportedFamilyError("the caustic saddle needs the smooth step")
-    return bounce_fold(model, x0, T, x1_lo, -1e-3)
-
-
 def find_caustic_saddle(model: StepModel, bvp: BoundarySpec) -> ClassicalSaddle:
     """Caustic saddle at bvp: the complex bounce root that the two real
-    bounces merge into at the row's fold.  A row with no fold raises
-    RootBracketError, and an x1 inside the caustic loop ValidationError."""
-    _fold(model, bvp.x0, bvp.T, bvp.x1)
-    return _caustic_saddle(model, bvp.x0, bvp.x1, bvp.T)
+    bounces merge into at the row's fold; caustic_saddle_curve at one x1."""
+    return caustic_saddle_curve(model, bvp.x0, bvp.T, [bvp.x1])[0]
 
 
 def caustic_saddle_curve(model: StepModel, x0: float, T: float, x1_values):
-    """Caustic saddles along a row of x1 values, keyed by float(x1), with the
-    errors of find_caustic_saddle at min(x1_values).  An x1 at or past the
-    fold (inside the caustic loop) is left out of the dict."""
-    fold = _fold(model, x0, T, min(x1_values))
-    return {float(x1): _caustic_saddle(model, x0, float(x1), T)
-            for x1 in x1_values if x1 < fold}
+    """Caustic saddles along a row of x1 values, as a list in their order:
+    one fold search for the row, from min(x1_values), and one Newton per
+    x1.  A row with no fold raises RootBracketError, and an x1 at or past
+    the fold (on or inside the caustic loop) ValidationError."""
+    if model.family is not Family.WOODS_SAXON:
+        raise UnsupportedFamilyError("the caustic saddle needs the smooth step")
+    x1s = [float(x1) for x1 in x1_values]
+    fold = bounce_fold(model, x0, T, min(x1s), -1e-3)
+    for x1 in x1s:
+        if not x1 < fold:
+            raise ValidationError(f"x1 = {x1:.6g} lies on or inside the "
+                                  f"caustic loop; no complex saddle")
+    return [_caustic_saddle(model, x0, x1, T) for x1 in x1s]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from . import spectroscopy as _spec
 from .errors import StepPropError, ValidationError
 from .oracle import GridSpec, evolve_packet, gaussian_packet
 from .potential import Family, StepModel, potential_value
-from .propagator import QuadratureConfig, energy_propagator, propagate
+from .propagator import energy_propagator, propagate
 from .eigenstates import eigenstate_ws, scatter_rates
 from .wkb import fix_complex_saddle_phase, wkb_propagator
 
@@ -94,16 +94,6 @@ def _saddle_set(model, bvp, which, caustic=None):
     return saddles
 
 
-def _caustic_row(model, x0, T, x1s):
-    """Caustic saddles along a row of x1, one fold search for the row."""
-    curve = _classical.caustic_saddle_curve(model, x0, T, x1s)
-    for x1 in x1s:
-        if float(x1) not in curve:
-            raise ValidationError(f"x1 = {x1:.6g} lies on or inside the "
-                                  f"caustic loop; no complex saddle")
-    return [curve[float(x1)] for x1 in x1s]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -130,8 +120,7 @@ ROW_BLOCK = 16
 def _cmd_propagate(args):
     model = _parse_model(args.model)
     xs = _parse_range(args.x1_range)
-    cfg = QuadratureConfig(theta=args.theta)
-    jobs = [(model, args.x0, xs[i:i + ROW_BLOCK], args.T, cfg)
+    jobs = [(model, args.x0, xs[i:i + ROW_BLOCK], args.T)
             for i in range(0, xs.size, ROW_BLOCK)]
     if args.threads > 1:
         import concurrent.futures as cf
@@ -143,8 +132,8 @@ def _cmd_propagate(args):
             for block in blocks for s in block.samples]
     _write_rows(args.out, ("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"),
                 rows, {"command": "propagate", "model": model.to_dict(),
-                       "x0": args.x0, "x1_range": args.x1_range, "T": args.T,
-                       "theta": args.theta}, args.format)
+                       "x0": args.x0, "x1_range": args.x1_range, "T": args.T},
+                args.format)
     return 0
 
 
@@ -204,7 +193,7 @@ def _cmd_wkb(args):
     hbar = args.hbar if args.hbar is not None else model.hbar
     if args.calibrate:
         g_exact = propagate(replace(model, hbar=hbar), args.x0, xs, args.T).G
-    caustic = (_caustic_row(model, args.x0, args.T, xs)
+    caustic = (_classical.caustic_saddle_curve(model, args.x0, args.T, xs)
                if "caustic" in args.saddles else [None] * xs.size)
     rows = []
     for j, (x1, caus) in enumerate(zip(xs, caustic)):
@@ -246,7 +235,7 @@ def _cmd_spectrum(args):
 def _cmd_oracle(args):
     model = _parse_model(args.model)
     grid = GridSpec(x_min=args.x_min, x_max=args.x_max, n_x=args.n_x,
-                    dt=args.dt, absorbing_width=args.absorbing_width)
+                    dt=args.dt)
     xs = grid.xs()
     psi0 = gaussian_packet(xs, args.center, args.sigma, args.k_mean,
                            model.hbar)
@@ -387,18 +376,12 @@ def _recipes(coarse):
     def fig9():
         hb = 0.1
         xs = np.linspace(-10.0, -8.0, nline)
-        probe = _classical.BoundarySpec(-5.0, -9.0, 10.0)
-        mdh = replace(_WS5, hbar=hb)
-        gp = propagate(mdh, -5.0, -9.0, 10.0).G
-        *row, c_probe = _caustic_row(_WS5, -5.0, 10.0, [*xs, -9.0])
-        sad0 = _saddle_set(_WS5, probe, "real+caustic", c_probe)
-        sad1 = fix_complex_saddle_phase(_WS5, probe, sad0, gp, hb)
-        flip = -1.0 if sad1[-1].sqrt_vv != sad0[-1].sqrt_vv else 1.0
+        g_exact = propagate(replace(_WS5, hbar=hb), -5.0, xs, 10.0).G
+        caustic = _classical.caustic_saddle_curve(_WS5, -5.0, 10.0, xs)
         rows = []
-        for x1, g, caus in zip(xs, propagate(mdh, -5.0, xs, 10.0).G, row):
+        for x1, g, caus in zip(xs, g_exact, caustic):
             bvp = _classical.BoundarySpec(-5.0, float(x1), 10.0)
             real_s = _classical.solve_real_paths(_WS5, bvp)
-            caus = caus.with_sqrt_vv(complex(flip * caus.sqrt_vv))
             w_real = wkb_propagator(_WS5, bvp, real_s, hb)
             w_both = wkb_propagator(_WS5, bvp, real_s + [caus], hb)
             rows.append((x1, g.real, g.imag, w_real.real, w_real.imag,
@@ -411,8 +394,8 @@ def _recipes(coarse):
         # principal root v0 = sqrt(2 (E - V(x0)) / m) of the caustic saddle
         xs = np.arange(-6.75, -3.94, 0.05)
         v_x0 = potential_value(_WS1, -4.0)
-        v0s = [cmath.sqrt(2.0 * (s.E - v_x0) / _WS1.m)
-               for s in _caustic_row(_WS1, -4.0, 10.0, xs)]
+        caustic = _classical.caustic_saddle_curve(_WS1, -4.0, 10.0, xs)
+        v0s = [cmath.sqrt(2.0 * (s.E - v_x0) / _WS1.m) for s in caustic]
         yield ("fig10_complex_v0.csv", ("x1", "Re_v0", "Im_v0"),
                [(x1, v.real, v.imag) for x1, v in zip(xs, v0s)],
                {"recipe": "fig10"})
@@ -551,7 +534,6 @@ def build_parser():
     q.add_argument("--x0", type=float, required=True)
     q.add_argument("--x1-range", required=True)
     q.add_argument("--T", type=float, required=True)
-    q.add_argument("--theta", type=float, default=0.1)
     q.add_argument("--threads", type=int, default=1)
 
     q = command("energy", _cmd_energy, "energy propagator sweep")
@@ -605,7 +587,6 @@ def build_parser():
     q.add_argument("--x-max", type=float, default=40.0)
     q.add_argument("--n-x", type=int, default=8192)
     q.add_argument("--dt", type=float, default=0.005)
-    q.add_argument("--absorbing-width", type=float, default=0.0)
 
     q = sub.add_parser("reproduce", help="figure-data reproduction recipes")
     q.add_argument("figure", help="fig1..fig18 or 'all'")

@@ -5,9 +5,9 @@ One step advances psi by the Cayley form
 
     (1 + i dt H / (2 hbar)) psi' = (1 - i dt H / (2 hbar)) psi,
 
-with H the three-point Laplacian plus the (real) potential and an optional
-negative imaginary absorbing ramp near both edges.  Without absorption the
-step is exactly unitary up to roundoff and second-order accurate in dt and dx.
+with H the three-point Laplacian plus the real potential on a closed box.
+The step is exactly unitary up to roundoff and second-order accurate in dt
+and dx.
 
 The tridiagonal Cayley matrix on the left is the same at every step, so it
 is LU-factored once (LAPACK zgttrf, partial pivoting) and each step is one
@@ -33,7 +33,6 @@ class GridSpec:
     x_max: float
     n_x: int = 4096
     dt: float = 0.005
-    absorbing_width: float = 0.0
 
     def __post_init__(self):
         if not (self.x_min < self.x_max):
@@ -64,19 +63,6 @@ def norm_l2(psi, xs):
     return math.sqrt(float(np.trapezoid(np.abs(np.asarray(psi)) ** 2, xs)))
 
 
-def _absorber(grid: GridSpec):
-    xs = grid.xs()
-    w = grid.absorbing_width
-    if w <= 0:
-        return np.zeros(grid.n_x)
-    ramp = np.zeros(grid.n_x)
-    left = xs < grid.x_min + w
-    right = xs > grid.x_max - w
-    ramp[left] = ((grid.x_min + w - xs[left]) / w) ** 4
-    ramp[right] = ((xs[right] - (grid.x_max - w)) / w) ** 4
-    return ramp
-
-
 def evolve_packet(model: StepModel, psi0, grid: GridSpec, T: float,
                   k_content: float | None = None):
     """Evolve psi0 (sampled on grid.xs()) to time T >= 0 in
@@ -98,8 +84,7 @@ def evolve_packet(model: StepModel, psi0, grid: GridSpec, T: float,
         if k_content > 0.9 * k_nyq:
             raise GridTooCoarseError(
                 f"momentum content {k_content:.3g} exceeds 0.9 x Nyquist {k_nyq:.3g}")
-    xs = grid.xs()
-    v = potential_value(model, xs) - 1j * _absorber(grid)
+    v = potential_value(model, grid.xs())
     kin = h * h / (2.0 * m * dx * dx)
     n_steps = max(int(round(T / grid.dt)), 1 if T > 0 else 0)
     dt = T / max(n_steps, 1)

@@ -13,7 +13,7 @@ the reflection conj(f(conj(k), conj(q)))), so the above-threshold leg can be
 deformed into the lower half-plane where the kernel decays like a Gaussian.
 
 Substitutions remove the square-root branch points at threshold:
-below, k = kc sin(u); above, p = t e^{-i theta} with k = sqrt(kc^2 + p^2).
+below, k = kc sin(u); above, p = t e^{-i THETA} with k = sqrt(kc^2 + p^2).
 
 The energy propagator needs no integral: it is the closed-form Wronskian
 product of the two outgoing eigenstates (see energy_propagator).
@@ -42,19 +42,18 @@ __all__ = ["QuadratureConfig", "PropagatorSample", "PropagatorRow",
 #: the deformed above-threshold leg of a column ends at K_MAX_FACTOR x
 #: max(kc, k_star, damp, 1); a column still loud there raises
 K_MAX_FACTOR = 40.0
+#: angle of the deformed above-threshold ray p = t e^{-i THETA}, in (0, pi/4)
+THETA = 0.1
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Contour and tolerance settings for the spectral integrals."""
+    """Tolerance settings for the spectral integrals."""
 
-    theta: float = 0.1
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.theta < math.pi / 4):
-            raise ValidationError("deformation angle must lie in (0, pi/4)")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValidationError("tolerances must be positive")
 
@@ -172,7 +171,7 @@ def _above_leg_deformed(model, x0, x1, T, cfg):
     """
     kc = model.k_threshold
     m, h = model.m, model.hbar
-    rot = np.exp(-1j * cfg.theta)
+    rot = np.exp(-1j * THETA)
 
     def integrand(cols):
         def f(ts):
@@ -185,7 +184,7 @@ def _above_leg_deformed(model, x0, x1, T, cfg):
 
     x1s = np.atleast_1d(x1)
     # Gaussian damping scale of the rotated phase plus the stationary point
-    damp = math.sqrt(2.0 * m * h / (T * math.sin(2.0 * cfg.theta)))
+    damp = math.sqrt(2.0 * m * h / (T * math.sin(2.0 * THETA)))
     k_star = m * (abs(x0) + np.abs(x1s)) / T
     reach = k_star + 4 * damp
     block = max(1.5 * damp, 1.0)

@@ -47,8 +47,7 @@ def _halves(lo, hi):
     return c_lo, c_hi
 
 
-def integrate_adaptive(f, a, b, abs_tol: float = 1e-9,
-                       rel_tol: float = 1e-8):
+def integrate_adaptive(f, a, b, abs_tol: float, rel_tol: float):
     """Integrate complex-valued f over [a, b].
 
     f maps a real node array of shape (n,) to complex values of shape

@@ -188,9 +188,8 @@ def wkb_model_laplace(saddles, window: OmegaWindow, s_grid):
     s_grid = np.asarray(s_grid, dtype=float)
     total = np.zeros(s_grid.size, dtype=complex)
     for sad in saddles:
-        sq = sad.sqrt_vv if sad.sqrt_vv is not None else np.sqrt(complex(sad.vv))
         expo = 1j * sad.S - s_grid
-        total += sq * (np.exp(window.B * expo) - np.exp(window.A * expo)) / expo
+        total += sad.sqrt_vv * (np.exp(window.B * expo) - np.exp(window.A * expo)) / expo
     return total
 
 

@@ -3,10 +3,11 @@
     G(x1,x0;T) ~ Theta(T) sqrt(i/(2 pi hbar)) sum_j sqrt_vv_j e^{i S_j/hbar},
 
 where sqrt_vv_j is the branch-resolved square root of the Van Vleck factor
-d2S/dx0 dx1 carried by each saddle: for real saddles it encodes the Maslov
-phase (-i)^(nu+1) |vv|^(1/2), fixed by the free-particle limit; for complex
-saddles the default branch is -sqrt(vv), the analytic continuation through
-the fold (its WKB coefficient tends to one in the semiclassical limit).
+d2S/dx0 dx1 that each saddle must carry (the sum takes no square root of
+its own): for real saddles it encodes the Maslov phase (-i)^(nu+1)
+|vv|^(1/2), fixed by the free-particle limit; complex saddles carry
+-sqrt(vv), the analytic continuation through the fold (its WKB coefficient
+tends to one in the semiclassical limit).
 
 BoundarySpec admits only T > 0, so Theta(T) = 1 wherever the sum is taken.
 A saddle whose |vv| exceeds VV_CAUSTIC_LIMIT sits too close to a caustic for
@@ -43,8 +44,7 @@ def wkb_propagator(model: StepModel, bvp: BoundarySpec, saddles,
         if abs(sad.vv) > VV_CAUSTIC_LIMIT:
             raise ValidationError(
                 "Van Vleck factor diverges: WKB invalid this close to a caustic")
-        sqrt_vv = cmath.sqrt(sad.vv) if sad.sqrt_vv is None else sad.sqrt_vv
-        total += complex(pref * sqrt_vv * cmath.exp(1j * sad.S / h))
+        total += complex(pref * sad.sqrt_vv * cmath.exp(1j * sad.S / h))
     return complex(total)
 
 

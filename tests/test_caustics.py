@@ -203,8 +203,8 @@ def test_stokes_relevant_wedge_on_smooth_row(ws_unit):
     assert pts == []
     xs = np.linspace(-9.0, -5.2, 9)
     sads = cl.caustic_saddle_curve(ws_unit, -3.0, 10.0, xs)
-    for key, sad in sads.items():
-        bvp = cl.BoundarySpec(-3.0, float(key), 10.0)
+    for x1, sad in zip(xs, sads):
+        bvp = cl.BoundarySpec(-3.0, float(x1), 10.0)
         (direct,) = [s for s in cl.solve_real_paths(ws_unit, bvp)
                      if s.kind is cl.SaddleKind.DIRECT]
         assert sad.S.real > direct.S.real

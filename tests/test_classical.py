@@ -27,6 +27,19 @@ def test_turning_point_values(ws_unit):
         cl.turning_point(ws_unit, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda md: cl.turning_point(md, 0.5),
+    lambda md: cl.time_of_flight(md, 0.5, -1.0),
+    lambda md: cl.reduced_action(md, 0.5, -1.0),
+    lambda md: cl.endpoint(md, -1.0, 0.5, 1.0)],
+    ids=["turning_point", "time_of_flight", "reduced_action", "endpoint"])
+def test_zero_step_height_is_a_validation_error(call):
+    # the implicit solution takes log(V0); the free particle has no turning
+    # point
+    with pytest.raises(ValidationError, match="V0 > 0"):
+        call(StepModel(Family.WOODS_SAXON, V0=0.0))
+
+
 def test_turning_point_defining_identity(ws_unit, rng):
     for _ in range(10):
         E = rng.uniform(0.05, 0.95)
@@ -515,6 +528,9 @@ def test_caustic_saddle_imaginary_part_vanishes_at_fold(ws_steep):
 def test_caustic_saddle_inside_raises(ws_steep):
     with pytest.raises(ValidationError):
         cl.find_caustic_saddle(ws_steep, cl.BoundarySpec(-3.0, -2.0, 10.0))
+    # a row from outside the loop, whose fold lies at x1 = -6.698
+    with pytest.raises(ValidationError, match="x1 = -6 "):
+        cl.caustic_saddle_curve(ws_steep, -5.0, 10.0, [-9.0, -6.0])
 
 
 @pytest.mark.parametrize("alpha, x0, lo, hi", [(1.0, -3.0, -9.0, -5.2),
@@ -523,8 +539,8 @@ def test_caustic_saddle_curve_matches_single_calls(alpha, x0, lo, hi):
     md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0)
     xs = np.linspace(lo, hi, 9)
     row = cl.caustic_saddle_curve(md, x0, 10.0, xs)
-    assert sorted(row) == sorted(xs)
-    for x1, sad in row.items():
+    assert len(row) == xs.size
+    for x1, sad in zip(xs, row):
         one = cl.find_caustic_saddle(md, cl.BoundarySpec(x0, x1, 10.0))
         for a, b in ((sad.E, one.E), (sad.S, one.S), (sad.vv, one.vv)):
             assert abs(a - b) <= 1e-11 * abs(b)
@@ -548,10 +564,10 @@ def test_caustic_saddle_census_is_continuous():
             fold = cl.bounce_fold(md, x0, T, -20.0, -1e-3)
             xs = fold - np.geomspace(1e-3, fold + 20.0, 20)
             row = cl.caustic_saddle_curve(md, x0, T, xs)
-            assert sorted(row) == sorted(xs)
-            S = np.array([row[float(x1)].S for x1 in xs])
-            for x1 in xs:
-                E = row[float(x1)].E
+            assert len(row) == xs.size
+            S = np.array([sad.S for sad in row])
+            for x1, sad in zip(xs, row):
+                E = sad.E
                 tb = cl._bounce(md, E, *cl._fresh(md, E, x0, x1, 1))[0]
                 assert abs(tb - T) <= 1e-12, (alpha, x0, T, x1)
             assert S[0].imag >= 0 and np.all(np.diff(S.imag) > 0), (alpha, x0)

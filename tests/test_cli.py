@@ -98,6 +98,18 @@ def test_malformed_number_exits_2(argv, capsys):
     assert record["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["propagate", "--model", WS, "--x0=-1", "--x1-range=-2:-1:2", "--T", "1",
+     "--theta", "0.2"],
+    ["oracle", "--model", WS, "--T", "1", "--n-x", "1024",
+     "--absorbing-width", "8"],
+], ids=["propagate_theta", "oracle_absorbing_width"])
+def test_fixed_setting_has_no_option(argv, capsys):
+    # the contour angle is a constant and the oracle a closed box
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_zero_step_height_smooth_step_saddles(capsys):
     # V0 = 0 reduces the smooth step to the free particle: one direct path
     md = json.dumps({"family": "woods_saxon", "V0": 0})

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from stepprop.errors import GridTooCoarseError, NonFiniteError, ValidationError
-from stepprop.oracle import (GridSpec, _absorber, evolve_packet,
-                             gaussian_packet, norm_l2)
+from stepprop.oracle import GridSpec, evolve_packet, gaussian_packet, norm_l2
 from stepprop.potential import potential_value
 from stepprop.potential import Family, StepModel
 from stepprop import eigenstates as eig
@@ -82,7 +81,7 @@ def test_grid_too_coarse_guard(ws_unit):
 def _cn_solve_banded(model, psi0, grid, T):
     """Crank-Nicolson by one banded solve per step, refactoring each time."""
     h, m, dx = model.hbar, model.m, grid.dx
-    v = potential_value(model, grid.xs()) - 1j * _absorber(grid)
+    v = potential_value(model, grid.xs())
     kin = h * h / (2.0 * m * dx * dx)
     n_steps = int(round(T / grid.dt))
     lam = 1j * (T / n_steps) / (2.0 * h)
@@ -98,10 +97,8 @@ def _cn_solve_banded(model, psi0, grid, T):
     return psi
 
 
-@pytest.mark.parametrize("absorbing_width", [0.0, 8.0])
-def test_factored_step_matches_banded_solve(ws_unit, absorbing_width):
-    grid = GridSpec(-30.0, 20.0, n_x=1024, dt=0.01,
-                    absorbing_width=absorbing_width)
+def test_factored_step_matches_banded_solve(ws_unit):
+    grid = GridSpec(-30.0, 20.0, n_x=1024, dt=0.01)
     psi0 = gaussian_packet(grid.xs(), center=-8.0, sigma=1.5, k_mean=1.2)
     psi = evolve_packet(ws_unit, psi0, grid, T=1.0)
     assert np.array_equal(psi, _cn_solve_banded(ws_unit, psi0, grid, 1.0))

@@ -10,9 +10,9 @@ from stepprop.oracle import gaussian_packet
 from oracles import free_propagator
 from stepprop.potential import Family, StepModel, potential_value
 from stepprop.eigenstates import phi_grid
-from stepprop.propagator import (QuadratureConfig, _kernel_pairs,
-                                 _simpson_weights, energy_propagator,
-                                 evolve_packet_spectral, propagate)
+from stepprop.propagator import (_kernel_pairs, _simpson_weights,
+                                 energy_propagator, evolve_packet_spectral,
+                                 propagate)
 
 
 def test_retarded_convention_zero_for_nonpositive_time(ws_unit):
@@ -41,9 +41,11 @@ def test_free_particle_reduction(family, rng):
         assert abs(s.G - free_propagator(md, x0, x1, T)) < 1e-8
 
 
-def test_theta_independence(heaviside_unit):
-    a = propagate(heaviside_unit, -4.0, -6.0, 10.0, QuadratureConfig(theta=0.05))
-    b = propagate(heaviside_unit, -4.0, -6.0, 10.0, QuadratureConfig(theta=0.15))
+def test_theta_independence(heaviside_unit, monkeypatch):
+    monkeypatch.setattr(propagator, "THETA", 0.05)
+    a = propagate(heaviside_unit, -4.0, -6.0, 10.0)
+    monkeypatch.setattr(propagator, "THETA", 0.15)
+    b = propagate(heaviside_unit, -4.0, -6.0, 10.0)
     tol = 10.0 * max(a.est_error, b.est_error, 1e-12)
     assert abs(a.G - b.G) < tol
 
@@ -70,6 +72,8 @@ ROW_CASES = {
             [-8.0, -6.0, -4.3, -1.0, 0.5, 2.0]),
     "ws1_hbar05": ((Family.WOODS_SAXON, 1.0, 1.0, 0.5), -3.0,
                    [-7.5, -3.0, -0.4, 1.8]),
+    # |G| = 0.17: the largest gap measured on these rows, 8.2e-15
+    "ws1_hbar12": ((Family.WOODS_SAXON, 1.0, 1.0, 1.0 / 12.0), -3.0, [-1.0]),
     # |alpha x| > 30 on both sides, and the 2F1 region between
     "ws5": ((Family.WOODS_SAXON, 1.0, 5.0, 1.0), -2.0,
             [-8.0, -6.5, -2.0, 0.5, 6.5, 8.0]),

@@ -6,7 +6,10 @@ src/ beyond its own definition, the __all__ and the package re-export, or
 is named in KEEP with the one-line reason it stays public.  A helper that
 only the tests call belongs in tests/oracles.py, not in the package.
 """
+import argparse
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -146,3 +149,40 @@ def test_cli_check_catches_private_names():
     assert _cli_violations(tree) == ["imports _rhs",
                                      "imports from scipy.integrate",
                                      "uses _classical._direct"]
+
+
+def _unread_options(parser):
+    """(subcommand, dest) of each option that a subcommand's parser adds and
+    its handler, the parser's func default, never reads as args.<dest>."""
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    found = []
+    for name, q in sub.choices.items():
+        handler = q.get_default("func")
+        (fn,) = ast.parse(textwrap.dedent(inspect.getsource(handler))).body
+        args = fn.args.args[0].arg
+        reads = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == args}
+        found += [(name, a.dest) for a in q._actions
+                  if a.dest != "help" and a.dest not in reads]
+    return found
+
+
+def test_cli_reads_every_option():
+    # an option that its command parses and ignores is a knob that does
+    # nothing; drop it instead
+    from stepprop.cli import build_parser
+    assert _unread_options(build_parser()) == []
+
+
+def _synthetic_handler(opts):
+    return opts.kept
+
+
+def test_option_check_catches_unread_flags():
+    p = argparse.ArgumentParser()
+    q = p.add_subparsers(dest="command").add_parser("run")
+    q.set_defaults(func=_synthetic_handler)
+    q.add_argument("--kept")
+    q.add_argument("--ignored", type=float, default=0.0)
+    assert _unread_options(p) == [("run", "ignored")]

@@ -51,9 +51,16 @@ def test_hbar_scaling_of_complex_saddle(ws_steep):
 
 def test_caustic_proximity_error(ws_unit):
     sad = cl.ClassicalSaddle(kind=cl.SaddleKind.DIRECT, E=0.1, S=1.0,
-                             vv=2e6 + 0j, sqrt_vv=None)
+                             vv=2e6 + 0j, sqrt_vv=-1j * np.sqrt(2e6))
     with pytest.raises(ValidationError):
         wkb_propagator(ws_unit, cl.BoundarySpec(-4.0, -7.0, 10.0), [sad])
+
+
+def test_saddle_must_carry_its_branch():
+    # the sum takes no square root of its own, so no saddle may omit sqrt_vv
+    with pytest.raises(TypeError, match="sqrt_vv"):
+        cl.ClassicalSaddle(kind=cl.SaddleKind.CAUSTIC, E=1.0, S=1.0,
+                           vv=0.49 + 0j)
 
 
 def test_branch_continuity_along_row(ws_steep):
