@@ -24,7 +24,8 @@ integration contour, and every function here is an analytic continuation of
 the real-k formula.  The i -> -i form of any of them, analytic in (k, q) and
 equal to the complex conjugate on the real axis, is the reflection
 conj(f(conj(k), conj(q))): every factor is a principal-branch exp, log, sqrt
-or loggamma, or a 2F1 series with real coefficients, at real x.
+or loggamma, or a 2F1 series with real coefficients, at real x.  model.hbar
+may be an array that broadcasts against k (the hbar columns of a sweep).
 """
 from __future__ import annotations
 
@@ -130,7 +131,7 @@ def _phi_ws_asym_left(model, branch, k, q, x):
     nu, cpar, s = _ws_params(model, k, a)
     ah = model.alpha * model.hbar
     h = model.hbar
-    logc = (math.log(math.pi) + loggamma(cpar) - math.log(2.0 * ah)
+    logc = (math.log(math.pi) + loggamma(cpar) - np.log(2.0 * ah)
             - _logsinh(math.pi * k / ah))
     den_in = loggamma(1.0 - 1j * k / ah) + 2.0 * loggamma(1.0 + nu)
     den_out = loggamma(1.0 + 1j * k / ah) + 2.0 * loggamma(1.0 - s / (2 * ah))

@@ -14,6 +14,9 @@ deformed into the lower half-plane where the kernel decays like a Gaussian.
 
 Substitutions remove the square-root branch points at threshold:
 below, k = kc sin(u); above, p = t e^{-i THETA} with k = sqrt(kc^2 + p^2).
+The above leg runs in tau = t/damp, damp = sqrt(2 m hbar/(T sin 2 THETA)),
+where e^{-i p^2 T/(2 m hbar)} = e^{-i e^{-2i THETA} tau^2/sin 2 THETA} does
+not depend on hbar: the hbar columns of an omega sweep share tau panels.
 
 The energy propagator needs no integral: it is the closed-form Wronskian
 product of the two outgoing eigenstates (see energy_propagator).
@@ -23,6 +26,7 @@ T <= 0 returns an exactly zero amplitude (retarded convention).
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 
@@ -70,7 +74,8 @@ class PropagatorSample:
 
 @dataclass(frozen=True)
 class PropagatorRow:
-    """G(x1_j, x0; T) along a row of x1 from one shared quadrature per leg.
+    """G(x1_j, x0; T) along a row of x1 (or, for a model whose hbar is a 1-D
+    array, along those hbar with x1 repeated) from one quadrature per leg.
 
     ``est_errors[j]`` is the error estimate of column j and ``est_error``
     the row's largest; ``n_evals`` counts the integrand nodes the row shared.
@@ -124,33 +129,56 @@ def _kernel_pairs(model, k, q, above):
 
 def _spectral_weight(model, k, q, x0, x1, above):
     """Kernel w_c (below the step, q = mu) or w_pm (above, q = p), analytic
-    in (k, q).  Shape k.shape for a float x1, and (k.size, x1.size) for a
-    1-D row of x1, whose eigenstates come from phi_grid."""
+    in (k, q), with k and q of shape (nodes, 1), or (nodes, columns) in an
+    hbar sweep.  Returns (nodes, columns): a 1-D row of x1 is the column
+    axis of phi_grid, a float x1 takes phi."""
     branches, pairs = _kernel_pairs(model, k, q, above)
     kb, qb = np.conj(k), np.conj(q)
     bar = {b: np.conj(phi(model, b, kb, qb, x0)) for b in branches}
-    if np.ndim(x1) == 0:
-        out = {b: phi(model, b, k, q, x1) for b in branches}
-        return sum(coef * out[b1] * bar[b0] for b1, b0, coef in pairs)
-    out = {b: phi_grid(model, b, k, q, x1) for b in branches}
-    return sum(np.reshape(coef, (-1, 1)) * out[b1] * bar[b0][:, None]
-               for b1, b0, coef in pairs)
+    at_x1 = phi if np.ndim(x1) == 0 else phi_grid
+    out = {b: at_x1(model, b, k, q, x1) for b in branches}
+    return sum(coef * out[b1] * bar[b0] for b1, b0, coef in pairs)
+
+
+def _hbar_columns(model, hbars):
+    """model with hbar the 1-D array hbars (finite, > 0), one column each."""
+    cols = copy.copy(model)
+    object.__setattr__(cols, "hbar", np.asarray(hbars, dtype=float))
+    return cols
+
+
+def _column(model, x1, c):
+    """'x1 = .. and hbar = ..' of column c, for error messages."""
+    x1c, hc = np.broadcast_arrays(np.atleast_1d(x1), np.atleast_1d(model.hbar))
+    return f"x1 = {float(x1c[c])!r} and hbar = {float(hc[c])!r}"
+
+
+def _stops(vals, block, reach, quiet_level):
+    """The block at which each column stops, len(vals) for one that has not:
+    block j stops a column when it and block j-1 are quiet and it ends
+    beyond the column's reach (block and reach in t, per column)."""
+    quiet = np.abs(vals) < quiet_level
+    stops = np.zeros(quiet.shape, dtype=bool)
+    stops[1:] = quiet[1:] & quiet[:-1]
+    stops &= block * np.arange(1, len(vals) + 1)[:, None] > reach
+    return np.where(np.any(stops, axis=0), np.argmax(stops, axis=0), len(vals))
 
 
 def _below_leg(model, x0, x1, T, cfg):
-    """Integral over k in [0, kc] via k = kc sin(u); one value per column
-    (a float x1 is one column)."""
+    """Integral over k in [0, kc] via k = kc sin(u); one value per column."""
     kc = model.k_threshold
     m, h = model.m, model.hbar
     if kc == 0.0:
-        return np.zeros(np.size(x1), dtype=complex), np.zeros(np.size(x1)), 0
+        n = np.broadcast(x1, h).size
+        return np.zeros(n, dtype=complex), np.zeros(n), 0
 
     def f(us):
+        us = us[:, None]
         k = kc * np.sin(us)
         mu = kc * np.cos(us)
         w = _spectral_weight(model, k + 0j, mu + 0j, x0, x1, False)
         phase = np.exp(-1j * k * k * T / (2.0 * m * h)) * kc * np.cos(us)
-        return w.reshape(us.size, -1) * phase[:, None]
+        return w * phase
 
     return integrate_adaptive(f, 0.0, math.pi / 2, cfg.abs_tol, cfg.rel_tol)
 
@@ -158,69 +186,69 @@ def _below_leg(model, x0, x1, T, cfg):
 def _above_leg_deformed(model, x0, x1, T, cfg):
     """Deformed above-threshold leg for the real-time propagator.
 
-    The rotated ray is cut into blocks of width max(1.5 damp, 1).  A column
-    stops at the second quiet block in a row (|value| below the quiet level)
-    that ends beyond its reach, its stationary point plus four damping
-    lengths.  The first call integrates every block up to the first that
-    ends beyond the row's largest reach, and two more: the stop fell on one
-    of those two on every sweep measured, and a quiet block costs one
-    panel level inside the call where a further call costs a whole
-    refinement pass.  Further blocks follow one at a time for the columns
-    that have not stopped.  A column that reaches its cap
+    The rotated ray is integrated in tau = t/damp and cut into blocks of
+    1.5 in tau, 1.5 damping lengths in t, the same for every hbar.  A
+    column stops at the second quiet block in a row (|value| below the
+    quiet level) that ends beyond its reach, its stationary point plus
+    four damping lengths.  The first call integrates every block up to the
+    first that ends beyond the largest reach in tau, and two more: the stop
+    fell on one of those two on every sweep measured, and a quiet block
+    costs one panel level inside the call where a further call costs a
+    whole refinement pass.  Further blocks follow one at a time for the
+    columns that have not stopped.  A column that reaches its cap
     K_MAX_FACTOR * max(kc, k_star, damp, 1) first raises QuadratureError.
     """
     kc = model.k_threshold
-    m, h = model.m, model.hbar
+    m, sweep = model.m, np.ndim(model.hbar) != 0
     rot = np.exp(-1j * THETA)
 
-    def integrand(cols):
-        def f(ts):
-            p = rot * ts
+    def integrand(keep):
+        md = _hbar_columns(model, model.hbar[keep]) if sweep else model
+        cols = x1[keep] if np.ndim(x1) else x1
+        dk = damp[keep] if sweep else damp
+
+        def f(taus):
+            p = rot * (taus[:, None] * dk)
             k = np.sqrt(kc * kc + p * p)
-            w = _spectral_weight(model, k, p, x0, cols, True)
-            phase = np.exp(-1j * k * k * T / (2 * m * h)) * (p / k) * rot
-            return w.reshape(ts.size, -1) * phase[:, None]
+            w = _spectral_weight(md, k, p, x0, cols, True)
+            phase = (np.exp(-1j * k * k * T / (2 * m * md.hbar)) * (p / k)
+                     * rot * dk)
+            return w * phase
         return f
 
-    x1s = np.atleast_1d(x1)
-    # Gaussian damping scale of the rotated phase plus the stationary point
-    damp = math.sqrt(2.0 * m * h / (T * math.sin(2.0 * THETA)))
-    k_star = m * (abs(x0) + np.abs(x1s)) / T
+    # per column: Gaussian damping scale of the rotated phase, stationary
+    # point, reach, block and cap, in t
+    damp = np.sqrt(2.0 * m * model.hbar / (T * math.sin(2.0 * THETA)))
+    k_star = m * (abs(x0) + np.abs(np.atleast_1d(x1))) / T
     reach = k_star + 4 * damp
-    block = max(1.5 * damp, 1.0)
-    t_cap = K_MAX_FACTOR * np.maximum(max(kc, damp, 1.0), k_star)
+    block = 1.5 * damp
+    t_cap = K_MAX_FACTOR * np.maximum(np.maximum(damp, max(kc, 1.0)), k_star)
+    n_col = reach.size
     quiet_level = max(1e-13, cfg.abs_tol * 1e-2)
-    n_first = int(np.max(reach) // block) + 3
-    edges = block * np.arange(n_first + 1)
+    n_first = int(np.max(reach // block)) + 3
+    edges = 1.5 * np.arange(n_first + 1)
     vals, errs, n_evals = integrate_adaptive(
-        integrand(x1), edges[:-1], edges[1:], cfg.abs_tol, cfg.rel_tol)
+        integrand(np.ones(n_col, dtype=bool)), edges[:-1], edges[1:],
+        cfg.abs_tol, cfg.rel_tol)
     while True:
-        # block j stops a column when it and block j-1 are quiet and it ends
-        # beyond the column's reach
         n = len(vals)
-        quiet = np.abs(vals) < quiet_level
-        stops = np.zeros(quiet.shape, dtype=bool)
-        stops[1:] = quiet[1:] & quiet[:-1]
-        stops &= block * np.arange(1, n + 1)[:, None] > reach
-        done = np.any(stops, axis=0)
-        last = np.where(done, np.argmax(stops, axis=0), n)
+        last = _stops(vals, block, reach, quiet_level)
+        done = last < n
         capped = last * block >= t_cap
         if np.any(capped):
             c = int(np.argmax(capped))
             raise QuadratureError(
-                f"above-threshold leg at x1 = {float(x1s[c])!r} reached its "
+                f"above-threshold leg at {_column(model, x1, c)} reached its "
                 f"cap t = {float(t_cap[c])!r} without two quiet blocks")
         if np.all(done):
             break
-        cols = x1 if np.ndim(x1) == 0 else x1s[~done]
-        v, e, ne = integrate_adaptive(integrand(cols), n * block,
-                                      (n + 1) * block, cfg.abs_tol,
-                                      cfg.rel_tol)
-        vals = np.vstack([vals, np.zeros(x1s.size, dtype=complex)])
-        errs = np.vstack([errs, np.zeros(x1s.size)])
+        v, e, ne = integrate_adaptive(integrand(~done), 1.5 * n,
+                                      1.5 * (n + 1), cfg.abs_tol, cfg.rel_tol)
+        vals = np.vstack([vals, np.zeros(n_col, dtype=complex)])
+        errs = np.vstack([errs, np.zeros(n_col)])
         vals[n, ~done], errs[n, ~done] = v, e
         n_evals += ne
-    cols = np.arange(x1s.size)
+    cols = np.arange(n_col)
     total = np.cumsum(vals, axis=0)[last, cols]
     err = np.cumsum(errs, axis=0)[last, cols] + np.abs(vals[last, cols])
     return total, err, n_evals
@@ -234,20 +262,22 @@ def propagate(model: StepModel, x0: float, x1, T: float,
     PropagatorRow).  A row shares one adaptive refinement front per leg
     among its columns; each column keeps the panel tree, tolerance and
     stopping rule of a one-point call, so it agrees with one to rounding.
+    The columns may instead be hbar values, with a float x1: an omega sweep
+    passes a model whose hbar is a 1-D array, and gets a PropagatorRow.
     """
     cfg = cfg or QuadratureConfig()
     row = np.ndim(x1) != 0
     if row:
         x1 = np.asarray(x1, dtype=float)
-        if x1.ndim != 1:
+        if x1.ndim != 1 or np.ndim(model.hbar):
             raise ValidationError("x1 must be a float or a 1-D row")
     else:
         x1 = float(x1)
     if not (math.isfinite(x0) and math.isfinite(T) and np.isfinite(x1).all()):
         raise ValidationError("x0, x1 and T must be finite")
-    if T <= 0 or np.size(x1) == 0:
-        G, err, n_evals = (np.zeros(np.size(x1), dtype=complex),
-                           np.zeros(np.size(x1)), 0)
+    n_col = np.broadcast(x1, model.hbar).size
+    if T <= 0 or n_col == 0:
+        G, err, n_evals = np.zeros(n_col, dtype=complex), np.zeros(n_col), 0
     else:
         g_below, e_below, n_below = _below_leg(model, x0, x1, T, cfg)
         g_above, e_above, n_above = _above_leg_deformed(model, x0, x1, T, cfg)
@@ -258,10 +288,11 @@ def propagate(model: StepModel, x0: float, x1, T: float,
         if np.any(bad):
             c = int(np.argmax(bad))
             raise QuadratureError(
-                f"G at x1 = {float(np.atleast_1d(x1)[c])!r} is meaningless: "
+                f"G at {_column(model, x1, c)} is meaningless: "
                 f"|G| = {float(abs(G[c]))!r}, est_error = {float(err[c])!r}")
-    if row:
-        return PropagatorRow(x0, x1, T, G, err, n_evals)
+    if row or np.ndim(model.hbar):
+        return PropagatorRow(x0, np.broadcast_to(x1, n_col).astype(float), T,
+                             G, err, n_evals)
     return PropagatorSample(x0, x1, T, complex(G[0]), float(err[0]), n_evals)
 
 

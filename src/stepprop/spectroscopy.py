@@ -6,10 +6,11 @@ With G(omega) the propagator evaluated at hbar = 1/omega,
     L(s)   = int_A^B sqrt(2 pi/(i omega)) G e^{-omega s}   d omega,
 
 computed by the trapezoid rule on a cached uniform omega grid (the integrand
-is smooth in omega; the propagator samples dominate the cost and are shared
-between both transforms).  A WKB term e^{i omega S} produces a peak of
-|F|^2 at tau = -Re S, so detected "peak actions" are reported as -tau_peak;
-|L|^2 is compared with the closed form of the WKB sum (wkb_model_laplace).
+is smooth in omega; the propagator samples dominate the cost, come in blocks
+of hbar columns and are shared between both transforms).  A WKB term
+e^{i omega S} produces a peak of |F|^2 at tau = -Re S, so detected "peak
+actions" are reported as -tau_peak; |L|^2 is compared with the closed form
+of the WKB sum (wkb_model_laplace).
 Both S_j, real and imaginary parts together, and the amplitudes c_j come
 straight from the same samples, g(omega) ~ sum_j c_j e^{i omega S_j}, by the
 matrix pencil of complex_actions: one SVD and one small eigenproblem, with
@@ -18,13 +19,13 @@ the order set by the samples' own error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from .classical import BoundarySpec
 from .errors import ValidationError
 from .potential import StepModel
-from .propagator import propagate
+from .propagator import _hbar_columns, propagate
 
 __all__ = ["OmegaWindow", "SpectrumSeries", "Peak", "propagator_omega_samples",
            "fourier_spectrum", "laplace_spectrum", "wkb_model_laplace",
@@ -64,24 +65,29 @@ class SpectrumSeries:
     est_error: float = 0.0
 
 
+#: omega columns per propagate call of propagator_omega_samples; as with
+#: cli.ROW_BLOCK, the blocks do not depend on threads, which only decides
+#: which process integrates each block
+OMEGA_BLOCK = 8
+
+
 def propagator_omega_samples(model: StepModel, bvp: BoundarySpec,
                              window: OmegaWindow, threads: int = 1):
-    """G(x1, x0; T) at hbar = 1/omega over the window grid (the shared cache).
-
-    Returns (omegas, G values, aggregated quadrature error).
-    """
+    """G(x1, x0; T) at hbar = 1/omega over the window grid (the shared cache)
+    from one propagate call per block of OMEGA_BLOCK hbar columns, each equal
+    to a one-point call to rounding.  Returns (omegas, G, mean est_error)."""
     omegas = window.grid()
-    args = [(replace(model, hbar=1.0 / w), bvp.x0, bvp.x1, bvp.T)
-            for w in omegas]
+    jobs = [(_hbar_columns(model, 1.0 / omegas[i:i + OMEGA_BLOCK]), bvp.x0,
+             bvp.x1, bvp.T) for i in range(0, omegas.size, OMEGA_BLOCK)]
     if threads > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=threads) as ex:
-            samples = list(ex.map(propagate, *zip(*args), chunksize=16))
+            rows = list(ex.map(propagate, *zip(*jobs)))
     else:
-        samples = [propagate(*a) for a in args]
-    values = np.array([s.G for s in samples])
-    err = float(np.sum([s.est_error for s in samples]) / len(samples))
-    return omegas, values, err
+        rows = [propagate(*j) for j in jobs]
+    errs = np.concatenate([r.est_errors for r in rows])
+    return (omegas, np.concatenate([r.G for r in rows]),
+            float(np.sum(errs) / errs.size))
 
 
 def _kernel_row(omegas, g_values):

@@ -13,6 +13,7 @@ from stepprop.cli import ROW_BLOCK, _grid_abs2, _path_samples, _recipes, main
 from stepprop.errors import ValidationError
 from stepprop.potential import Family, StepModel, potential_value
 from stepprop.propagator import propagate
+from stepprop.spectroscopy import OMEGA_BLOCK
 from stepprop.wkb import wkb_propagator
 
 WS = json.dumps({"family": "woods_saxon", "m": 1.0, "V0": 1.0,
@@ -195,7 +196,7 @@ def test_spectrum_csv(tmp_path):
 
 
 # the files each recipe writes, with their headers; fig17 and fig18 take
-# 35-55 s even at --coarse and are left out
+# 10-26 s even at --coarse and are left out
 GRID = ["x0", "x1", "absG2"]
 CONTOUR = ["v", "Re_t", "Im_t"]
 RECIPE_FILES = {
@@ -375,6 +376,20 @@ def test_propagate_threads_deterministic(tmp_path):
         assert main(base + ["--threads", "2", "--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
         assert len(_read_csv(out1)[2]) == n
+
+
+def test_spectrum_threads_deterministic(tmp_path):
+    # whole blocks of omega columns, and a window ending in a partial block
+    for n in (64, 64 + OMEGA_BLOCK + 3):
+        out1 = tmp_path / f"serial{n}.csv"
+        out2 = tmp_path / f"par{n}.csv"
+        base = ["spectrum", "--model", HV, "--x0", "5", "--x1", "4",
+                "--T", "10", "--kind", "fourier", "--n-omega", str(n),
+                "--tau-range", "3:13:11"]
+        assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
+        assert main(base + ["--threads", "2", "--out", str(out2)]) == 0
+        assert out1.read_text() == out2.read_text()
+        assert len(_read_csv(out1)[2]) == 11
 
 
 def test_grid_abs2_matches_one_point_calls():

@@ -115,7 +115,7 @@ def test_contour_cap_raises_instead_of_padding(ws_unit, monkeypatch):
 
 def test_meaningless_G_raises():
     # at WS alpha=5, hbar=1/6, T=5 the panels of (x0, x1) = (-1, 35) cancel
-    # to |G| ~ 327 with est_error ~ 3e7; a row reports the same column
+    # to |G| ~ 560 with est_error ~ 7e6; a row reports the same column
     md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 5.0, 1.0 / 6.0)
     for x1 in (35.0, np.array([3.0, 35.0])):
         with pytest.raises(QuadratureError,

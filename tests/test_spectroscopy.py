@@ -1,15 +1,20 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stepprop import classical as cl
+from stepprop import propagator
 from stepprop import spectroscopy as sp
-from stepprop.errors import ValidationError
+from stepprop.errors import QuadratureError, ValidationError
 from stepprop.potential import Family, StepModel
+from stepprop.propagator import propagate
 
 
 WINDOW = sp.OmegaWindow(A=1.0, B=12.0, n_omega=2048)
+FIG16 = cl.BoundarySpec(-5.0, -9.25, 10.0)
 
 
 def _series_from_samples(kind, samples, grid, window=WINDOW):
@@ -151,3 +156,77 @@ def test_transform_blocks_match_dense_kernel(kind):
     dense = np.trapezoid(np.exp(sign * np.outer(grid, omegas))
                          * sp._kernel_row(omegas, gv)[None, :], omegas, axis=1)
     np.testing.assert_array_equal(sp._transform(kind, omegas, gv, grid), dense)
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0, 5.0],
+                         ids=["heaviside", "ws1", "ws5"])
+def test_omega_columns_match_one_point_calls(alpha, monkeypatch):
+    md = (StepModel(Family.HEAVISIDE, 1, 1, 1, 1) if alpha is None
+          else StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, 1.0))
+    # the above-threshold block each column stopped on, and the rows
+    stops, rows = [], []
+    stops_fn, propagate_fn = propagator._stops, sp.propagate
+
+    def spy_stops(*args):
+        stops.append(stops_fn(*args))
+        return stops[-1]
+
+    def spy_propagate(*args):
+        rows.append(propagate_fn(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(propagator, "_stops", spy_stops)
+    monkeypatch.setattr(sp, "propagate", spy_propagate)
+    # eight full blocks and a partial one; from A = 0.2 the first block
+    # spans hbar = 5 to 0.69, whose columns stop on different blocks
+    window = sp.OmegaWindow(A=0.2, B=12.0, n_omega=8 * sp.OMEGA_BLOCK + 3)
+    omegas, G, err = sp.propagator_omega_samples(md, FIG16, window)
+    assert [r.G.size for r in rows] == [sp.OMEGA_BLOCK] * 8 + [3]
+    assert np.unique(stops[0]).size > 1
+    errs = np.concatenate([r.est_errors for r in rows])
+    assert err == np.sum(errs) / errs.size
+    for w, g, e in zip(omegas, G, errs):
+        one = propagate(replace(md, hbar=1.0 / w), FIG16.x0, FIG16.x1, FIG16.T)
+        assert abs(one.G - g) <= 1e-14
+        assert abs(one.est_error - e) <= 1e-14
+
+
+def _raises(fn, *args):
+    with pytest.raises(QuadratureError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def test_sweep_cap_names_the_column(monkeypatch):
+    # as in test_contour_cap_raises_instead_of_padding; the sweep raises
+    # the message of a one-point call at the hbar it names
+    monkeypatch.setattr(propagator, "K_MAX_FACTOR", 1.01)
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0)
+    window = sp.OmegaWindow(A=1.0, B=12.0, n_omega=64)
+    msg = _raises(sp.propagator_omega_samples, md,
+                  cl.BoundarySpec(-4.0, -6.0, 10.0), window)
+    assert re.search(r"x1 = -6\.0 and hbar = \S+ reached its cap", msg)
+    h = float(re.search(r"hbar = (\S+) ", msg).group(1))
+    assert np.any(1.0 / window.grid() == h)
+    assert _raises(propagate, replace(md, hbar=h), -4.0, -6.0, 10.0) == msg
+
+
+def test_sweep_meaningless_G_names_the_column():
+    # the case of test_meaningless_G_raises, WS alpha = 5, hbar = 1/6,
+    # (-1, 35), T = 5, at column 22 of a window whose first columns are
+    # sound: the sweep names the first column whose one-point call raises
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 5.0, 1.0)
+    bvp = cl.BoundarySpec(-1.0, 35.0, 5.0)
+    window = sp.OmegaWindow(A=3.25, B=3.25 + 63 * 0.125, n_omega=64)
+    assert window.grid()[22] == 6.0
+    msg = _raises(sp.propagator_omega_samples, md, bvp, window)
+    assert re.search(r"x1 = 35\.0 and hbar = \S+ is meaningless", msg)
+    for j, w in enumerate(window.grid()):
+        try:
+            propagate(replace(md, hbar=1.0 / w), bvp.x0, bvp.x1, bvp.T)
+        except QuadratureError as exc:
+            # |G| and est_error of a cancelling column differ beyond rounding
+            assert j > 0 and str(exc).split(":")[0] == msg.split(":")[0]
+            break
+    else:
+        pytest.fail("no one-point call raised")
