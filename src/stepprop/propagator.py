@@ -31,11 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
-from .eigenstates import (_heaviside_like, _phi_ws_full, ncc_analytic,
-                          norm_combos, npm_analytic, npp_analytic, phi,
-                          phi_grid)
+from .eigenstates import (_ROWS, _gammas, _heaviside_like, _norm,
+                          _phi_ws_full, _reflect, norm_combos, npp_analytic,
+                          phi, phi_grid)
 from .errors import NonFiniteError, QuadratureError, ValidationError
 from .potential import StepModel
 from .quadrature import integrate_adaptive
@@ -100,7 +99,7 @@ class PropagatorRow:
                 for x1, g, e in zip(self.x1, self.G, self.est_errors)]
 
 
-def _kernel_pairs(model, k, q, above):
+def _kernel_pairs(model, k, q, above, gam):
     """The spectral kernel as a bilinear form in the eigenstates.
 
     Returns (branches, [(b1, b0, coef)]) with w = sum coef phi_b1(x1)
@@ -112,31 +111,33 @@ def _kernel_pairs(model, k, q, above):
         (+,+), (-,-): N^{++}/D,   (+,-): -Nbar^{+-}/D,   (-,+): -N^{+-}/D,
 
     with D = hbar (N^{++} + |N^{+-}|)(N^{++} - |N^{+-}|) in the stable
-    factorized combinations.
+    factorized combinations.  N^cc, N^{+-} and Nbar^{+-} read the rows of
+    branch c, plus and minus of gam, the Gamma table at (k, q).
     """
     h = model.hbar
     if not above:
-        return ("c",), [("c", "c", 1.0 / (h * ncc_analytic(model, k, q)))]
+        return ("c",), [("c", "c", 1.0 / (h * _norm(model, k, gam, "c")))]
     combo_p, combo_m = norm_combos(model, k, q)
     denom = h * combo_p * combo_m
     npp = npp_analytic(model, k, q) / denom
     return ("plus", "minus"), [
         ("plus", "plus", npp), ("minus", "minus", npp),
-        ("plus", "minus",
-         -np.conj(npm_analytic(model, np.conj(k), np.conj(q))) / denom),
-        ("minus", "plus", -npm_analytic(model, k, q) / denom)]
+        ("plus", "minus", -_norm(model, k, gam, "minus") / denom),
+        ("minus", "plus", -_norm(model, k, gam, "plus") / denom)]
 
 
 def _spectral_weight(model, k, q, x0, x1, above):
     """Kernel w_c (below the step, q = mu) or w_pm (above, q = p), analytic
     in (k, q), with k and q of shape (nodes, 1), or (nodes, columns) in an
     hbar sweep.  Returns (nodes, columns): a 1-D row of x1 is the column
-    axis of phi_grid, a float x1 takes phi."""
-    branches, pairs = _kernel_pairs(model, k, q, above)
-    kb, qb = np.conj(k), np.conj(q)
-    bar = {b: np.conj(phi(model, b, kb, qb, x0)) for b in branches}
+    axis of phi_grid, a float x1 takes phi.  One Gamma table at (k, q)
+    serves the kernel, x1 and, reflected, x0."""
+    gam = _gammas(model, k, q, above)
+    branches, pairs = _kernel_pairs(model, k, q, above, gam)
+    kb, qb, gam_b = np.conj(k), np.conj(q), _reflect(gam)
+    bar = {b: np.conj(phi(model, b, kb, qb, x0, gam_b)) for b in branches}
     at_x1 = phi if np.ndim(x1) == 0 else phi_grid
-    out = {b: at_x1(model, b, k, q, x1) for b in branches}
+    out = {b: at_x1(model, b, k, q, x1, gam) for b in branches}
     return sum(coef * out[b1] * bar[b0] for b1, b0, coef in pairs)
 
 
@@ -300,14 +301,14 @@ def propagate(model: StepModel, x0: float, x1, T: float,
 # energy propagator
 # ---------------------------------------------------------------------------
 
-def _closed_form(model, k, a, x):
+def _closed_form(model, k, a, x, gam):
     """The eigenstate closed form with momenta (k, a) at x, e^{iax/hbar}
-    right of the step.  The smooth step takes the 2F1 form at every x: the
-    asymptotic left form divides by sinh(pi k/(alpha hbar)), 0 at
-    k = i n alpha hbar."""
-    if _heaviside_like(model):
+    right of the step, with gam the Gamma table at (k, a).  The smooth
+    step takes the 2F1 form at every x: the asymptotic left form is not
+    finite at k = i n alpha hbar, an integer c - a - b."""
+    if gam is None:
         return phi(model, "plus", k, a, x)
-    return _phi_ws_full(model, "plus", k, a, x)
+    return _phi_ws_full(model, "plus", k, a, x, gam)
 
 
 def energy_propagator(model: StepModel, x0: float, x1: float, E: float):
@@ -340,13 +341,13 @@ def energy_propagator(model: StepModel, x0: float, x1: float, E: float):
         raise ValidationError(
             f"energy propagator at E = {E!r} is 0/0 in the plane-wave form")
     pref = 2.0 * m / (k + a)
-    if not _heaviside_like(model):
-        ah = model.alpha * h
-        pref *= np.exp(2.0 * loggamma(1.0 - 1j * (k + a) / (2.0 * ah))
-                       - loggamma(1.0 - 1j * a / ah)
-                       - loggamma(1.0 - 1j * k / ah))
-    K = complex(pref * _closed_form(model, a, k, -lo)
-                * _closed_form(model, k, a, hi))
+    gam = _gammas(model, k, a, True)
+    if gam is not None:
+        # G(1+y)^2 / (G(c) G(1+w)) of the plus branch at (k, a)
+        lc, _, ly = gam[_ROWS["plus"]:_ROWS["plus"] + 3]
+        pref *= np.exp(2.0 * ly - lc - gam[1])
+    K = complex(pref * _closed_form(model, a, k, -lo, _gammas(model, a, k, True))
+                * _closed_form(model, k, a, hi, gam))
     if not cmath.isfinite(K):
         raise NonFiniteError(f"non-finite K at E = {E!r}")
     return K, 0.0
@@ -430,12 +431,13 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
         for lo in range(0, ks_all.size, chunk):
             sl = slice(lo, lo + chunk)
             ks, qs = ks_all[sl] + 0j, qs_all[sl] + 0j
-            _, pairs = _kernel_pairs(model, ks, qs, above)
+            gam = _gammas(model, ks, qs, above)
+            _, pairs = _kernel_pairs(model, ks, qs, above, gam)
             # <phi_b|psi0> = conj(phi_b @ conj(psi_w)), <phi_minus|psi0> =
             # phi_plus @ psi_w; the x_grid matrix is freed before the x_out one
-            ov = phi_grid(model, b, ks, qs, x_grid) @ psi_pair
+            ov = phi_grid(model, b, ks, qs, x_grid, gam) @ psi_pair
             overlap = {b: ov[:, 0].conj(), "minus": ov[:, 1]}
-            out = phi_grid(model, b, ks, qs, x_out)
+            out = phi_grid(model, b, ks, qs, x_out, gam)
             for b1, b0, coef in pairs:
                 c = rows[sl] * coef * overlap[b0]
                 # c @ phi_minus = conj(conj(c) @ phi_plus)

@@ -103,12 +103,15 @@ def _gamma_ratio(num, den):
     return np.where(kill, 0.0, out)
 
 
-def _transformed(a, b, c, zc, lzc, series=_series):
+def _transformed(a, b, c, zc, lzc, series=_series, connection=None):
     """z > 1/2 branch via the z -> 1-z connection formula, zc = 1-z and
-    lzc = log(zc); ``series`` sums the two 2F1 at zc."""
-    w = c - a - b
-    g1 = _gamma_ratio([c, w], [c - a, c - b])
-    g2 = _gamma_ratio([c, -w], [a, b])
+    lzc = log(zc); ``series`` sums the two 2F1 at zc.  ``connection`` is
+    (w, g1, g2) when the caller has the gamma factors."""
+    if connection is None:
+        w = c - a - b
+        connection = (w, _gamma_ratio([c, w], [c - a, c - b]),
+                      _gamma_ratio([c, -w], [a, b]))
+    w, g1, g2 = connection
     f1 = series(a, b, 1.0 - w, zc)
     f2 = series(c - a, c - b, 1.0 + w, zc)
     return g1 * f1 + g2 * np.exp(w * lzc) * f2
@@ -151,7 +154,7 @@ def _log_form(a, b, c, m, zc, lzc):
     return head + (-zc) ** m * _gamma_ratio([a + b + m], [a, b, m + 1.0]) * total
 
 
-def hyp2f1_with_complement(a, b, c, z, zc, log_zc=None):
+def hyp2f1_with_complement(a, b, c, z, zc, log_zc=None, connection=None):
     """2F1(a,b;c;z) with the complement zc = 1-z supplied exactly.
 
     z must be real with 0 <= z < 1 (elementwise); a, b, c may be complex
@@ -159,6 +162,11 @@ def hyp2f1_with_complement(a, b, c, z, zc, log_zc=None):
     eigenstates, whose argument approaches 1 exponentially on the left of
     the step.  Where zc underflows there, log_zc = log(1-z) carries it: zc
     then enters only as the argument of series that it no longer changes.
+    The eigenstates pass ``connection`` = (w, g1, g2) from their Gamma
+    table: w = c-a-b and the gamma factors of the two terms of the z -> 1-z
+    formula, read only where w is not near an integer.  The two series take
+    that same w: close to an integer m the terms cancel like 1/(w - m), and
+    would not with a w that differs from the gamma factors' in the last bit.
     """
     a, b, c, z, zc = np.broadcast_arrays(*_as_complex(a, b, c, z, zc))
     zr = z.real
@@ -186,8 +194,10 @@ def hyp2f1_with_complement(a, b, c, z, zc, log_zc=None):
         reg = ~degen
         res = np.empty(ah.shape, dtype=complex)
         if np.any(reg):
+            g = None if connection is None else tuple(
+                np.broadcast_to(v, a.shape)[hi][reg] for v in connection)
             res[reg] = _transformed(ah[reg], bh[reg], ch[reg], zch[reg],
-                                    lzch[reg])
+                                    lzch[reg], connection=g)
         for m in np.unique(m_int[degen]):
             s = degen & (m_int == m)
             # a or b at 0, -1, -2, ... ends the series at z, where the log
@@ -259,13 +269,15 @@ def _series_cols_rows(a_col, b_col, c_col, z_row):
     return out
 
 
-def hyp2f1_cols_rows(a_col, b_col, c_col, z_row, zc_row):
+def hyp2f1_cols_rows(a_col, b_col, c_col, z_row, zc_row, connection=None):
     """2F1 on a parameter-column x argument-row grid.
 
     Parameters have shape (n, 1) and the real argument shape (1, m); the
     gamma factors of the z -> 1-z connection formula are evaluated once per
-    parameter row instead of per grid element.  Rows must be uniformly on
-    one side of z = 1/2 (the eigenstate grids split their columns first).
+    parameter row instead of per grid element, or taken from
+    ``connection`` as in :func:`hyp2f1_with_complement`.  Rows must be
+    uniformly on one side of z = 1/2 (the eigenstate grids split their
+    columns first).
     """
     a_col, b_col, c_col = _as_complex(a_col, b_col, c_col)
     z_row = np.asarray(z_row, dtype=float).reshape(1, -1)
@@ -281,6 +293,6 @@ def hyp2f1_cols_rows(a_col, b_col, c_col, z_row, zc_row):
         A, B, C, Z, ZC = np.broadcast_arrays(
             a_col + 0 * z_row, b_col + 0 * z_row, c_col + 0 * z_row,
             z_row + 0 * a_col.real, zc_row + 0 * a_col.real)
-        return hyp2f1_with_complement(A, B, C, Z, ZC)
+        return hyp2f1_with_complement(A, B, C, Z, ZC, connection=connection)
     return _transformed(a_col, b_col, c_col, zc_row, np.log(zc_row + 0j),
-                        _series_cols_rows)
+                        _series_cols_rows, connection)

@@ -52,8 +52,9 @@ def test_left_asymptotic_matches_full_form(ws_unit):
     for branch, k in (("c", 0.8 * KC), ("plus", 1.3 * KC), ("minus", 1.7 * KC)):
         q = (math.sqrt(2.0 - k * k) if branch == "c"
              else math.sqrt(k * k - 2.0))
-        full = eig._phi_ws_full(ws_unit, branch, k, q, x)
-        asym = eig._phi_ws_asym_left(ws_unit, branch, k, q, x)
+        gam = eig._gammas(ws_unit, k, q, branch != "c")
+        full = eig._phi_ws_full(ws_unit, branch, k, q, x, gam)
+        asym = eig._phi_ws_asym_left(ws_unit, branch, k, q, x, gam)
         assert abs(full - asym) < 1e-8 * abs(asym)
 
 
@@ -94,8 +95,10 @@ def test_branch_symmetry_p_to_minus_p(ws_unit):
     k = 1.4 * KC
     p = math.sqrt(k * k - 2.0)
     for x in (-3.0, -0.5, 0.4, 2.0):
-        a = eig._phi_ws_full(ws_unit, "plus", k, -p, x)
-        b = eig._phi_ws_full(ws_unit, "minus", k, p, x)
+        a = eig._phi_ws_full(ws_unit, "plus", k, -p, x,
+                             eig._gammas(ws_unit, k, -p, True))
+        b = eig._phi_ws_full(ws_unit, "minus", k, p, x,
+                             eig._gammas(ws_unit, k, p, True))
         assert a == pytest.approx(b, rel=1e-12)
 
 

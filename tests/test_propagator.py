@@ -9,8 +9,10 @@ from stepprop.errors import NonFiniteError, QuadratureError, ValidationError
 from stepprop.oracle import gaussian_packet
 from oracles import free_propagator
 from stepprop.potential import Family, StepModel, potential_value
-from stepprop.eigenstates import phi_grid
-from stepprop.propagator import (_kernel_pairs, _simpson_weights,
+from stepprop import eigenstates, specfun
+from stepprop.eigenstates import _gammas, _reflect, phi, phi_grid
+from stepprop.propagator import (_hbar_columns, _kernel_pairs,
+                                 _simpson_weights, _spectral_weight,
                                  energy_propagator, evolve_packet_spectral,
                                  propagate)
 
@@ -199,6 +201,15 @@ def _energy_cases():
     ws1 = models[1]
     cases += [(ws1, x0, x1, E) for x0, x1 in ((-1.0, 1.0), (0.3, -0.7))
               for E in (-0.5, 0.0, 0.7, 1.0, 2.5)]
+    # nu = -1 in psi_<, whose 2F1(0, -1; c; z) is 1.  At V0 = 1 its
+    # c - a - b = 3 is an integer and hyp2f1 sums the polynomial; at
+    # V0 = 3/4 it is 5/2, and 1/Gamma(nu) = 0 drops the second term of the
+    # connection pair (psi_< at -min(x0, x1) < 0)
+    ws1_h05 = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 0.5)
+    cases += [(ws1_h05, x0, x1, -0.125)
+              for x0, x1 in ((-0.5, -3.0), (-3.0, 1.0), (-40.0, -35.0))]
+    ws1_v34 = StepModel(Family.WOODS_SAXON, 1.0, 0.75, 1.0, 0.5)
+    cases += [(ws1_v34, x0, x1, -0.03125) for x0, x1 in ((0.5, 2.0), (3.0, 1.0))]
     return cases
 
 
@@ -209,6 +220,66 @@ def test_energy_propagator_matches_mpmath():
         assert abs(K - ref) <= 1e-10 * abs(ref), (md, x0, x1, E)
         assert err == 0.0
         assert energy_propagator(md, x1, x0, E)[0] == K
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+@pytest.mark.parametrize("hbar", [1.0, 1.0 / 6.0])
+def test_reflected_gamma_table_forms_match_mpmath(alpha, hbar):
+    # the x0 endpoint of a spectral kernel reads the Gamma table at (k, p)
+    # reflected to (conj k, conj p); on the deformed contour, conj phi_+-
+    # there in the asymptotic form (alpha x = -35) and in the connection
+    # formula of the 2F1 (alpha x = -5) is the closed form at (conj k, +-conj p)
+    mpmath = pytest.importorskip("mpmath")
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, hbar)
+    p = np.array([0.3, 1.0, 3.0]) * np.exp(-1j * propagator.THETA)
+    k = np.sqrt(md.k_threshold ** 2 + p * p)
+    gam = _reflect(_gammas(md, k, p, True))
+    for ax in (-35.0, -5.0):
+        x = ax / alpha
+        for branch, sign in (("plus", 1), ("minus", -1)):
+            got = np.conj(phi(md, branch, np.conj(k), np.conj(p), x, gam))
+            with mpmath.workdps(40 + int(abs(ax))):
+                ref = np.array([complex(mpmath.conj(_mp_closed_form(
+                    mpmath, md, mpmath.mpc(kk.conjugate()),
+                    sign * mpmath.mpc(pp.conjugate()), x)))
+                    for kk, pp in zip(k, p)])
+            assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), (ax, branch)
+
+
+def _loggamma_elements(monkeypatch, model, k, q, x0, x1, above):
+    """loggamma elements that one _spectral_weight call evaluates."""
+    count = [0]
+    plain = specfun._sp.loggamma
+
+    def counted(z):
+        count[0] += np.size(z)
+        return plain(z)
+
+    monkeypatch.setattr(eigenstates, "loggamma", counted)
+    monkeypatch.setattr(specfun._sp, "loggamma", counted)
+    _spectral_weight(model, k, q, x0, x1, above)
+    return count[0]
+
+
+def test_one_gamma_table_per_node(monkeypatch):
+    # the kernel and both endpoints share one table: 8 loggamma per node and
+    # hbar column above the step, 5 below it, on an omega sweep's legs and
+    # on a row of x1 (32, 16 and 38 with a loggamma per factor)
+    ws5 = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 5.0, 1.0)
+    sweep = _hbar_columns(ws5, 1.0 / np.linspace(4.0, 6.0, 8))
+    kc = ws5.k_threshold
+    p = np.exp(-1j * propagator.THETA) * np.linspace(0.05, 6.0, 61)[:, None]
+    k = np.sqrt(kc * kc + p * p)
+    n = _loggamma_elements(monkeypatch, sweep, k, p, -5.0, -9.25, True)
+    assert n <= 8 * k.shape[0] * 8
+    u = np.linspace(0.02, 1.5, 61)[:, None]
+    n = _loggamma_elements(monkeypatch, sweep, kc * np.sin(u) + 0j,
+                           kc * np.cos(u) + 0j, -5.0, -9.25, False)
+    assert n <= 5 * u.size * 8
+    ws1 = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0)
+    n = _loggamma_elements(monkeypatch, ws1, np.sqrt(2.0 + p * p), p, -3.0,
+                           np.linspace(-8.0, 2.0, 5), True)
+    assert n <= 8 * p.size
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -409,7 +480,8 @@ def _packet_four_calls(model, x_grid, psi0, x_out, T, k_max, n_below, n_above):
     psi_T = np.zeros(x_out.size, dtype=complex)
     for above, ks, qs, wk in legs:
         rows = wk * np.exp(-1j * ks ** 2 * T / (2 * m * h))
-        branches, pairs = _kernel_pairs(model, ks + 0j, qs + 0j, above)
+        gam = _gammas(model, ks + 0j, qs + 0j, above)
+        branches, pairs = _kernel_pairs(model, ks + 0j, qs + 0j, above, gam)
         overlap = {b: np.conj(phi_grid(model, b, ks, qs, x_grid)) @ psi_w
                    for b in branches}
         outm = {b: phi_grid(model, b, ks, qs, x_out) for b in branches}

@@ -38,6 +38,7 @@ KEEP = {
     "integrate_ivp": "the tests' IVP oracle and a benchmark span boundary",
     "rescale": "acceptance criterion 12: the exact scaling map",
     "evolve_packet_spectral": "acceptance criterion 4 and the packet benchmark",
+    "ncc_analytic": "a benchmark span boundary and the tests' orthonormal basis",
 }
 
 MODULES = sorted(set(TREES) - NO_ALL)
