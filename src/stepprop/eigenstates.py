@@ -21,7 +21,8 @@ so that the sinh/gamma growth at small alpha*hbar never overflows.
 
 Every Gamma function of the smooth step comes from one table per set of
 momenta (_gammas): log Gamma at 1 -/+ ik/ah and, per branch, at c, 1 + nu
-and 1 + y = c - nu; 5 loggammas below the step and 8 above it.  The 2F1's
+and 1 + y = c - nu; 5 loggammas below the step and 8 above it, built only
+where a form or a norm reads them (5 for the plus branch alone).  The 2F1's
 c - a - b = -ik/ah is the same on every branch, so the connection pairs of
 the z -> 1-z formula (and the asymptotic left form, their leading term)
 follow by Gamma(1+v) = v Gamma(v), and the kernel norms read the same rows.
@@ -45,7 +46,7 @@ from scipy.special import loggamma
 
 from .errors import BranchMismatchError, NonFiniteError, UnsupportedFamilyError
 from .potential import Family, StepModel
-from .specfun import _at_pole, hyp2f1_cols_rows, hyp2f1_with_complement
+from .specfun import _at_pole, hyp2f1_with_complement
 
 #: |alpha x| beyond which eigenstate_ws delegates to the asymptotic forms
 X_ASYM = 30.0
@@ -101,38 +102,44 @@ def _ws_params(model, k, a):
 
 
 def _logistic(model, x):
-    """(z, 1-z, log sech(alpha x)) with z = 1/(1+e^{2 alpha x}), each to full
-    precision and without overflow; x is a scalar or an array."""
+    """(z, 1-z, log(1-z), log sech(alpha x)) with z = 1/(1+e^{2 alpha x}),
+    each to full precision and without overflow, also where 1-z underflows;
+    x is a scalar or an array."""
     ax = model.alpha * np.asarray(x, dtype=float)
     e = np.exp(-2.0 * np.abs(ax))
     near, far = e / (1.0 + e), 1.0 / (1.0 + e)
     right = ax >= 0
     return (np.where(right, near, far), np.where(right, far, near),
+            2.0 * np.minimum(ax, 0.0) - np.log1p(e),
             -np.abs(ax) + math.log(2.0) - np.log1p(e))
 
 
+#: the branches of the spectral kernel below (False) and above (True) the
+#: step, and so of its Gamma table
+_BRANCHES = {False: ("c",), True: ("plus", "minus")}
 #: first row of each branch's (c, 1 + nu, 1 + y) in the Gamma table, after
 #: the rows of w, 1 + w and 1 - w
 _ROWS = {"c": 3, "plus": 3, "minus": 6}
-#: the rows of the table at (conj k, conj q), read from the one at (k, q):
-#: 1 + w <-> 1 - w, plus <-> minus and 1 + nu <-> 1 + y
+#: the rows of a kernel table at (conj k, conj q), read from the one at
+#: (k, q): 1 + w <-> 1 - w, plus <-> minus and 1 + nu <-> 1 + y
 _REFLECT = {6: [0, 2, 1, 3, 5, 4], 9: [0, 2, 1, 6, 8, 7, 3, 5, 4]}
 
 
-def _gammas(model, k, q, above):
+def _gammas(model, k, q, branches):
     """The Gamma table at momenta (k, q), stacked on a new first axis:
     w = c - a - b of the 2F1 (-ik/ah on every branch), then log Gamma at
-    1 + w and 1 - w, and at c, 1 + nu and 1 + y of branch c (below the
-    step) or of branches plus and minus (above it).  w is the first
-    branch's c - a - b to the last bit, so that the 2F1 series and these
-    gamma factors share their poles in w.  None on the plane-wave steps,
-    which need no Gamma function."""
+    1 + w and 1 - w, and at c, 1 + nu and 1 + y of each of branches:
+    ("c",) below the step, ("plus", "minus") above it, or ("plus",) where
+    only that branch is read (5, 8 and 5 loggamma per node).  w is the
+    first branch's c - a - b to the last bit, so that the 2F1 series and
+    these gamma factors share their poles in w.  None on the plane-wave
+    steps, which need no Gamma function."""
     if _heaviside_like(model):
         return None
     ah = model.alpha * model.hbar
     k = np.asarray(k, dtype=complex)
     args = []
-    for branch in ("plus", "minus") if above else ("c",):
+    for branch in branches:
         kb, a = _branch(model, branch, k, q)
         nu, cpar, s = _ws_params(model, kb, a)
         if not args:
@@ -144,7 +151,7 @@ def _gammas(model, k, q, above):
 
 
 def _reflect(gam):
-    """The Gamma table at (conj k, conj q) from the one at (k, q): w there
+    """The kernel table at (conj k, conj q) from the one at (k, q): w there
     is -conj(w), and log Gamma(conj v) = conj log Gamma(v) (up to 2 pi i)."""
     if gam is None:
         return None
@@ -165,7 +172,12 @@ def _connection(model, branch, k, q, gam, ikx=0.0):
     the phase +-ikx joining the log Gamma terms in one exponent.  1/Gamma is
     0 at a pole, as in specfun._gamma_ratio: g1 is 0 where y is 0, -1, -2,
     ..., and g2 where nu is.  At k = 0 (an integer w, where hyp2f1 takes
-    its log form and the asymptotic form raises) the pair is nan."""
+    its log form and the asymptotic form raises) the pair is nan.  Without
+    a table (gam None) the branch's rows are built here, where they are
+    read."""
+    if gam is None:
+        gam = _gammas(model, k, q,
+                      _BRANCHES[True] if branch == "minus" else (branch,))
     k, a = _branch(model, branch, k, q)
     ah = model.alpha * model.hbar
     w, row = gam[0], _ROWS[branch]
@@ -185,25 +197,17 @@ def _connection(model, branch, k, q, gam, ikx=0.0):
 def _phi_ws_full(model, branch, k, q, x, gam):
     """Woods-Saxon 2F1 form; q = mu for 'c', q = p for 'plus'/'minus'.
 
-    A scalar x uses the elementwise 2F1; a row of x uses the column x row
-    grid evaluation, split so that no row straddles z = 1/2.  Left of
-    z = 1/2 the connection pair comes from the Gamma table gam.
+    x is a scalar or a row (1, m) against momenta columns: either way one
+    hyp2f1_with_complement call, which splits the row at z = 1/2, takes
+    log(1-z) from _logistic and, where z > 1/2, the connection pair from
+    the Gamma table gam.
     """
     k, a = _branch(model, branch, k, q)
     nu, cpar, s = _ws_params(model, k, a)
-    z, zc, logsech = _logistic(model, x)
+    z, zc, lzc, logsech = _logistic(model, x)
     pref = np.exp(-nu * math.log(2.0) + s * x / (2.0 * model.hbar) + nu * logsech)
     g = _connection(model, branch, k, q, gam) if np.any(z > 0.5) else None
-    if np.ndim(x) == 0:
-        # below alpha x = -354, 1-z is subnormal or 0 and its log is 2 alpha x
-        lzc = 2.0 * model.alpha * x if zc < np.finfo(float).tiny else None
-        return pref * hyp2f1_with_complement(1.0 + nu, nu, cpar, z, zc, lzc, g)
-    vals = np.empty(pref.shape, dtype=complex)
-    for cols in (z.ravel() > 0.5, z.ravel() <= 0.5):
-        if np.any(cols):
-            vals[:, cols] = hyp2f1_cols_rows(1.0 + nu, nu, cpar,
-                                             z[:, cols], zc[:, cols], g)
-    return pref * vals
+    return pref * hyp2f1_with_complement(1.0 + nu, nu, cpar, z, zc, lzc, g)
 
 
 def _phi_ws_asym_left(model, branch, k, q, x, gam):
@@ -241,7 +245,8 @@ def phi(model: StepModel, branch: str, k, q, x: float, gam=None):
     Dispatches between full, asymptotic, and Heaviside forms.  ``q`` is the
     companion momentum (mu below the step, p above it); passing it explicitly
     keeps the analytic continuation single-valued on deformed contours.
-    ``gam`` is the Gamma table at (k, q) when the caller shares one.
+    ``gam`` is the Gamma table at (k, q) when the caller shares one;
+    without it, the form builds the rows it reads.
     """
     if _heaviside_like(model):
         form = _phi_heaviside_left if x <= 0 else _phi_right
@@ -249,8 +254,6 @@ def phi(model: StepModel, branch: str, k, q, x: float, gam=None):
         ax = model.alpha * x
         form = (_phi_ws_asym_left if ax < -X_ASYM
                 else _phi_right if ax > X_ASYM else _phi_ws_full)
-        if gam is None:
-            gam = _gammas(model, k, q, branch != "c")
     return form(model, branch, k, q, x, gam)
 
 
@@ -259,8 +262,8 @@ def phi_grid(model: StepModel, branch: str, k, q, xs, gam=None):
     k = np.asarray(k, dtype=complex).reshape(-1, 1)
     q = np.asarray(q, dtype=complex).reshape(-1, 1)
     xs = np.asarray(xs, dtype=float).reshape(1, -1)
-    gam = (_gammas(model, k, q, branch != "c") if gam is None
-           else gam.reshape(len(gam), -1, 1))
+    if gam is not None:
+        gam = gam.reshape(len(gam), -1, 1)
     if _heaviside_like(model):
         left = xs.ravel() <= 0
         regions = ((left, _phi_heaviside_left), (~left, _phi_right))
@@ -398,12 +401,12 @@ def _norm(model, k, gam, branch):
 
 def ncc_analytic(model, k, mu):
     """N^cc as an analytic function of (k, mu); real positive on the axis."""
-    return _norm(model, k, _gammas(model, k, mu, False), "c")
+    return _norm(model, k, _gammas(model, k, mu, ("c",)), "c")
 
 
 def npm_analytic(model, k, p):
     """N^{+-} as an analytic function of (k, p)."""
-    return _norm(model, k, _gammas(model, k, p, True), "plus")
+    return _norm(model, k, _gammas(model, k, p, ("plus",)), "plus")
 
 
 def npp_analytic(model, k, p):

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenstates import (_ROWS, _gammas, _heaviside_like, _norm,
-                          _phi_ws_full, _reflect, norm_combos, npp_analytic,
-                          phi, phi_grid)
+from .eigenstates import (_BRANCHES, _ROWS, _gammas, _heaviside_like,
+                          _norm, _phi_ws_full, _reflect, norm_combos,
+                          npp_analytic, phi, phi_grid)
 from .errors import NonFiniteError, QuadratureError, ValidationError
 from .potential import StepModel
 from .quadrature import integrate_adaptive
@@ -132,7 +132,7 @@ def _spectral_weight(model, k, q, x0, x1, above):
     hbar sweep.  Returns (nodes, columns): a 1-D row of x1 is the column
     axis of phi_grid, a float x1 takes phi.  One Gamma table at (k, q)
     serves the kernel, x1 and, reflected, x0."""
-    gam = _gammas(model, k, q, above)
+    gam = _gammas(model, k, q, _BRANCHES[above])
     branches, pairs = _kernel_pairs(model, k, q, above, gam)
     kb, qb, gam_b = np.conj(k), np.conj(q), _reflect(gam)
     bar = {b: np.conj(phi(model, b, kb, qb, x0, gam_b)) for b in branches}
@@ -301,12 +301,13 @@ def propagate(model: StepModel, x0: float, x1, T: float,
 # energy propagator
 # ---------------------------------------------------------------------------
 
-def _closed_form(model, k, a, x, gam):
+def _closed_form(model, k, a, x, gam=None):
     """The eigenstate closed form with momenta (k, a) at x, e^{iax/hbar}
-    right of the step, with gam the Gamma table at (k, a).  The smooth
-    step takes the 2F1 form at every x: the asymptotic left form is not
-    finite at k = i n alpha hbar, an integer c - a - b."""
-    if gam is None:
+    right of the step, with gam the Gamma table at (k, a) or None (the 2F1
+    form then builds the rows it reads).  The smooth step takes the 2F1
+    form at every x: the asymptotic left form is not finite at
+    k = i n alpha hbar, an integer c - a - b."""
+    if _heaviside_like(model):
         return phi(model, "plus", k, a, x)
     return _phi_ws_full(model, "plus", k, a, x, gam)
 
@@ -341,12 +342,12 @@ def energy_propagator(model: StepModel, x0: float, x1: float, E: float):
         raise ValidationError(
             f"energy propagator at E = {E!r} is 0/0 in the plane-wave form")
     pref = 2.0 * m / (k + a)
-    gam = _gammas(model, k, a, True)
+    gam = _gammas(model, k, a, ("plus",))
     if gam is not None:
         # G(1+y)^2 / (G(c) G(1+w)) of the plus branch at (k, a)
         lc, _, ly = gam[_ROWS["plus"]:_ROWS["plus"] + 3]
         pref *= np.exp(2.0 * ly - lc - gam[1])
-    K = complex(pref * _closed_form(model, a, k, -lo, _gammas(model, a, k, True))
+    K = complex(pref * _closed_form(model, a, k, -lo)
                 * _closed_form(model, k, a, hi, gam))
     if not cmath.isfinite(K):
         raise NonFiniteError(f"non-finite K at E = {E!r}")
@@ -431,7 +432,7 @@ def evolve_packet_spectral(model: StepModel, x_grid, psi0, x_out, T: float,
         for lo in range(0, ks_all.size, chunk):
             sl = slice(lo, lo + chunk)
             ks, qs = ks_all[sl] + 0j, qs_all[sl] + 0j
-            gam = _gammas(model, ks, qs, above)
+            gam = _gammas(model, ks, qs, _BRANCHES[above])
             _, pairs = _kernel_pairs(model, ks, qs, above, gam)
             # <phi_b|psi0> = conj(phi_b @ conj(psi_w)), <phi_minus|psi0> =
             # phi_plus @ psi_w; the x_grid matrix is freed before the x_out one

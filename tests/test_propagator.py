@@ -10,7 +10,7 @@ from stepprop.oracle import gaussian_packet
 from oracles import free_propagator
 from stepprop.potential import Family, StepModel, potential_value
 from stepprop import eigenstates, specfun
-from stepprop.eigenstates import _gammas, _reflect, phi, phi_grid
+from stepprop.eigenstates import _BRANCHES, _gammas, _reflect, phi, phi_grid
 from stepprop.propagator import (_hbar_columns, _kernel_pairs,
                                  _simpson_weights, _spectral_weight,
                                  energy_propagator, evolve_packet_spectral,
@@ -86,6 +86,15 @@ ROW_CASES = {
     "free": ((Family.WOODS_SAXON, 0.0, 1.0, 1.0), -1.0, [-6.0, -1.0, 3.0]),
     "one_point": ((Family.WOODS_SAXON, 1.0, 1.0, 1.0), -4.0, [-6.5]),
 }
+
+
+def test_one_column_row_is_the_one_point_call():
+    # a row and a scalar x1 share one 2F1 evaluator, bit for bit; two
+    # evaluators once rounded this point 6.0e-13 apart (|G| = 0.156)
+    md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0 / 12.0)
+    row = propagate(md, -3.0, np.array([-0.5]), 10.0)
+    one = propagate(md, -3.0, -0.5, 10.0)
+    assert row.G[0] == one.G and row.est_errors[0] == one.est_error
 
 
 @pytest.mark.parametrize("case", sorted(ROW_CASES))
@@ -233,7 +242,7 @@ def test_reflected_gamma_table_forms_match_mpmath(alpha, hbar):
     md = StepModel(Family.WOODS_SAXON, 1.0, 1.0, alpha, hbar)
     p = np.array([0.3, 1.0, 3.0]) * np.exp(-1j * propagator.THETA)
     k = np.sqrt(md.k_threshold ** 2 + p * p)
-    gam = _reflect(_gammas(md, k, p, True))
+    gam = _reflect(_gammas(md, k, p, _BRANCHES[True]))
     for ax in (-35.0, -5.0):
         x = ax / alpha
         for branch, sign in (("plus", 1), ("minus", -1)):
@@ -246,8 +255,8 @@ def test_reflected_gamma_table_forms_match_mpmath(alpha, hbar):
             assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), (ax, branch)
 
 
-def _loggamma_elements(monkeypatch, model, k, q, x0, x1, above):
-    """loggamma elements that one _spectral_weight call evaluates."""
+def _loggamma_elements(monkeypatch, fn, *args):
+    """loggamma elements that one call fn(*args) evaluates."""
     count = [0]
     plain = specfun._sp.loggamma
 
@@ -257,7 +266,7 @@ def _loggamma_elements(monkeypatch, model, k, q, x0, x1, above):
 
     monkeypatch.setattr(eigenstates, "loggamma", counted)
     monkeypatch.setattr(specfun._sp, "loggamma", counted)
-    _spectral_weight(model, k, q, x0, x1, above)
+    fn(*args)
     return count[0]
 
 
@@ -270,16 +279,35 @@ def test_one_gamma_table_per_node(monkeypatch):
     kc = ws5.k_threshold
     p = np.exp(-1j * propagator.THETA) * np.linspace(0.05, 6.0, 61)[:, None]
     k = np.sqrt(kc * kc + p * p)
-    n = _loggamma_elements(monkeypatch, sweep, k, p, -5.0, -9.25, True)
+    n = _loggamma_elements(monkeypatch, _spectral_weight, sweep, k, p, -5.0,
+                           -9.25, True)
     assert n <= 8 * k.shape[0] * 8
     u = np.linspace(0.02, 1.5, 61)[:, None]
-    n = _loggamma_elements(monkeypatch, sweep, kc * np.sin(u) + 0j,
-                           kc * np.cos(u) + 0j, -5.0, -9.25, False)
+    n = _loggamma_elements(monkeypatch, _spectral_weight, sweep,
+                           kc * np.sin(u) + 0j, kc * np.cos(u) + 0j, -5.0,
+                           -9.25, False)
     assert n <= 5 * u.size * 8
     ws1 = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0)
-    n = _loggamma_elements(monkeypatch, ws1, np.sqrt(2.0 + p * p), p, -3.0,
+    n = _loggamma_elements(monkeypatch, _spectral_weight, ws1,
+                           np.sqrt(2.0 + p * p), p, -3.0,
                            np.linspace(-8.0, 2.0, 5), True)
     assert n <= 8 * p.size
+
+
+def test_gamma_rows_only_where_read(monkeypatch):
+    # a one-point phi reads no Gamma function at x >= 0 (the series, or the
+    # plane wave past alpha x = 30) and only its branch's rows left of the
+    # step; energy_propagator reads the plus rows of its two tables, 5
+    # loggamma each, the one at (a, k) only where -min(x0, x1) < 0 (8 and
+    # 16 when every row was built)
+    ws1 = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0)
+    for x, n in ((0.0, 0), (2.0, 0), (40.0, 0), (-2.0, 5), (-40.0, 5)):
+        assert _loggamma_elements(monkeypatch, phi, ws1, "plus", 1.7,
+                                  math.sqrt(1.7 ** 2 - 2.0), x) == n, x
+    for (x0, x1), n in (((-0.5, -3.0), 5), ((-3.0, 1.0), 5),
+                        ((0.5, 2.0), 10)):
+        assert _loggamma_elements(monkeypatch, energy_propagator, ws1, x0,
+                                  x1, 1.3) == n, (x0, x1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -480,7 +508,7 @@ def _packet_four_calls(model, x_grid, psi0, x_out, T, k_max, n_below, n_above):
     psi_T = np.zeros(x_out.size, dtype=complex)
     for above, ks, qs, wk in legs:
         rows = wk * np.exp(-1j * ks ** 2 * T / (2 * m * h))
-        gam = _gammas(model, ks + 0j, qs + 0j, above)
+        gam = _gammas(model, ks + 0j, qs + 0j, _BRANCHES[above])
         branches, pairs = _kernel_pairs(model, ks + 0j, qs + 0j, above, gam)
         overlap = {b: np.conj(phi_grid(model, b, ks, qs, x_grid)) @ psi_w
                    for b in branches}

@@ -187,3 +187,42 @@ def test_option_check_catches_unread_flags():
     q.add_argument("--kept")
     q.add_argument("--ignored", type=float, default=0.0)
     assert _unread_options(p) == [("run", "ignored")]
+
+
+def _specfun_violations(tree):
+    """hyp2f1_cols_rows and the private specfun names other than _at_pole
+    that a module tree imports from specfun or reads off the module."""
+    modules, names = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "specfun":
+                names += [a.name for a in node.names]
+            elif node.module in (None, "stepprop"):
+                modules |= {a.asname or a.name for a in node.names
+                            if a.name == "specfun"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names
+                        if a.name == "stepprop.specfun" and a.asname}
+    names += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    return [n for n in names if n == "hyp2f1_cols_rows"
+            or (n.startswith("_") and n != "_at_pole")]
+
+
+def test_one_2f1_entry_point():
+    # the eigenstates reach the 2F1 through hyp2f1_with_complement alone,
+    # so a scalar x and a row of x share one series and one z = 1/2 split
+    found = {m: _specfun_violations(t) for m, t in TREES.items()
+             if m != "specfun"}
+    assert not {m: v for m, v in found.items() if v}
+
+
+def test_specfun_check_catches_other_entry_points():
+    tree = ast.parse("from .specfun import _at_pole, _series, hyp2f1\n"
+                     "from . import specfun as sf\n"
+                     "def f():\n"
+                     "    return sf.hyp2f1_cols_rows, sf._log_form\n")
+    assert _specfun_violations(tree) == ["_series", "hyp2f1_cols_rows",
+                                         "_log_form"]

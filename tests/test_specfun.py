@@ -107,21 +107,29 @@ def test_hyp2f1_integer_c_minus_a_minus_b_vs_mpmath(m, a, b, z):
 @given(**_DEGENERATE)
 @settings(max_examples=30, deadline=None)
 def test_grid_integer_c_minus_a_minus_b_vs_mpmath(m, a, b, z):
-    # a degenerate column sends the grid to the elementwise fallback
+    # a degenerate column takes the log form inside the grid, next to a
+    # regular column; a terminating one (a = -2, c - a - b = -1) sums its
+    # polynomial.  One argument row with z on both sides of 1/2 goes
+    # through hyp2f1_with_complement, which splits it
     mpmath = pytest.importorskip("mpmath")
-    a_col = np.array([[a], [0.4 + 0.3j]])
-    b_col = np.array([[b], [0.2 - 0.6j]])
-    c_col = a_col + b_col + np.array([[m], [0.37]])
+    a_col = np.array([[a], [0.4 + 0.3j], [-2.0]])
+    b_col = np.array([[b], [0.2 - 0.6j], [0.5 + 0.3j]])
+    c_col = a_col + b_col + np.array([[m], [0.37], [-1.0]])
     # exact complements: 0.5 + 0.5 z rounds to 1.0 for z = 1 - 2^-53
     zcs = np.array([[1.0 - z, 0.5 * (1.0 - z)]])
     vals = hyp2f1_cols_rows(a_col, b_col, c_col, 1.0 - zcs, zcs)
+    zcs_split = np.array([[1.0 - z, 0.75, 0.5 * (1.0 - z), 0.95]])
+    split = hyp2f1_with_complement(a_col, b_col, c_col, 1.0 - zcs_split,
+                                   zcs_split)
+    assert vals.shape == (3, 2) and split.shape == (3, 4)
     with mpmath.workdps(30):
-        for i in range(2):
-            for j in range(2):
-                ref = complex(mpmath.hyp2f1(a_col[i, 0], b_col[i, 0],
-                                            c_col[i, 0],
-                                            1 - mpmath.mpf(zcs[0, j])))
-                assert abs(vals[i, j] - ref) <= 1e-12 * abs(ref)
+        for got, row in ((vals, zcs), (split, zcs_split)):
+            for i in range(3):
+                for j in range(row.shape[1]):
+                    ref = complex(mpmath.hyp2f1(
+                        a_col[i, 0], b_col[i, 0], c_col[i, 0],
+                        1 - mpmath.mpf(row[0, j])))
+                    assert abs(got[i, j] - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("n", range(4))
