@@ -15,6 +15,8 @@ sign flips of J(T); each is refined on classical.endpoint, the closed-form
 endpoint map of the time relation, where J = m v0 dx1/dE.  integrate_ivp,
 the scalar integration, has no caller left in the package: it is the
 independent oracle of the tests and a span boundary of bench/layers.py.
+solve_ivp and brentq are imported in the functions that call them, so that
+import stepprop loads scipy.special alone (test_public_surface checks it).
 
 For the Heaviside step J never vanishes (reflections are instantaneous) and
 the caustic is the analytic triangle of merging closed-form paths.
@@ -28,8 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _t_bounce,
                         bounce_fold, caustic_saddle_curve,
@@ -64,6 +64,7 @@ def integrate_ivp(model: StepModel, x0: float, v0: float, T: float):
     trajectory with E < V0 across)."""
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("the IVP integrator needs a smooth potential")
+    from scipy.integrate import solve_ivp
     v_top = math.sqrt(v0 * v0 + 2.0 * potential_value(model, x0) / model.m)
     sol = solve_ivp(_rhs(model), (0.0, T), (x0, v0, 0.0, 1.0),
                     method="DOP853", rtol=1e-10, atol=1e-10,
@@ -76,6 +77,7 @@ def integrate_ivp(model: StepModel, x0: float, v0: float, T: float):
 
 def _scan_batch(model, x0, v0s, T):
     """x(T), J(T) for many v0 at once (single stacked integration)."""
+    from scipy.integrate import solve_ivp
     m = model.m
     n = v0s.size
 
@@ -114,6 +116,7 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
             for s in np.linspace(0.0, 1.0, 81)[:-1]:
                 pts.append((a + s * (c - a), b + s * (d - b)))
         return pts
+    from scipy.optimize import brentq
     v_cap = 5.0 * (math.sqrt(2.0 * model.V0 / model.m) if model.V0 > 0
                    else 1.0)
     points = []

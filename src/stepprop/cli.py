@@ -20,7 +20,6 @@ from dataclasses import replace
 from functools import cache, partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import caustics as _caustics
 from . import classical as _classical
@@ -412,6 +411,7 @@ def _recipes(coarse):
                rows, {"recipe": "fig11"})
 
     def fig14():
+        from scipy.optimize import brentq
         # the real-axis reflection point a, Re t(a) = 0 on sheet +1
         E = 2.0
         a = brentq(lambda x: _classical.time_of_flight(_WS1, E, x, +1).real,

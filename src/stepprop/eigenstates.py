@@ -258,7 +258,9 @@ def phi(model: StepModel, branch: str, k, q, x: float, gam=None):
 
 
 def phi_grid(model: StepModel, branch: str, k, q, xs, gam=None):
-    """Eigenstate matrix phi[k_i, x_j]; same dispatch rules as :func:`phi`."""
+    """Eigenstate matrix phi[k_i, x_j]; same dispatch rules as :func:`phi`.
+    Without a table, the branch's rows are built once, and only when a
+    column left of the step reads them."""
     k = np.asarray(k, dtype=complex).reshape(-1, 1)
     q = np.asarray(q, dtype=complex).reshape(-1, 1)
     xs = np.asarray(xs, dtype=float).reshape(1, -1)
@@ -269,6 +271,9 @@ def phi_grid(model: StepModel, branch: str, k, q, xs, gam=None):
         regions = ((left, _phi_heaviside_left), (~left, _phi_right))
     else:
         ax = model.alpha * xs.ravel()
+        if gam is None and np.any(ax < 0):
+            gam = _gammas(model, k, q,
+                          _BRANCHES[True] if branch == "minus" else (branch,))
         cols_l, cols_r = ax < -X_ASYM, ax > X_ASYM
         regions = ((cols_l, _phi_ws_asym_left), (cols_r, _phi_right),
                    (~(cols_l | cols_r), _phi_ws_full))

@@ -11,7 +11,9 @@ and dx.
 
 The tridiagonal Cayley matrix on the left is the same at every step, so it
 is LU-factored once (LAPACK zgttrf, partial pivoting) and each step is one
-zgttrs solve against that factorization.
+zgttrs solve against that factorization.  Both are imported in evolve_packet
+so that import stepprop loads scipy.special alone (test_public_surface
+checks it).
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import GridTooCoarseError, NonFiniteError, ValidationError
 from .potential import StepModel, potential_value
@@ -71,6 +72,7 @@ def evolve_packet(model: StepModel, psi0, grid: GridSpec, T: float,
     k_content, when given, is checked against the grid Nyquist momentum
     pi hbar n_x / (x_max - x_min).  A non-finite result raises
     NonFiniteError."""
+    from scipy.linalg.lapack import zgttrf, zgttrs
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.size != grid.n_x:
         raise ValidationError("psi0 must be sampled on the grid")

@@ -215,6 +215,7 @@ def test_ivp_failure_is_never_silent(ws_unit, monkeypatch, capsys):
     # a solver that stops short raises QuadratureError, and the CLI turns
     # it into exit 3 with an error record
     from types import SimpleNamespace
+    import scipy.integrate
     from stepprop.cli import main
 
     def stopped(fun, t_span, y0, **kw):
@@ -222,7 +223,8 @@ def test_ivp_failure_is_never_silent(ws_unit, monkeypatch, capsys):
                                t=np.array([t_span[0]]),
                                y=np.asarray(y0)[:, None])
 
-    monkeypatch.setattr(ca, "solve_ivp", stopped)
+    # caustics imports solve_ivp where it calls it, from scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", stopped)
     with pytest.raises(QuadratureError, match="forced stop"):
         ca.integrate_ivp(ws_unit, -4.0, 1.0, 10.0)
     with pytest.raises(QuadratureError, match="forced stop"):

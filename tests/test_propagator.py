@@ -310,6 +310,25 @@ def test_gamma_rows_only_where_read(monkeypatch):
                                   x1, 1.3) == n, (x0, x1)
 
 
+def test_phi_grid_builds_gamma_rows_once(monkeypatch):
+    # without a table, a row that reaches both the asymptotic left form
+    # (alpha x < -30) and the z > 1/2 side of the 2F1 form builds its
+    # branch's rows once (10 and 16 per node when each form built its own),
+    # none on a row right of the step, and equals the call given the
+    # kernel table bit for bit
+    ws1 = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0)
+    k = np.array([1.7, 2.0])
+    p = np.sqrt(k * k - 2.0)
+    gam = _gammas(ws1, k, p, _BRANCHES[True])
+    for branch, n in (("plus", 5), ("minus", 8)):
+        for xs, per_node in (([-45.0, -12.0, 0.3], n), ([0.3, 40.0], 0)):
+            assert _loggamma_elements(monkeypatch, phi_grid, ws1, branch, k,
+                                      p, xs) == per_node * k.size, (branch, xs)
+            np.testing.assert_array_equal(
+                phi_grid(ws1, branch, k, p, xs),
+                phi_grid(ws1, branch, k, p, xs, gam))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("alpha", [1.0, 5.0])
 def test_energy_propagator_at_integer_connection_exponents(n, alpha):

@@ -9,6 +9,9 @@ only the tests call belongs in tests/oracles.py, not in the package.
 import argparse
 import ast
 import inspect
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -150,6 +153,47 @@ def test_cli_check_catches_private_names():
     assert _cli_violations(tree) == ["imports _rhs",
                                      "imports from scipy.integrate",
                                      "uses _classical._direct"]
+
+
+def _loaded_scipy(code):
+    """The scipy.* subpackages loaded after code runs in a fresh interpreter
+    that imports stepprop from this checkout."""
+    probe = ("\nimport sys\nprint(sorted({'.'.join(m.split('.')[:2]) "
+             "for m in sys.modules if m.startswith('scipy.')}))\n")
+    proc = subprocess.run([sys.executable, "-c", code + probe],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+#: the subpackages that the light commands must not load
+HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg",
+               "scipy.signal")
+
+
+def test_cold_start_loads_scipy_special_alone():
+    # every scipy import beyond scipy.special sits in the function that
+    # calls it (brentq in classical and the fig14 recipe, solve_ivp and
+    # brentq in caustics, LAPACK in oracle), so that import stepprop loads
+    # scipy.special alone and rates and propagate load nothing more
+    code = textwrap.dedent("""\
+        import os
+        import stepprop, stepprop.cli
+        model = ('{"family": "woods_saxon", "m": 1, "V0": 1, "alpha": 1, '
+                 '"hbar": 1}')
+        for argv in (["propagate", "--x0=-4", "--x1-range=-3:-3:1",
+                      "--T", "10"], ["rates", "--k-range", "1.5:10:5"]):
+            assert stepprop.cli.main(argv + ["--model", model,
+                                             "--out", os.devnull]) == 0
+        """)
+    loaded = _loaded_scipy(code)
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m in HEAVY_SCIPY] == []
+
+
+def test_cold_start_check_catches_heavy_imports():
+    loaded = _loaded_scipy("import scipy.optimize\nimport stepprop\n")
+    assert "scipy.optimize" in loaded
 
 
 def _unread_options(parser):
