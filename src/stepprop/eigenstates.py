@@ -14,20 +14,22 @@ Woods-Saxon eigenstates (energy E = k^2/2m, z = 1/(1+e^{2 alpha x})):
 with ah = alpha*hbar, h = hbar.  Beyond |alpha x| > X_ASYM the hypergeometric
 argument is exponentially close to its z = 1 pole, so evaluation switches to
 the exact plane-wave asymptotics with their gamma-function coefficients.
+phi alone picks the form, at a float x or a row of x; phi_grid calls it.
 
 The scattering rates and the normalization coefficients of the spectral
 kernels follow the same closed forms; everything is evaluated in log space
 so that the sinh/gamma growth at small alpha*hbar never overflows.
 
 Every Gamma function of the smooth step comes from one table per set of
-momenta (_gammas): log Gamma at 1 -/+ ik/ah and, per branch, at c, 1 + nu
-and 1 + y = c - nu; 5 loggammas below the step and 8 above it, built only
-where a form or a norm reads them (5 for the plus branch alone).  The 2F1's
-c - a - b = -ik/ah is the same on every branch, so the connection pairs of
-the z -> 1-z formula (and the asymptotic left form, their leading term)
-follow by Gamma(1+v) = v Gamma(v), and the kernel norms read the same rows.
-The table at (conj k, conj q) is the one at (k, q) conjugated, rows
-permuted (_reflect): both endpoints of a spectral kernel share it.
+momenta (_gammas): log Gamma at 1 -/+ ik/ah and, per branch, at c, 1 + nu and
+1 + y = c - nu; 5 loggammas below the step and 8 above it, built only where a
+form or a norm reads them (5 for the plus branch alone), by phi where no
+caller shares one.  The 2F1's c - a - b = -ik/ah is the same on every branch,
+so the connection pairs of the z -> 1-z formula (and the asymptotic left form,
+their leading term) follow by Gamma(1+v) = v Gamma(v), and the kernel norms
+read the same rows.  The table at (conj k, conj q) is the one at (k, q)
+conjugated, rows permuted (_reflect): both endpoints of a spectral kernel
+share it.
 
 All momentum-like arguments may be complex: the propagator module deforms its
 integration contour, and every function here is an analytic continuation of
@@ -48,7 +50,7 @@ from .errors import BranchMismatchError, NonFiniteError, UnsupportedFamilyError
 from .potential import Family, StepModel
 from .specfun import _at_pole, hyp2f1_with_complement
 
-#: |alpha x| beyond which eigenstate_ws delegates to the asymptotic forms
+#: |alpha x| beyond which phi takes the plane-wave forms of the smooth step
 X_ASYM = 30.0
 
 __all__ = ["phi", "phi_grid", "eigenstate_ws", "scatter_rates",
@@ -163,8 +165,8 @@ def _reflect(gam):
 def _connection(model, branch, k, q, gam, ikx=0.0):
     """(w, g1 e^{ikx}, g2 e^{-ikx}): the table's w and the gamma factors of
     the z -> 1-z connection formula (DLMF 15.8.2) of the branch's
-    2F1(1+nu, nu; c; z), from the table by Gamma(v) = Gamma(1+v)/v
-    (DLMF 5.5.1):
+    2F1(1+nu, nu; c; z), from the branch's rows of the Gamma table gam
+    (built by the caller) by Gamma(v) = Gamma(1+v)/v (DLMF 5.5.1):
 
         g1 = G(c) G(w) / (G(y) G(1+y))   =  G(c) G(1+w) y / (w G(1+y)^2),
         g2 = G(c) G(-w) / (G(nu) G(1+nu)) = -G(c) G(1-w) nu / (w G(1+nu)^2),
@@ -172,12 +174,7 @@ def _connection(model, branch, k, q, gam, ikx=0.0):
     the phase +-ikx joining the log Gamma terms in one exponent.  1/Gamma is
     0 at a pole, as in specfun._gamma_ratio: g1 is 0 where y is 0, -1, -2,
     ..., and g2 where nu is.  At k = 0 (an integer w, where hyp2f1 takes
-    its log form and the asymptotic form raises) the pair is nan.  Without
-    a table (gam None) the branch's rows are built here, where they are
-    read."""
-    if gam is None:
-        gam = _gammas(model, k, q,
-                      _BRANCHES[True] if branch == "minus" else (branch,))
+    its log form and the asymptotic form raises) the pair is nan."""
     k, a = _branch(model, branch, k, q)
     ah = model.alpha * model.hbar
     w, row = gam[0], _ROWS[branch]
@@ -197,7 +194,7 @@ def _connection(model, branch, k, q, gam, ikx=0.0):
 def _phi_ws_full(model, branch, k, q, x, gam):
     """Woods-Saxon 2F1 form; q = mu for 'c', q = p for 'plus'/'minus'.
 
-    x is a scalar or a row (1, m) against momenta columns: either way one
+    x is a scalar or a row (m,) against momenta columns: either way one
     hyp2f1_with_complement call, which splits the row at z = 1/2, takes
     log(1-z) from _logistic and, where z > 1/2, the connection pair from
     the Gamma table gam.
@@ -239,49 +236,46 @@ def _phi_heaviside_left(model, branch, k, q, x, gam):
             + (k + a) / (2 * k) * np.exp(1j * k * x / h))
 
 
-def phi(model: StepModel, branch: str, k, q, x: float, gam=None):
-    """Un-normalized eigenstate at position x, analytic in (k, q).
+def phi(model: StepModel, branch: str, k, q, x, gam=None):
+    """Un-normalized eigenstate at x, analytic in (k, q); the one choice of
+    closed form: the left plane waves at x <= 0 on the sharp step, and on
+    the smooth one the asymptotic left form at alpha x < -X_ASYM, the right
+    plane wave at alpha x > X_ASYM and the 2F1 form between.
 
-    Dispatches between full, asymptotic, and Heaviside forms.  ``q`` is the
-    companion momentum (mu below the step, p above it); passing it explicitly
-    keeps the analytic continuation single-valued on deformed contours.
-    ``gam`` is the Gamma table at (k, q) when the caller shares one;
-    without it, the form builds the rows it reads.
-    """
+    x is a float against momenta of any shape (an hbar sweep's (nodes,
+    columns) too), or a 1-D row of m points against momenta (n, 1), giving
+    (n, m) with one form call per region.  ``q`` is the companion momentum
+    (mu below the step, p above it), explicit to keep the continuation
+    single-valued on deformed contours.  ``gam`` is the Gamma table at
+    (k, q) when the caller shares one; else phi builds the branch's rows,
+    once and only when some x lies left of the step."""
+    xs = np.asarray(x, dtype=float)
     if _heaviside_like(model):
-        form = _phi_heaviside_left if x <= 0 else _phi_right
+        regions = ((xs <= 0, _phi_heaviside_left), (~(xs <= 0), _phi_right))
     else:
-        ax = model.alpha * x
-        form = (_phi_ws_asym_left if ax < -X_ASYM
-                else _phi_right if ax > X_ASYM else _phi_ws_full)
-    return form(model, branch, k, q, x, gam)
-
-
-def phi_grid(model: StepModel, branch: str, k, q, xs, gam=None):
-    """Eigenstate matrix phi[k_i, x_j]; same dispatch rules as :func:`phi`.
-    Without a table, the branch's rows are built once, and only when a
-    column left of the step reads them."""
-    k = np.asarray(k, dtype=complex).reshape(-1, 1)
-    q = np.asarray(q, dtype=complex).reshape(-1, 1)
-    xs = np.asarray(xs, dtype=float).reshape(1, -1)
-    if gam is not None:
-        gam = gam.reshape(len(gam), -1, 1)
-    if _heaviside_like(model):
-        left = xs.ravel() <= 0
-        regions = ((left, _phi_heaviside_left), (~left, _phi_right))
-    else:
-        ax = model.alpha * xs.ravel()
+        ax = model.alpha * xs
         if gam is None and np.any(ax < 0):
             gam = _gammas(model, k, q,
                           _BRANCHES[True] if branch == "minus" else (branch,))
-        cols_l, cols_r = ax < -X_ASYM, ax > X_ASYM
-        regions = ((cols_l, _phi_ws_asym_left), (cols_r, _phi_right),
-                   (~(cols_l | cols_r), _phi_ws_full))
-    out = np.empty((k.shape[0], xs.shape[1]), dtype=complex)
+        far_l, far_r = ax < -X_ASYM, ax > X_ASYM
+        regions = ((far_l, _phi_ws_asym_left), (far_r, _phi_right),
+                   (~(far_l | far_r), _phi_ws_full))
+    if xs.ndim == 0:
+        return next(f for here, f in regions if here)(model, branch, k, q,
+                                                      x, gam)
+    out = np.empty(np.broadcast_shapes(np.shape(k), xs.shape), dtype=complex)
     for cols, form in regions:
         if np.any(cols):
-            out[:, cols] = form(model, branch, k, q, xs[:, cols], gam)
+            out[:, cols] = form(model, branch, k, q, xs[cols], gam)
     return out
+
+
+def phi_grid(model: StepModel, branch: str, k, q, xs, gam=None):
+    """Eigenstate matrix phi[k_i, x_j] of flat momenta k and positions xs:
+    :func:`phi` on the row xs, with k, q and gam as one column of nodes."""
+    k, q = (np.asarray(v, dtype=complex).reshape(-1, 1) for v in (k, q))
+    gam = None if gam is None else gam.reshape(len(gam), -1, 1)
+    return phi(model, branch, k, q, np.asarray(xs, dtype=float).ravel(), gam)
 
 
 def _companion(model, branch, k):

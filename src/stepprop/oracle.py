@@ -27,6 +27,9 @@ from .potential import StepModel, potential_value
 
 __all__ = ["GridSpec", "gaussian_packet", "evolve_packet", "norm_l2"]
 
+#: Crank-Nicolson steps one evolve_packet call may take; more raise
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -36,12 +39,13 @@ class GridSpec:
     dt: float = 0.005
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max):
-            raise ValidationError("grid needs x_min < x_max")
+        if not (self.x_min < self.x_max
+                and math.isfinite(self.x_max - self.x_min)):
+            raise ValidationError("grid needs x_min < x_max, a finite width")
         if self.n_x < 1024:
             raise ValidationError("grid needs at least 1024 points")
-        if not (self.dt > 0):
-            raise ValidationError("time step must be positive")
+        if not (0 < self.dt < math.inf):
+            raise ValidationError("time step must be finite and positive")
 
     def xs(self):
         return np.linspace(self.x_min, self.x_max, self.n_x)
@@ -66,19 +70,19 @@ def norm_l2(psi, xs):
 
 def evolve_packet(model: StepModel, psi0, grid: GridSpec, T: float,
                   k_content: float | None = None):
-    """Evolve psi0 (sampled on grid.xs()) to time T >= 0 in
-    max(round(T / dt), 1) equal steps; T = 0 returns a copy of psi0.
+    """Evolve psi0 (sampled on grid.xs()) to time T in max(round(T / dt), 1)
+    equal steps, 0 <= T <= MAX_STEPS dt; T = 0 returns a copy of psi0.
 
     k_content, when given, is checked against the grid Nyquist momentum
     pi hbar n_x / (x_max - x_min).  A non-finite result raises
     NonFiniteError."""
-    from scipy.linalg.lapack import zgttrf, zgttrs
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.size != grid.n_x:
         raise ValidationError("psi0 must be sampled on the grid")
-    if not (math.isfinite(T) and T >= 0):
-        raise ValidationError(f"evolution time must be finite and >= 0, "
-                              f"got {T!r}")
+    if not (math.isfinite(T) and 0 <= T <= MAX_STEPS * grid.dt):
+        raise ValidationError(f"evolution time must be finite, >= 0 and at "
+                              f"most {MAX_STEPS} steps of dt, got {T!r}")
+    from scipy.linalg.lapack import zgttrf, zgttrs
     h, m = model.hbar, model.m
     dx = grid.dx
     if k_content is not None:

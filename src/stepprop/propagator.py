@@ -129,15 +129,14 @@ def _kernel_pairs(model, k, q, above, gam):
 def _spectral_weight(model, k, q, x0, x1, above):
     """Kernel w_c (below the step, q = mu) or w_pm (above, q = p), analytic
     in (k, q), with k and q of shape (nodes, 1), or (nodes, columns) in an
-    hbar sweep.  Returns (nodes, columns): a 1-D row of x1 is the column
-    axis of phi_grid, a float x1 takes phi.  One Gamma table at (k, q)
-    serves the kernel, x1 and, reflected, x0."""
+    hbar sweep.  Returns (nodes, columns): the columns are a 1-D row of x1,
+    or the hbar columns at a float x1; phi takes either.  One Gamma table
+    at (k, q) serves the kernel, x1 and, reflected, x0."""
     gam = _gammas(model, k, q, _BRANCHES[above])
     branches, pairs = _kernel_pairs(model, k, q, above, gam)
     kb, qb, gam_b = np.conj(k), np.conj(q), _reflect(gam)
     bar = {b: np.conj(phi(model, b, kb, qb, x0, gam_b)) for b in branches}
-    at_x1 = phi if np.ndim(x1) == 0 else phi_grid
-    out = {b: at_x1(model, b, k, q, x1, gam) for b in branches}
+    out = {b: phi(model, b, k, q, x1, gam) for b in branches}
     return sum(coef * out[b1] * bar[b0] for b1, b0, coef in pairs)
 
 
@@ -301,10 +300,10 @@ def propagate(model: StepModel, x0: float, x1, T: float,
 # energy propagator
 # ---------------------------------------------------------------------------
 
-def _closed_form(model, k, a, x, gam=None):
+def _closed_form(model, k, a, x, gam):
     """The eigenstate closed form with momenta (k, a) at x, e^{iax/hbar}
-    right of the step, with gam the Gamma table at (k, a) or None (the 2F1
-    form then builds the rows it reads).  The smooth step takes the 2F1
+    right of the step, with gam the Gamma table at (k, a), read left of
+    the step (None on the plane-wave steps).  The smooth step takes the 2F1
     form at every x: the asymptotic left form is not finite at
     k = i n alpha hbar, an integer c - a - b."""
     if _heaviside_like(model):
@@ -347,7 +346,9 @@ def energy_propagator(model: StepModel, x0: float, x1: float, E: float):
         # G(1+y)^2 / (G(c) G(1+w)) of the plus branch at (k, a)
         lc, _, ly = gam[_ROWS["plus"]:_ROWS["plus"] + 3]
         pref *= np.exp(2.0 * ly - lc - gam[1])
-    K = complex(pref * _closed_form(model, a, k, -lo)
+    # psi_< reads its own table, at (a, k), only left of the step
+    gam_lo = _gammas(model, a, k, ("plus",)) if lo > 0 else None
+    K = complex(pref * _closed_form(model, a, k, -lo, gam_lo)
                 * _closed_form(model, k, a, hi, gam))
     if not cmath.isfinite(K):
         raise NonFiniteError(f"non-finite K at E = {E!r}")

@@ -132,6 +132,19 @@ def test_oracle_negative_time_exits_2(capsys):
     assert record["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("opts", [["--T", "1e300"],
+                                  ["--T", "1e10", "--dt", "1e-300"],
+                                  ["--T", "1", "--x-min=-inf"],
+                                  ["--T", "1", "--dt", "inf"]],
+                         ids=["T_1e300", "dt_1e-300", "x_min_inf", "dt_inf"])
+def test_oracle_unrunnable_grid_or_time_exits_2(capsys, opts):
+    # too many Crank-Nicolson steps, or a non-finite grid setting, is a
+    # usage error found before any step
+    assert main(["oracle", "--model", WS, "--n-x", "1024"] + opts) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValidationError"
+
+
 def test_numerical_failure_exits_3(capsys):
     # no topological saddle exists at very long T: machine-readable exit 3
     rc = main(["classical", "--model", json.dumps(

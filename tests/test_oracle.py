@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 from stepprop.errors import GridTooCoarseError, NonFiniteError, ValidationError
-from stepprop.oracle import GridSpec, evolve_packet, gaussian_packet, norm_l2
+from stepprop.oracle import (MAX_STEPS, GridSpec, evolve_packet,
+                             gaussian_packet, norm_l2)
 from stepprop.potential import potential_value
 from stepprop.potential import Family, StepModel
 from stepprop import eigenstates as eig
@@ -110,6 +111,30 @@ def test_negative_or_non_finite_time_raises(ws_unit, T):
     psi0 = gaussian_packet(grid.xs(), center=-8.0, sigma=1.5, k_mean=1.2)
     with pytest.raises(ValidationError):
         evolve_packet(ws_unit, psi0, grid, T)
+
+
+@pytest.mark.parametrize("T, dt", [(1e300, 0.005), (1e10, 1e-300),
+                                   (1.001 * MAX_STEPS * 0.005, 0.005)])
+def test_step_count_beyond_max_steps_raises(ws_unit, T, dt):
+    # checked before any step: T = 1e300 would otherwise run without end,
+    # and T / dt = inf would overflow the step count
+    grid = GridSpec(-30.0, 20.0, n_x=1024, dt=dt)
+    psi0 = gaussian_packet(grid.xs(), center=-8.0, sigma=1.5, k_mean=1.2)
+    with pytest.raises(ValidationError, match="steps of dt"):
+        evolve_packet(ws_unit, psi0, grid, T)
+
+
+@pytest.mark.parametrize("bad", [
+    {"x_min": -math.inf}, {"x_min": math.nan}, {"x_max": math.inf},
+    {"x_max": math.nan}, {"x_min": -1e308, "x_max": 1e308},
+    {"dt": math.inf}, {"dt": math.nan}],
+    ids=["x_min_inf", "x_min_nan", "x_max_inf", "x_max_nan", "width_inf",
+         "dt_inf", "dt_nan"])
+def test_grid_rejects_non_finite_settings(bad):
+    # width_inf: both ends are finite, but x_max - x_min overflows
+    settings = {"x_min": -30.0, "x_max": 20.0, "n_x": 1024, "dt": 0.005}
+    with pytest.raises(ValidationError, match="finite"):
+        GridSpec(**{**settings, **bad})
 
 
 def test_time_below_half_step_takes_one_step(ws_unit):

@@ -311,11 +311,11 @@ def test_gamma_rows_only_where_read(monkeypatch):
 
 
 def test_phi_grid_builds_gamma_rows_once(monkeypatch):
-    # without a table, a row that reaches both the asymptotic left form
-    # (alpha x < -30) and the z > 1/2 side of the 2F1 form builds its
-    # branch's rows once (10 and 16 per node when each form built its own),
-    # none on a row right of the step, and equals the call given the
-    # kernel table bit for bit
+    # without a table, phi builds the branch's rows once for a row that
+    # reaches both the asymptotic left form (alpha x < -30) and the
+    # z > 1/2 side of the 2F1 form (10 and 16 per node when each form
+    # built its own), none for a row right of the step, and equals the
+    # call given the kernel table bit for bit
     ws1 = StepModel(Family.WOODS_SAXON, 1.0, 1.0, 1.0, 1.0)
     k = np.array([1.7, 2.0])
     p = np.sqrt(k * k - 2.0)

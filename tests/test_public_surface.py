@@ -270,3 +270,52 @@ def test_specfun_check_catches_other_entry_points():
                      "    return sf.hyp2f1_cols_rows, sf._log_form\n")
     assert _specfun_violations(tree) == ["_series", "hyp2f1_cols_rows",
                                          "_log_form"]
+
+
+#: the region thresholds and the closed forms that only eigenstates.phi
+#: may name: a second dispatch would be a second copy of the regions
+DISPATCH = {"X_ASYM", "_phi_ws_asym_left", "_phi_right",
+            "_phi_heaviside_left"}
+
+
+def _dispatch_names(tree, home=None):
+    """(top-level statement, name) for each DISPATCH name that a module
+    tree reads or imports outside its top-level function home."""
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", type(top).__name__)
+        if isinstance(top, ast.FunctionDef) and top.name == home:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(where, n) for n in names if n in DISPATCH]
+    return found
+
+
+def test_one_eigenstate_dispatch():
+    # phi alone picks a closed form, for a float x and a row of x alike;
+    # phi_grid and the spectral weight go through it
+    found = {m: _dispatch_names(t, "phi" if m == "eigenstates" else None)
+             for m, t in TREES.items()}
+    assert not {m: v for m, v in found.items() if v}
+
+
+def test_dispatch_check_catches_other_dispatches():
+    tree = ast.parse("from .eigenstates import X_ASYM\n"
+                     "X_ASYM = 30.0\n"
+                     "def _phi_right(x):\n"
+                     "    return x\n"
+                     "def phi(x):\n"
+                     "    return _phi_right(x) if x > X_ASYM else x\n"
+                     "def phi_grid(xs):\n"
+                     "    return [eig._phi_heaviside_left(x) for x in xs]\n")
+    assert _dispatch_names(tree, "phi") == [
+        ("ImportFrom", "X_ASYM"), ("phi_grid", "_phi_heaviside_left")]
+    assert ("phi", "_phi_right") in _dispatch_names(tree)
