@@ -3,7 +3,9 @@
 Subcommands: rates, propagate, energy, classical, caustics, stokes, wkb,
 spectrum, oracle, reproduce.  Numeric output is CSV (comma separated, '.'
 decimal, header row, 17 significant digits) with the run configuration echoed
-in a leading comment line; --format json wraps the same rows in JSON.
+in a leading comment line, every option that changes the rows under its
+argparse name (--threads only picks the processes); --format json wraps the
+same rows in JSON.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence
 (a machine-readable error record is printed to stderr).
@@ -55,6 +57,8 @@ def _parse_range(text: str):
                               "integer count") from None
     if n < 1:
         raise ValidationError("range count must be >= 1")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"range {text!r} needs finite ends")
     return np.linspace(a, b, n)
 
 
@@ -160,7 +164,8 @@ def _cmd_classical(args):
                 "relevant": bool(s.relevant)} for s in saddles]
     text = json.dumps({"config": {"command": "classical",
                                   "model": model.to_dict(), "x0": args.x0,
-                                  "x1": args.x1, "T": args.T},
+                                  "x1": args.x1, "T": args.T,
+                                  "saddles": args.saddles},
                        "saddles": payload}, indent=1)
     _emit(args.out, text + "\n")
     return 0
@@ -172,7 +177,8 @@ def _cmd_caustics(args):
     pts = _caustics.caustic_curve(model, args.T, xs, n_scan=args.n_scan)
     _write_rows(args.out, ("x0", "x1"), pts,
                 {"command": "caustics", "model": model.to_dict(), "T": args.T,
-                 "x0_range": args.x0_range}, args.format)
+                 "x0_range": args.x0_range, "n_scan": args.n_scan},
+                args.format)
     return 0
 
 
@@ -206,7 +212,8 @@ def _cmd_wkb(args):
     _write_rows(args.out, ("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"),
                 rows, {"command": "wkb", "model": model.to_dict(),
                        "x0": args.x0, "x1_range": args.x1_range, "T": args.T,
-                       "saddles": args.saddles, "hbar": hbar}, args.format)
+                       "saddles": args.saddles, "hbar": hbar,
+                       "calibrate": args.calibrate}, args.format)
     return 0
 
 
@@ -227,7 +234,8 @@ def _cmd_spectrum(args):
                 {"command": "spectrum", "kind": args.kind,
                  "model": model.to_dict(), "x0": args.x0, "x1": args.x1,
                  "T": args.T, "A": args.A, "B": args.B,
-                 "n_omega": args.n_omega}, args.format)
+                 "n_omega": args.n_omega, "tau_range": args.tau_range,
+                 "s_range": args.s_range}, args.format)
     return 0
 
 
@@ -243,7 +251,9 @@ def _cmd_oracle(args):
     _write_rows(args.out, ("x", "RePsi", "ImPsi", "abs2"), rows,
                 {"command": "oracle", "model": model.to_dict(),
                  "center": args.center, "sigma": args.sigma,
-                 "k_mean": args.k_mean, "T": args.T}, args.format)
+                 "k_mean": args.k_mean, "T": args.T, "x_min": args.x_min,
+                 "x_max": args.x_max, "n_x": args.n_x, "dt": args.dt},
+                args.format)
     return 0
 
 

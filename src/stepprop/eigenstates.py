@@ -16,8 +16,8 @@ argument is exponentially close to its z = 1 pole, so evaluation switches to
 the exact plane-wave asymptotics with their gamma-function coefficients.
 phi alone picks the form, at a float x or a row of x; phi_grid calls it.
 
-The scattering rates and the normalization coefficients of the spectral
-kernels follow the same closed forms; everything is evaluated in log space
+The scattering rates (|T|^2 and log |R|^2 written once, N^{++} = 2 pi p/
+(k |T|^2)) and the kernel norms follow the same closed forms, in log space
 so that the sinh/gamma growth at small alpha*hbar never overflows.
 
 Every Gamma function of the smooth step comes from one table per set of
@@ -46,7 +46,8 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import BranchMismatchError, NonFiniteError, UnsupportedFamilyError
+from .errors import (BranchMismatchError, NonFiniteError,
+                     UnsupportedFamilyError, ValidationError)
 from .potential import Family, StepModel
 from .specfun import _at_pole, hyp2f1_with_complement
 
@@ -307,53 +308,68 @@ def eigenstate_ws(model: StepModel, branch: str, k: float, x: float) -> complex:
 # scattering rates
 # ---------------------------------------------------------------------------
 
-def _log_r2_ws(model, k, p):
-    """log |R|^2 = 2 log(sinh(pi (k-p)/2ah) / sinh(pi (k+p)/2ah)) above the
-    smooth step, overflow-free; k and p are scalars or arrays."""
+def _labels(k):
+    """k as a float array of momentum labels, checked before any arithmetic:
+    a non-finite k raises ValidationError, and k <= 0 BranchMismatchError."""
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):
+        raise ValidationError("momentum label k must be finite")
+    if np.any(k <= 0):
+        raise BranchMismatchError("momentum label k must be positive")
+    return k
+
+
+def _t2(model, k, p):
+    """|T|^2 above the step, analytic in (k, p): 4kp/(k+p)^2 on the plane-wave
+    steps, sinh(pi k/ah) sinh(pi p/ah) / sinh(pi (k+p)/2ah)^2 in log space
+    on the smooth one."""
+    if _heaviside_like(model):
+        return 4.0 * k * p / (k + p) ** 2
     ah = model.alpha * model.hbar
-    ls = lambda w: np.real(_logsinh(w))
-    return 2.0 * (ls(math.pi * (k - p) / (2 * ah))
-                  - ls(math.pi * (k + p) / (2 * ah)))
+    return np.exp(_logsinh(math.pi * k / ah) + _logsinh(math.pi * p / ah)
+                  - 2.0 * _logsinh(math.pi * (k + p) / (2 * ah)))
+
+
+def _log_r2(model, k, p):
+    """log |R|^2 above the step at real k: 2 log((k-p)/(k+p)) on the plane-
+    wave steps (-inf at V0 = 0, where p = k), 2 log(sinh(pi (k-p)/2ah) /
+    sinh(pi (k+p)/2ah)) on the smooth one; k and p scalars or arrays."""
+    if _heaviside_like(model):
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.log((k - p) / (k + p))
+    ah = model.alpha * model.hbar
+    return 2.0 * np.real(_logsinh(math.pi * (k - p) / (2 * ah))
+                         - _logsinh(math.pi * (k + p) / (2 * ah)))
 
 
 def scatter_rates(model: StepModel, k):
     """(|R|^2, |T|^2), overflow-free for any alpha*hbar; k vectorized.
 
-    Below the step (E < V0) the reflection rate is exactly 1.
+    Below the step (E < V0) the reflection rate is exactly 1.  A non-finite
+    k raises ValidationError, and k <= 0 BranchMismatchError.
     """
-    k = np.asarray(k, dtype=float)
+    k = _labels(k)
     kc = model.k_threshold
-    R2 = np.ones(k.shape)
-    T2 = np.zeros(k.shape)
+    R2, T2 = np.ones(k.shape), np.zeros(k.shape)
     above = k > kc
     if np.any(above):
         ka = k[above]
         p = np.sqrt(ka * ka - kc * kc)
-        if _heaviside_like(model):
-            R2[above] = ((ka - p) / (ka + p)) ** 2
-            T2[above] = 4.0 * ka * p / (ka + p) ** 2
-        else:
-            ah = model.alpha * model.hbar
-            ls = lambda w: np.real(_logsinh(w))
-            lt = (ls(math.pi * ka / ah) + ls(math.pi * p / ah)
-                  - 2.0 * ls(math.pi * (ka + p) / (2 * ah)))
-            R2[above] = np.exp(_log_r2_ws(model, ka, p))
-            T2[above] = np.exp(lt)
+        R2[above] = np.exp(_log_r2(model, ka, p))
+        T2[above] = np.real(_t2(model, ka, p))
     if R2.shape == ():
         return float(R2), float(T2)
     return R2, T2
 
 
 def log_reflection_rate(model: StepModel, k: float) -> float:
-    """log |R|^2 for E > V0, stable deep in the semiclassical regime."""
-    if k <= 0:
-        raise BranchMismatchError("momentum label k must be positive")
+    """log |R|^2 for E > V0, stable deep in the semiclassical regime; k is
+    checked as in scatter_rates."""
+    k = float(_labels(k))
     if not (k * k / (2.0 * model.m) > model.V0):
         return 0.0
     p = math.sqrt(k * k - 2.0 * model.m * model.V0)
-    if _heaviside_like(model):  # p = k at V0 = 0, where |R|^2 = 0
-        return 2.0 * math.log((k - p) / (k + p)) if p < k else -math.inf
-    return float(_log_r2_ws(model, k, p))
+    return float(_log_r2(model, k, p))
 
 
 def reflection_rate_smallhbar_asymptote(model: StepModel, k: float):
@@ -409,24 +425,16 @@ def npm_analytic(model, k, p):
 
 
 def npp_analytic(model, k, p):
-    """N^{++} via the sinh product identity, analytic and overflow-free."""
-    k = np.asarray(k, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    if _heaviside_like(model):
-        return math.pi * (p / k + (k * k + p * p) / (2.0 * k * k))
-    ah = model.alpha * model.hbar
-    lg = (np.log(2.0 * math.pi * p / k)
-          + 2.0 * _logsinh(math.pi * (k + p) / (2.0 * ah))
-          - _logsinh(math.pi * k / ah) - _logsinh(math.pi * p / ah))
-    return np.exp(lg)
+    """N^{++} = 2 pi p / (k |T|^2), analytic in (k, p)."""
+    return 2.0 * math.pi * p / (k * _t2(model, k, p))
 
 
 def norm_combos(model, k, p):
-    """(N^{++} + |N^{+-}|, N^{++} - |N^{+-}|) in the factorized forms.
-
-    For Heaviside these are assembled directly from the closed coefficients;
-    for Woods-Saxon the displayed exponential factorizations are used, scaled
-    so no e^{pi k / ah} overflows.
+    """(N^{++} + |N^{+-}|, N^{++} - |N^{+-}|) in factorized forms, whose
+    product (2 pi p/k) N^{++} the kernel takes in closed form: only a bench
+    span boundary and the tests' reference for that identity.  Heaviside
+    assembles them from the closed coefficients; Woods-Saxon scales the
+    exponential factorizations so that no e^{pi k / ah} overflows.
     """
     k = np.asarray(k, dtype=complex)
     p = np.asarray(p, dtype=complex)

@@ -57,11 +57,21 @@ class GridSpec:
 
 def gaussian_packet(xs, center: float, sigma: float, k_mean: float,
                     hbar: float = 1.0):
-    """Normalized Gaussian e^{-(x-c)^2/(4 sigma^2)} e^{i k x / hbar}."""
+    """Normalized Gaussian e^{-(x-c)^2/(4 sigma^2)} e^{i k x / hbar}; a sigma
+    or a norm on xs that is not finite and positive raises ValidationError
+    (the grid misses the packet, or a square overflows)."""
+    if not (0 < sigma < math.inf):
+        raise ValidationError(f"packet width must be finite and positive, "
+                              f"got sigma = {sigma!r}")
     xs = np.asarray(xs, dtype=float)
-    psi = np.exp(-(xs - center) ** 2 / (4.0 * sigma ** 2)
-                 + 1j * k_mean * xs / hbar)
-    return psi / math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, xs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.exp(-(xs - center) ** 2 / (4.0 * np.float64(sigma) ** 2)
+                     + 1j * k_mean * xs / hbar)
+        norm = float(np.trapezoid(np.abs(psi) ** 2, xs))
+    if not (0 < norm < math.inf):
+        raise ValidationError(f"packet norm on the grid is {norm!r}: the "
+                              f"grid misses the packet or overflows")
+    return psi / math.sqrt(norm)
 
 
 def norm_l2(psi, xs):

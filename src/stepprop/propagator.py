@@ -11,6 +11,7 @@ with kc = sqrt(2 m V0) and the orthonormal-eigenstate kernels
 written as analytic functions of k (each conjugate f(k, q)^* continued as
 the reflection conj(f(conj(k), conj(q)))), so the above-threshold leg can be
 deformed into the lower half-plane where the kernel decays like a Gaussian.
+Above the step its norms reduce to k/(2 pi p hbar) and reflection amplitudes.
 
 Substitutions remove the square-root branch points at threshold:
 below, k = kc sin(u); above, p = t e^{-i THETA} with k = sqrt(kc^2 + p^2).
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenstates import (_BRANCHES, _ROWS, _gammas, _heaviside_like,
-                          _norm, _phi_ws_full, _reflect, norm_combos,
-                          npp_analytic, phi, phi_grid)
+                          _norm, _phi_ws_full, _reflect, npp_analytic, phi,
+                          phi_grid)
 from .errors import NonFiniteError, QuadratureError, ValidationError
 from .potential import StepModel
 from .quadrature import integrate_adaptive
@@ -110,20 +111,21 @@ def _kernel_pairs(model, k, q, above, gam):
 
         (+,+), (-,-): N^{++}/D,   (+,-): -Nbar^{+-}/D,   (-,+): -N^{+-}/D,
 
-    with D = hbar (N^{++} + |N^{+-}|)(N^{++} - |N^{+-}|) in the stable
-    factorized combinations.  N^cc, N^{+-} and Nbar^{+-} read the rows of
-    branch c, plus and minus of gam, the Gamma table at (k, q).
+    with D = hbar (N^{++} + |N^{+-}|)(N^{++} - |N^{+-}|) = hbar (2 pi p/k)
+    N^{++} in closed form (N^{++} |T|^2 = 2 pi p/k): k/(2 pi p hbar), the
+    free-particle Jacobian, and that times reflection amplitudes -N/N^{++}.
+    N^cc, N^{+-} and Nbar^{+-} read the rows of branch c, plus and minus of
+    gam, the Gamma table at (k, q).
     """
     h = model.hbar
     if not above:
         return ("c",), [("c", "c", 1.0 / (h * _norm(model, k, gam, "c")))]
-    combo_p, combo_m = norm_combos(model, k, q)
-    denom = h * combo_p * combo_m
-    npp = npp_analytic(model, k, q) / denom
+    jac = k / (2.0 * math.pi * q * h)
+    refl = -jac / npp_analytic(model, k, q)
     return ("plus", "minus"), [
-        ("plus", "plus", npp), ("minus", "minus", npp),
-        ("plus", "minus", -_norm(model, k, gam, "minus") / denom),
-        ("minus", "plus", -_norm(model, k, gam, "plus") / denom)]
+        ("plus", "plus", jac), ("minus", "minus", jac),
+        ("plus", "minus", refl * _norm(model, k, gam, "minus")),
+        ("minus", "plus", refl * _norm(model, k, gam, "plus"))]
 
 
 def _spectral_weight(model, k, q, x0, x1, above):

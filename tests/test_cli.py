@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -156,18 +157,99 @@ def test_numerical_failure_exits_3(capsys):
     assert record["error"] == "NoTopologicalSaddleError"
 
 
-def test_propagate_roundtrip_reproducible(tmp_path):
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    args = ["propagate", "--model", HV, "--x0=-4", "--x1-range=-6:-5:3",
-            "--T", "10"]
-    assert main(args + ["--out", str(out1)]) == 0
-    config, header, rows = _read_csv(out1)
-    # re-run from the echoed config
-    assert main(["propagate", "--model", json.dumps(config["model"]),
-                 f"--x0={config['x0']}", f"--x1-range={config['x1_range']}",
-                 "--T", str(config["T"]), "--out", str(out2)]) == 0
-    assert out1.read_text().split("\n", 1)[1] == out2.read_text().split("\n", 1)[1]
+#: one run of every subcommand, each option that changes its rows set off
+#: its default
+ECHO_RUNS = {
+    "rates": ["rates", "--model", HV, "--k-range=1.6:4:5"],
+    "propagate": ["propagate", "--model", HV, "--x0=-4", "--x1-range=-6:-5:3",
+                  "--T", "10"],
+    "energy": ["energy", "--model", WS, "--x0=-1", "--x1=1.5",
+               "--E-range=0.7:2.5:3"],
+    "classical": ["classical", "--model", WS5, "--x0=-5", "--x1=-9.25",
+                  "--T", "10", "--saddles", "real+caustic"],
+    "caustics": ["caustics", "--model", WS, "--T", "10",
+                 "--x0-range=-6:-4.5:2", "--n-scan", "150"],
+    "stokes": ["stokes", "--model", HV, "--T", "10", "--x0-range=-6:-4:3"],
+    "wkb": ["wkb", "--model", WS5, "--x0=-5", "--x1-range=-9.5:-9:2", "--T",
+            "10", "--hbar", "0.1", "--saddles", "real+caustic",
+            "--calibrate"],
+    "spectrum_fourier": ["spectrum", "--model", HV, "--x0", "5", "--x1", "4",
+                         "--T", "10", "--A", "2", "--B", "6", "--n-omega",
+                         "64", "--tau-range", "4:8:9"],
+    "spectrum_laplace": ["spectrum", "--model", HV, "--x0", "5", "--x1", "4",
+                         "--T", "10", "--kind", "laplace", "--n-omega", "64",
+                         "--s-range", "0:1:6"],
+    "oracle": ["oracle", "--model", WS, "--T", "0.5", "--center=-10",
+               "--sigma", "1.5", "--k-mean", "1", "--x-min=-30", "--x-max",
+               "20", "--n-x", "1024", "--dt", "0.01"],
+}
+
+
+def _rerun_argv(config):
+    """The command line that the echoed config describes: each key is an
+    argparse dest, a true flag is given bare and a false one left out."""
+    argv = [config["command"]]
+    for key, value in config.items():
+        opt = "--" + key.replace("_", "-")
+        if key == "command" or value is False:
+            continue
+        if value is True:
+            argv.append(opt)
+        else:
+            argv.append(f"{opt}={json.dumps(value) if key == 'model' else value}")
+    return argv
+
+
+def _echo_and_rows(path):
+    text = path.read_text()
+    if text.startswith("{"):  # classical writes one JSON record
+        record = json.loads(text)
+        return record["config"], record["saddles"]
+    first, rows = text.split("\n", 1)
+    return json.loads(first.split("# config: ", 1)[1]), rows
+
+
+@pytest.mark.parametrize("run", list(ECHO_RUNS))
+def test_echoed_config_reproduces_rows(tmp_path, run):
+    # the leading config reruns the command: same rows, byte for byte
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(ECHO_RUNS[run] + ["--out", str(out1)]) == 0
+    config, rows = _echo_and_rows(out1)
+    assert main(_rerun_argv(config) + ["--out", str(out2)]) == 0
+    assert _echo_and_rows(out2) == (config, rows)
+
+
+def _quiet_main(argv):
+    """main(argv) and the RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("k_range, code, error", [
+    ("-3:3:3", 3, "BranchMismatchError"),
+    ("0:3:2", 3, "BranchMismatchError"),
+    ("nan:3:3", 2, "ValidationError"),
+    ("1:inf:3", 2, "ValidationError"),
+])
+def test_rates_refuse_a_bad_momentum(capsys, k_range, code, error):
+    # no row of R2 = 1 for a k <= 0, and no warning before the record
+    rc, warned = _quiet_main(["rates", "--model", WS, f"--k-range={k_range}"])
+    assert (rc, warned) == (code, [])
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("opts", [[], ["--sigma", "1e299", "--k-mean", "0"]],
+                         ids=["grid_misses_packet", "sigma_square_overflows"])
+def test_oracle_packet_off_the_grid_exits_2(capsys, opts):
+    rc, warned = _quiet_main(["oracle", "--model", WS, "--T", "1",
+                              "--x-min=-1e300", "--x-max", "1e300",
+                              "--n-x", "1024"] + opts)
+    assert (rc, warned) == (2, [])
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
 def test_classical_json_fields(capsys):

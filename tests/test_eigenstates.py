@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import orthonormal_state
 from stepprop import eigenstates as eig
 from stepprop.errors import (BranchMismatchError, NonFiniteError,
-                             UnsupportedFamilyError)
+                             UnsupportedFamilyError, ValidationError)
 from stepprop.potential import Family, StepModel, potential_value
-from stepprop.propagator import _hbar_columns
+from stepprop.propagator import THETA, _hbar_columns
 
 KC = math.sqrt(2.0)  # m = V0 = 1
 
@@ -212,6 +212,61 @@ def test_ws_norm_combos_match_coefficients(ws_unit):
         assert complex(cp).real == pytest.approx(npp + npm_abs, rel=1e-10)
         assert complex(cm).real == pytest.approx(npp - npm_abs, rel=1e-10)
         assert npp >= npm_abs
+
+
+@pytest.mark.parametrize("model", [
+    *(StepModel(Family.WOODS_SAXON, 1, 1, a, h)
+      for a in (0.3, 1.0, 5.0) for h in (1.0, 0.1)),
+    StepModel(Family.HEAVISIDE, 1, 1, 1, 1),
+    StepModel(Family.WOODS_SAXON, V0=0.0), StepModel(Family.HEAVISIDE, V0=0.0)],
+    ids=lambda md: f"{md.family.value}-a{md.alpha}-h{md.hbar}-V{md.V0}")
+def test_npp_is_the_inverse_transmission_rate(model):
+    # on the real axis N^{++} = 2 pi p/(k |T|^2) and |N^{+-}/N^{++}|^2 =
+    # |R|^2 (measured: 4.6e-13, from one-ulp differences of pi k/ah at
+    # alpha hbar = 0.03, and 1.3e-14)
+    kc = model.k_threshold
+    ks = kc + np.geomspace(1e-3, 10.0, 60)
+    p = np.sqrt(ks * ks - kc * kc)
+    r2, t2 = eig.scatter_rates(model, ks)
+    npp = eig.npp_analytic(model, ks, p)
+    npm = eig.npm_analytic(model, ks, p)
+    assert np.max(np.abs(npp * ks * t2 / (2 * math.pi * p) - 1)) < 1e-12
+    assert np.max(np.abs(np.abs(npm / npp) ** 2 - r2)) < 1e-13
+
+
+@pytest.mark.parametrize("family, alpha", [
+    (Family.WOODS_SAXON, 1.0), (Family.WOODS_SAXON, 5.0),
+    (Family.WOODS_SAXON, 50.0), (Family.HEAVISIDE, 1.0)])
+@pytest.mark.parametrize("V0", [1.0, 0.3])
+def test_norm_combos_product_is_the_kernel_denominator(family, alpha, V0):
+    # hbar (N^{++} + |N^{+-}|)(N^{++} - |N^{+-}|) = hbar (2 pi p/k) N^{++},
+    # the D of the spectral kernel, on real and rotated nodes p = t e^{-i
+    # theta} and on hbar columns down to 1/12.  Measured: 4.6e-13 at alpha
+    # = 1, hbar = 1/12, from the log-space sinh sum of npp_analytic at
+    # |pi k/(alpha hbar)| ~ 1e3
+    md = _hbar_columns(StepModel(family, 1, V0, alpha, 1),
+                       [1.0, 0.5, 1 / 6, 1 / 12])
+    kc = md.k_threshold
+    t = np.linspace(0.01, 30.0, 300)[:, None]
+    for theta in (0.0, THETA):
+        p = t * np.exp(-1j * theta)
+        k = np.sqrt(kc * kc + p * p)
+        plus, minus = eig.norm_combos(md, k, p)
+        d = md.hbar * (2 * math.pi * p / k) * eig.npp_analytic(md, k, p)
+        assert np.max(np.abs(md.hbar * plus * minus / d - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("k, error", [
+    (-3.0, BranchMismatchError), (0.0, BranchMismatchError),
+    ([2.0, -1.0], BranchMismatchError), ([2.0, math.nan], ValidationError),
+    ([2.0, math.inf], ValidationError), (-math.inf, ValidationError)])
+def test_rates_refuse_a_bad_momentum_label(ws_unit, k, error):
+    # checked before any arithmetic: no (1, 0) row for k <= 0, no warning
+    with pytest.raises(error):
+        eig.scatter_rates(ws_unit, k)
+    if np.ndim(k) == 0:
+        with pytest.raises(error):
+            eig.log_reflection_rate(ws_unit, k)
 
 
 def test_heaviside_orthonormal_closed_forms(heaviside_unit):

@@ -149,6 +149,19 @@ def test_time_below_half_step_takes_one_step(ws_unit):
     assert np.array_equal(still, psi0) and still is not psi0
 
 
+@pytest.mark.parametrize("width, center, sigma", [
+    (50.0, -8.0, 0.0), (50.0, -8.0, -1.0), (50.0, -8.0, math.nan),
+    (50.0, -8.0, math.inf), (50.0, 1e6, 1.0), (2e300, -8.0, 1e299)],
+    ids=["sigma_0", "sigma_negative", "sigma_nan", "sigma_inf",
+         "packet_off_the_grid", "squares_overflow"])
+def test_gaussian_packet_refuses_a_packet_without_a_norm(width, center,
+                                                          sigma):
+    # checked before the division: no nan packet and no warning
+    xs = np.linspace(-width / 2, width / 2, 1024)
+    with pytest.raises(ValidationError):
+        gaussian_packet(xs, center=center, sigma=sigma, k_mean=1.0)
+
+
 def test_non_finite_packet_raises(ws_unit):
     grid = GridSpec(-30.0, 20.0, n_x=1024, dt=0.01)
     psi0 = gaussian_packet(grid.xs(), center=-8.0, sigma=1.5, k_mean=1.2)

@@ -42,6 +42,7 @@ KEEP = {
     "rescale": "acceptance criterion 12: the exact scaling map",
     "evolve_packet_spectral": "acceptance criterion 4 and the packet benchmark",
     "ncc_analytic": "a benchmark span boundary and the tests' orthonormal basis",
+    "norm_combos": "a benchmark span boundary and the tests' reference for D",
 }
 
 MODULES = sorted(set(TREES) - NO_ALL)
