@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .classical import (BoundarySpec, SaddleKind, _bounce_extrema, _t_bounce,
-                        bounce_fold, caustic_saddle_curve,
+from .classical import (BoundarySpec, SaddleKind, _bounce_extrema,
+                        _caustic_saddle, _t_bounce, bounce_fold,
                         caustic_triangle_vertices, endpoint,
                         heaviside_three_path_region, solve_real_paths)
 from .errors import (InsideCausticError, QuadratureError, RootBracketError,
@@ -97,6 +97,11 @@ def _scan_batch(model, x0, v0s, T):
     return y[0:n], y[2 * n:3 * n]
 
 
+def _check_time(T):
+    if not (math.isfinite(T) and T > 0):
+        raise ValidationError("propagation time T must be finite and positive")
+
+
 def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
     """Caustic points (x0, x1) for each x0 in the grid.
 
@@ -108,7 +113,11 @@ def caustic_curve(model: StepModel, T: float, x0_grid, n_scan: int = 400):
     dx1/dE has one sign at the cell's ends (the scan can misplace a marginal
     crossing by one cell; two roots in adjacent cells each keep their own
     cell).  A widened bracket whose ends share a sign is skipped.  Empty
-    output for an x0 with no critical initial velocity."""
+    output for an x0 with no critical initial velocity.  A T that is not
+    finite and positive, or n_scan < 2, raises ValidationError."""
+    _check_time(T)
+    if not n_scan >= 2:
+        raise ValidationError("the velocity scan needs n_scan >= 2")
     if model.family is Family.HEAVISIDE:
         verts = caustic_triangle_vertices(model, T)
         pts = []
@@ -167,8 +176,10 @@ def stokes_lines(model: StepModel, T: float, x0_values):
     smooth step each requested x0 row is sampled outward from the fold with
     the caustic saddle, and a sign change of the difference of the real
     parts between neighbours is interpolated; rows that stay inside a
-    relevant wedge contribute no points.
+    relevant wedge contribute no points.  A T that is not finite and
+    positive raises ValidationError.
     """
+    _check_time(T)
     if model.family is Family.HEAVISIDE:
         L = math.sqrt(2.0 * model.V0 / model.m) * T
         seg = np.linspace(-1.5 * L, 1.5 * L, 121)
@@ -180,8 +191,10 @@ def stokes_lines(model: StepModel, T: float, x0_values):
             fold = bounce_fold(model, float(x0), T, limit, -1e-3)
         except (RootBracketError, ValidationError):
             continue  # no fold on this row, or the row starts inside the loop
-        xs = [x1 for x1 in np.linspace(limit, limit * 0.2, 60) if x1 < fold]
-        saddles = caustic_saddle_curve(model, float(x0), T, xs) if xs else []
+        # every x1 kept lies outside this fold: each needs its Newton alone
+        xs = [float(x1) for x1 in np.linspace(limit, limit * 0.2, 60)
+              if x1 < fold]
+        saddles = [_caustic_saddle(model, float(x0), x1, T) for x1 in xs]
         prev = None
         for key, saddle in reversed(list(zip(xs, saddles))):
             bvp = BoundarySpec(float(x0), float(key), T)

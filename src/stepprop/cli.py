@@ -3,9 +3,14 @@
 Subcommands: rates, propagate, energy, classical, caustics, stokes, wkb,
 spectrum, oracle, reproduce.  Numeric output is CSV (comma separated, '.'
 decimal, header row, 17 significant digits) with the run configuration echoed
-in a leading comment line, every option that changes the rows under its
-argparse name (--threads only picks the processes); --format json wraps the
-same rows in JSON.
+in a leading comment line; --format json wraps the same rows in JSON, and
+classical writes one JSON record of its saddles.
+
+One runner, _run, serves every command: it parses --model, calls the
+command's handler, which returns its header and rows, and echoes every
+parsed option under its argparse dest except those named in _UNECHOED, which
+change no row.  An option added to a command is thus echoed unless it is
+named there.  reproduce echoes --coarse in each file it writes.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence
 (a machine-readable error record is printed to stderr).
@@ -100,17 +105,16 @@ def _saddle_set(model, bvp, which, caustic=None):
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+#
+# Each handler takes the parsed args, with args.model a StepModel, and
+# returns (header, rows); classical returns its saddle records.
 
 def _cmd_rates(args):
-    model = _parse_model(args.model)
-    ks = _parse_range(args.k_range)
-    r2, t2 = scatter_rates(model, ks)
-    rows = [(k, r, t, model.family.value, model.alpha, model.hbar)
-            for k, r, t in zip(ks, np.atleast_1d(r2), np.atleast_1d(t2))]
-    _write_rows(args.out, ("k", "R2", "T2", "family", "alpha", "hbar"),
-                rows, {"command": "rates", "model": model.to_dict(),
-                       "k_range": args.k_range}, args.format)
-    return 0
+    md, ks = args.model, _parse_range(args.k_range)
+    r2, t2 = scatter_rates(md, ks)
+    return (("k", "R2", "T2", "family", "alpha", "hbar"),
+            [(k, r, t, md.family.value, md.alpha, md.hbar)
+             for k, r, t in zip(ks, np.atleast_1d(r2), np.atleast_1d(t2))])
 
 
 #: x1 points per propagate call of the propagate command.  Columns of a
@@ -121,9 +125,8 @@ ROW_BLOCK = 16
 
 
 def _cmd_propagate(args):
-    model = _parse_model(args.model)
     xs = _parse_range(args.x1_range)
-    jobs = [(model, args.x0, xs[i:i + ROW_BLOCK], args.T)
+    jobs = [(args.model, args.x0, xs[i:i + ROW_BLOCK], args.T)
             for i in range(0, xs.size, ROW_BLOCK)]
     if args.threads > 1:
         import concurrent.futures as cf
@@ -131,73 +134,45 @@ def _cmd_propagate(args):
             blocks = list(ex.map(propagate, *zip(*jobs)))
     else:
         blocks = [propagate(*j) for j in jobs]
-    rows = [(s.x0, s.x1, s.T, s.G.real, s.G.imag, abs(s.G) ** 2, s.est_error)
-            for block in blocks for s in block.samples]
-    _write_rows(args.out, ("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"),
-                rows, {"command": "propagate", "model": model.to_dict(),
-                       "x0": args.x0, "x1_range": args.x1_range, "T": args.T},
-                args.format)
-    return 0
+    return (("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"),
+            [(s.x0, s.x1, s.T, s.G.real, s.G.imag, abs(s.G) ** 2, s.est_error)
+             for block in blocks for s in block.samples])
 
 
 def _cmd_energy(args):
-    model = _parse_model(args.model)
-    es = _parse_range(args.E_range)
     rows = []
-    for E in es:
-        K, err = energy_propagator(model, args.x0, args.x1, float(E))
+    for E in _parse_range(args.E_range):
+        K, err = energy_propagator(args.model, args.x0, args.x1, float(E))
         rows.append((args.x0, args.x1, E, K.real, K.imag, abs(K) ** 2, err))
-    _write_rows(args.out, ("x0", "x1", "E", "ReK", "ImK", "abs2", "est_error"),
-                rows, {"command": "energy", "model": model.to_dict(),
-                       "x0": args.x0, "x1": args.x1, "E_range": args.E_range},
-                args.format)
-    return 0
+    return ("x0", "x1", "E", "ReK", "ImK", "abs2", "est_error"), rows
 
 
 def _cmd_classical(args):
-    model = _parse_model(args.model)
     bvp = _classical.BoundarySpec(args.x0, args.x1, args.T)
-    saddles = _saddle_set(model, bvp, args.saddles)
-    payload = [{"kind": s.kind.value, "E_re": s.E.real, "E_im": s.E.imag,
-                "S_re": s.S.real, "S_im": s.S.imag,
-                "vv_re": s.vv.real, "vv_im": s.vv.imag, "maslov": s.maslov,
-                "relevant": bool(s.relevant)} for s in saddles]
-    text = json.dumps({"config": {"command": "classical",
-                                  "model": model.to_dict(), "x0": args.x0,
-                                  "x1": args.x1, "T": args.T,
-                                  "saddles": args.saddles},
-                       "saddles": payload}, indent=1)
-    _emit(args.out, text + "\n")
-    return 0
+    return [{"kind": s.kind.value, "E_re": s.E.real, "E_im": s.E.imag,
+             "S_re": s.S.real, "S_im": s.S.imag,
+             "vv_re": s.vv.real, "vv_im": s.vv.imag, "maslov": s.maslov,
+             "relevant": bool(s.relevant)}
+            for s in _saddle_set(args.model, bvp, args.saddles)]
 
 
 def _cmd_caustics(args):
-    model = _parse_model(args.model)
-    xs = _parse_range(args.x0_range)
-    pts = _caustics.caustic_curve(model, args.T, xs, n_scan=args.n_scan)
-    _write_rows(args.out, ("x0", "x1"), pts,
-                {"command": "caustics", "model": model.to_dict(), "T": args.T,
-                 "x0_range": args.x0_range, "n_scan": args.n_scan},
-                args.format)
-    return 0
+    return ("x0", "x1"), _caustics.caustic_curve(
+        args.model, args.T, _parse_range(args.x0_range), n_scan=args.n_scan)
 
 
 def _cmd_stokes(args):
-    model = _parse_model(args.model)
-    xs = _parse_range(args.x0_range)
-    pts = _caustics.stokes_lines(model, args.T, xs)
-    _write_rows(args.out, ("x0", "x1"), pts,
-                {"command": "stokes", "model": model.to_dict(), "T": args.T,
-                 "x0_range": args.x0_range}, args.format)
-    return 0
+    return ("x0", "x1"), _caustics.stokes_lines(
+        args.model, args.T, _parse_range(args.x0_range))
 
 
 def _cmd_wkb(args):
-    model = _parse_model(args.model)
-    xs = _parse_range(args.x1_range)
-    hbar = args.hbar if args.hbar is not None else model.hbar
+    model, xs = args.model, _parse_range(args.x1_range)
+    if args.hbar is None:  # echoed as the hbar the rows use
+        args.hbar = model.hbar
     if args.calibrate:
-        g_exact = propagate(replace(model, hbar=hbar), args.x0, xs, args.T).G
+        g_exact = propagate(replace(model, hbar=args.hbar), args.x0, xs,
+                            args.T).G
     caustic = (_classical.caustic_saddle_curve(model, args.x0, args.T, xs)
                if "caustic" in args.saddles else [None] * xs.size)
     rows = []
@@ -206,55 +181,38 @@ def _cmd_wkb(args):
         saddles = _saddle_set(model, bvp, args.saddles, caus)
         if args.calibrate:
             saddles = fix_complex_saddle_phase(model, bvp, saddles,
-                                               g_exact[j], hbar)
-        G = wkb_propagator(model, bvp, saddles, hbar)
+                                               g_exact[j], args.hbar)
+        G = wkb_propagator(model, bvp, saddles, args.hbar)
         rows.append((args.x0, x1, args.T, G.real, G.imag, abs(G) ** 2, 0.0))
-    _write_rows(args.out, ("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"),
-                rows, {"command": "wkb", "model": model.to_dict(),
-                       "x0": args.x0, "x1_range": args.x1_range, "T": args.T,
-                       "saddles": args.saddles, "hbar": hbar,
-                       "calibrate": args.calibrate}, args.format)
-    return 0
+    return ("x0", "x1", "T", "ReG", "ImG", "abs2", "est_error"), rows
 
 
 def _cmd_spectrum(args):
-    model = _parse_model(args.model)
     bvp = _classical.BoundarySpec(args.x0, args.x1, args.T)
     window = _spec.OmegaWindow(A=args.A, B=args.B, n_omega=args.n_omega)
-    samples = _spec.propagator_omega_samples(model, bvp, window,
+    samples = _spec.propagator_omega_samples(args.model, bvp, window,
                                              threads=args.threads)
     if args.kind == "fourier":
-        grid = _parse_range(args.tau_range)
-        series = _spec.fourier_spectrum(model, bvp, window, grid, samples)
+        series = _spec.fourier_spectrum(args.model, bvp, window,
+                                        _parse_range(args.tau_range), samples)
     else:
-        grid = _parse_range(args.s_range)
-        series = _spec.laplace_spectrum(model, bvp, window, grid, samples)
-    rows = [(g, v, series.est_error) for g, v in zip(series.grid, series.values)]
-    _write_rows(args.out, ("grid", "value", "err"), rows,
-                {"command": "spectrum", "kind": args.kind,
-                 "model": model.to_dict(), "x0": args.x0, "x1": args.x1,
-                 "T": args.T, "A": args.A, "B": args.B,
-                 "n_omega": args.n_omega, "tau_range": args.tau_range,
-                 "s_range": args.s_range}, args.format)
-    return 0
+        series = _spec.laplace_spectrum(args.model, bvp, window,
+                                        _parse_range(args.s_range), samples)
+    return (("grid", "value", "err"),
+            [(g, v, series.est_error) for g, v in zip(series.grid,
+                                                       series.values)])
 
 
 def _cmd_oracle(args):
-    model = _parse_model(args.model)
     grid = GridSpec(x_min=args.x_min, x_max=args.x_max, n_x=args.n_x,
                     dt=args.dt)
     xs = grid.xs()
     psi0 = gaussian_packet(xs, args.center, args.sigma, args.k_mean,
-                           model.hbar)
-    psi = evolve_packet(model, psi0, grid, args.T, k_content=args.k_mean + 4)
-    rows = list(zip(xs, psi.real, psi.imag, np.abs(psi) ** 2))
-    _write_rows(args.out, ("x", "RePsi", "ImPsi", "abs2"), rows,
-                {"command": "oracle", "model": model.to_dict(),
-                 "center": args.center, "sigma": args.sigma,
-                 "k_mean": args.k_mean, "T": args.T, "x_min": args.x_min,
-                 "x_max": args.x_max, "n_x": args.n_x, "dt": args.dt},
-                args.format)
-    return 0
+                           args.model.hbar)
+    psi = evolve_packet(args.model, psi0, grid, args.T,
+                        k_content=args.k_mean + 4)
+    return (("x", "RePsi", "ImPsi", "abs2"),
+            list(zip(xs, psi.real, psi.imag, np.abs(psi) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +465,15 @@ def _path_samples(model, saddle, bvp, n=200):
 
 
 def _cmd_reproduce(args):
+    """(path, header, rows, config) records of the recipe files to write."""
     recipes = _recipes(args.coarse)
     if args.figure != "all" and args.figure not in recipes:
         raise ValidationError(f"unknown recipe {args.figure!r}; "
                               f"choose from {sorted(recipes)} or 'all'")
     os.makedirs(args.out_dir, exist_ok=True)
-    for fig in recipes if args.figure == "all" else [args.figure]:
-        for name, header, rows, config in recipes[fig]():
-            _write_rows(os.path.join(args.out_dir, name), header, rows, config)
-    return 0
+    return ((os.path.join(args.out_dir, name), header, rows, config)
+            for fig in (recipes if args.figure == "all" else [args.figure])
+            for name, header, rows, config in recipes[fig]())
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +565,32 @@ def build_parser():
     return p
 
 
+#: parsed dests that change no row: the handler, the output path and
+#: format, and the process count
+_UNECHOED = ("func", "out", "format", "threads")
+
+#: the errors of usage, exit 2; any other StepPropError exits 3
+_USAGE_ERRORS = (ValidationError, json.JSONDecodeError, OSError)
+
+
+def _run(args):
+    """Run the command of args and write its output, with the options that
+    change its rows echoed as the config."""
+    if args.command == "reproduce":
+        for path, header, rows, config in args.func(args):
+            _write_rows(path, header, rows, {**config, "coarse": args.coarse})
+        return
+    args.model = _parse_model(args.model)
+    out = args.func(args)
+    config = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
+    config["model"] = args.model.to_dict()
+    if args.command == "classical":
+        _emit(args.out, json.dumps({"config": config, "saddles": out},
+                                   indent=1) + "\n")
+    else:
+        _write_rows(args.out, *out, config, args.format)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -614,15 +598,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ValidationError, json.JSONDecodeError, OSError) as exc:
+        _run(args)
+    except (StepPropError, *_USAGE_ERRORS) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    except StepPropError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 3
+    return 0
 
 
 if __name__ == "__main__":

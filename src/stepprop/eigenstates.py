@@ -281,10 +281,9 @@ def phi_grid(model: StepModel, branch: str, k, q, xs, gam=None):
 
 def _companion(model, branch, k):
     """The real companion momentum of branch at real k: mu below the step
-    for 'c', p above it for 'plus'/'minus'; a k on the wrong side raises."""
-    k = float(k)
-    if k <= 0:
-        raise BranchMismatchError("momentum label k must be positive")
+    for 'c', p above it for 'plus'/'minus'; k is checked as in _labels, and
+    a k on the wrong side of the step raises."""
+    k = float(_labels(k))
     kc = model.k_threshold
     if branch == "c":
         if k >= kc:
@@ -321,13 +320,17 @@ def _labels(k):
 
 def _t2(model, k, p):
     """|T|^2 above the step, analytic in (k, p): 4kp/(k+p)^2 on the plane-wave
-    steps, sinh(pi k/ah) sinh(pi p/ah) / sinh(pi (k+p)/2ah)^2 in log space
-    on the smooth one."""
+    steps, and on the smooth one sinh(a) sinh(b) / sinh((a+b)/2)^2 with
+    a = pi k/ah, b = pi p/ah, written as
+
+        expm1(-2a) expm1(-2b) / expm1(-(a+b))^2,
+
+    which overflows nowhere and cancels no large exponents."""
     if _heaviside_like(model):
         return 4.0 * k * p / (k + p) ** 2
     ah = model.alpha * model.hbar
-    return np.exp(_logsinh(math.pi * k / ah) + _logsinh(math.pi * p / ah)
-                  - 2.0 * _logsinh(math.pi * (k + p) / (2 * ah)))
+    a, b = math.pi * k / ah, math.pi * p / ah
+    return np.expm1(-2.0 * a) * np.expm1(-2.0 * b) / np.expm1(-(a + b)) ** 2
 
 
 def _log_r2(model, k, p):
@@ -380,8 +383,7 @@ def reflection_rate_smallhbar_asymptote(model: StepModel, k: float):
     """
     if model.family is not Family.WOODS_SAXON:
         raise UnsupportedFamilyError("asymptote defined for the smooth step")
-    if k <= 0:
-        raise BranchMismatchError("momentum label k must be positive")
+    k = float(_labels(k))
     E = k * k / (2.0 * model.m)
     if E < model.V0:
         raise BranchMismatchError("asymptote requires E >= V0")

@@ -40,8 +40,8 @@ class OmegaWindow:
     n_omega: int = 2048
 
     def __post_init__(self):
-        if not (0.0 < self.A < self.B):
-            raise ValidationError("window must satisfy 0 < A < B")
+        if not (0.0 < self.A < self.B and math.isfinite(self.B)):
+            raise ValidationError("window must satisfy 0 < A < B < inf")
         if self.n_omega < 64:
             raise ValidationError("need at least 64 omega samples")
 

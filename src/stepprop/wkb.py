@@ -34,10 +34,11 @@ VV_CAUSTIC_LIMIT = 1e6
 def wkb_propagator(model: StepModel, bvp: BoundarySpec, saddles,
                    hbar: float | None = None) -> complex:
     """Sum of the single-saddle terms sqrt(i/(2 pi hbar)) sqrt_vv e^{iS/hbar}
-    over the supplied (relevant) saddles at the endpoints of bvp."""
+    over the supplied (relevant) saddles at the endpoints of bvp; an hbar
+    that is not finite and positive raises ValidationError."""
     h = model.hbar if hbar is None else float(hbar)
-    if h <= 0:
-        raise ValidationError("hbar must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValidationError("hbar must be finite and positive")
     pref = cmath.sqrt(1j / (2.0 * math.pi * h))
     total = 0.0 + 0.0j
     for sad in saddles:

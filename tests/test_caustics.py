@@ -6,7 +6,8 @@ import pytest
 
 from stepprop import caustics as ca
 from stepprop import classical as cl
-from stepprop.errors import InsideCausticError, NewtonError, QuadratureError
+from stepprop.errors import (InsideCausticError, NewtonError, QuadratureError,
+                             ValidationError)
 from stepprop.potential import Family, StepModel, potential_value
 
 
@@ -178,7 +179,7 @@ def test_stokes_lines_propagates_programming_errors(ws_unit, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken continuation")
 
-    monkeypatch.setattr(ca, "caustic_saddle_curve", broken)
+    monkeypatch.setattr(ca, "_caustic_saddle", broken)
     with pytest.raises(TypeError):
         ca.stokes_lines(ws_unit, 10.0, [-3.0])
 
@@ -189,10 +190,55 @@ def test_stokes_lines_propagates_saddle_failure(ws_unit, monkeypatch):
     def fail(*args):
         raise NewtonError("caustic Newton did not converge")
 
-    monkeypatch.setattr(cl, "_caustic_saddle", fail)
+    monkeypatch.setattr(ca, "_caustic_saddle", fail)
     assert ca.stokes_lines(ws_unit, 10.0, [1.0]) == []
     with pytest.raises(NewtonError):
         ca.stokes_lines(ws_unit, 10.0, [-3.0])
+
+
+def test_stokes_lines_search_each_fold_once(ws_unit, monkeypatch):
+    # one bounce_fold per row with a fold, and one Newton per x1 sampled
+    # outside it: the caustic saddles need no second fold search
+    folds, newtons = [], []
+
+    def count(calls, fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        return counted
+
+    for calls, name in ((folds, "bounce_fold"), (newtons, "_caustic_saddle")):
+        counted = count(calls, getattr(cl, name))
+        monkeypatch.setattr(cl, name, counted)
+        monkeypatch.setattr(ca, name, counted, raising=False)
+    x0s = np.linspace(-6.0, -0.25, 6)
+    ca.stokes_lines(ws_unit, 10.0, x0s)
+    assert [a[1] for a in folds] == list(x0s)
+    assert newtons and {a[1] for a in newtons} <= set(x0s)
+
+
+WS1 = StepModel(Family.WOODS_SAXON, 1, 1, 1, 1)
+HV1 = StepModel(Family.HEAVISIDE, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("model", [WS1, HV1], ids=["ws", "heaviside"])
+@pytest.mark.parametrize("T", [math.nan, math.inf, -10.0, -1.0, 0.0])
+def test_caustics_and_stokes_refuse_a_bad_time(model, T):
+    # refused before any work: a nan T kept the smooth step's scan running
+    # for minutes, other bad T gave no rows or rows of nan, and T = -10 drew
+    # the sharp step's triangle mirrored
+    with pytest.raises(ValidationError):
+        ca.caustic_curve(model, T, [-5.0])
+    with pytest.raises(ValidationError):
+        ca.stokes_lines(model, T, [-5.0])
+
+
+@pytest.mark.parametrize("model", [WS1, HV1], ids=["ws", "heaviside"])
+@pytest.mark.parametrize("n_scan", [1, 0, -5])
+def test_caustic_curve_refuses_a_short_scan(model, n_scan):
+    # one velocity brackets no flip: once no rows, or a ValueError at -5
+    with pytest.raises(ValidationError):
+        ca.caustic_curve(model, 10.0, [-5.0], n_scan=n_scan)
 
 
 def test_stokes_relevant_wedge_on_smooth_row(ws_unit):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,8 @@ from scipy.integrate import solve_ivp
 from oracles import free_propagator
 from stepprop import caustics as ca
 from stepprop import classical as cl
-from stepprop.cli import ROW_BLOCK, _grid_abs2, _path_samples, _recipes, main
+from stepprop.cli import (ROW_BLOCK, _UNECHOED, _grid_abs2, _path_samples,
+                          _recipes, build_parser, main)
 from stepprop.errors import ValidationError
 from stepprop.potential import Family, StepModel, potential_value
 from stepprop.propagator import propagate
@@ -91,13 +93,37 @@ def test_unknown_model_key_exits_2(capsys):
      "1"],
     ["energy", "--model", WS, "--x0=nan", "--x1=1", "--E-range=0.5:1:2"],
     ["energy", "--model", WS, "--x0=-1", "--x1=1", "--E-range=nan:1:2"],
+    ["caustics", "--model", WS, "--T", "nan", "--x0-range=-6:-4:2"],
+    ["caustics", "--model", WS, "--T=-1", "--x0-range=-6:-4:2"],
+    ["caustics", "--model", HV, "--T=-10", "--x0-range=-6:-4:2"],
+    ["caustics", "--model", WS, "--T", "10", "--x0-range=-6:-4:2",
+     "--n-scan", "1"],
+    ["caustics", "--model", WS, "--T", "10", "--x0-range=-6:-4:2",
+     "--n-scan=-5"],
+    ["stokes", "--model", WS, "--T", "inf", "--x0-range=-6:-4:2"],
+    ["stokes", "--model", HV, "--T", "nan", "--x0-range=-6:-4:2"],
+    ["wkb", "--model", WS, "--x0=-4", "--x1-range=-6:-5:2", "--T", "10",
+     "--saddles", "real", "--hbar", "nan"],
+    ["wkb", "--model", WS, "--x0=-4", "--x1-range=-6:-5:2", "--T", "10",
+     "--saddles", "real", "--hbar", "inf"],
+    ["spectrum", "--model", HV, "--x0", "5", "--x1", "4", "--T", "10",
+     "--B", "inf", "--n-omega", "64"],
 ], ids=["range_not_numbers", "range_fractional_count", "model_not_number",
         "wkb_hbar_zero", "model_V0_nan", "propagate_T_inf",
-        "propagate_x1_nan", "energy_x0_nan", "energy_E_nan"])
+        "propagate_x1_nan", "energy_x0_nan", "energy_E_nan",
+        "caustics_T_nan", "caustics_T_negative", "caustics_heaviside_T_-10",
+        "caustics_n_scan_1", "caustics_n_scan_-5", "stokes_T_inf",
+        "stokes_heaviside_T_nan", "wkb_hbar_nan", "wkb_hbar_inf",
+        "spectrum_B_inf"])
 def test_malformed_number_exits_2(argv, capsys):
-    assert main(argv) == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ValidationError"
+    # no rows and no warning before the record: the caustic and window
+    # cases once exited 0 with no rows or nan rows, ran on for minutes,
+    # exited 1 with a traceback, or exited 3 after 145 warnings
+    rc, warned = _quiet_main(argv)
+    assert (rc, warned) == (2, [])
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,12 +237,27 @@ def _echo_and_rows(path):
 
 @pytest.mark.parametrize("run", list(ECHO_RUNS))
 def test_echoed_config_reproduces_rows(tmp_path, run):
-    # the leading config reruns the command: same rows, byte for byte
+    # the leading config reruns the command: same rows, byte for byte.  It
+    # holds every parsed dest but the four that change no row, so an option
+    # added to a command is echoed unless it is named there
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(ECHO_RUNS[run] + ["--out", str(out1)]) == 0
     config, rows = _echo_and_rows(out1)
+    assert _UNECHOED == ("func", "out", "format", "threads")
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in sub.choices[config["command"]]._actions}
+    assert set(config) == {"command"} | dests - {"help", *_UNECHOED}
     assert main(_rerun_argv(config) + ["--out", str(out2)]) == 0
     assert _echo_and_rows(out2) == (config, rows)
+
+
+def test_reproduce_echoes_coarse(tmp_path):
+    # a full file's config says so, and differs from a --coarse file's
+    # (test_reproduce_recipe)
+    assert main(["reproduce", "fig1", "--out-dir", str(tmp_path)]) == 0
+    config, _, _ = _read_csv(tmp_path / "fig1_potentials.csv")
+    assert config == {"recipe": "fig1", "coarse": False}
 
 
 def _quiet_main(argv):
@@ -327,6 +368,7 @@ def test_reproduce_recipe(tmp_path, recipe):
     for name, expected in RECIPE_FILES[recipe].items():
         config, header, rows = _read_csv(tmp_path / name)
         assert config["recipe"] == name.split("_")[0]
+        assert config["coarse"] is True
         assert header == expected
         assert rows
     assert sorted(os.listdir(tmp_path)) == sorted(RECIPE_FILES[recipe])

@@ -222,8 +222,7 @@ def test_ws_norm_combos_match_coefficients(ws_unit):
     ids=lambda md: f"{md.family.value}-a{md.alpha}-h{md.hbar}-V{md.V0}")
 def test_npp_is_the_inverse_transmission_rate(model):
     # on the real axis N^{++} = 2 pi p/(k |T|^2) and |N^{+-}/N^{++}|^2 =
-    # |R|^2 (measured: 4.6e-13, from one-ulp differences of pi k/ah at
-    # alpha hbar = 0.03, and 1.3e-14)
+    # |R|^2 (measured: 2.2e-16 and 1.1e-14)
     kc = model.k_threshold
     ks = kc + np.geomspace(1e-3, 10.0, 60)
     p = np.sqrt(ks * ks - kc * kc)
@@ -241,9 +240,10 @@ def test_npp_is_the_inverse_transmission_rate(model):
 def test_norm_combos_product_is_the_kernel_denominator(family, alpha, V0):
     # hbar (N^{++} + |N^{+-}|)(N^{++} - |N^{+-}|) = hbar (2 pi p/k) N^{++},
     # the D of the spectral kernel, on real and rotated nodes p = t e^{-i
-    # theta} and on hbar columns down to 1/12.  Measured: 4.6e-13 at alpha
-    # = 1, hbar = 1/12, from the log-space sinh sum of npp_analytic at
-    # |pi k/(alpha hbar)| ~ 1e3
+    # theta} and on hbar columns down to 1/12.  Measured: 2.6e-14 on the
+    # sharp step (V0 = 1), 1.8e-14 at alpha = 50 and 2.9e-15 at alpha = 1;
+    # the log-space sinh sum that npp_analytic once took was off by 4.6e-13
+    # at alpha = 1, hbar = 1/12
     md = _hbar_columns(StepModel(family, 1, V0, alpha, 1),
                        [1.0, 0.5, 1 / 6, 1 / 12])
     kc = md.k_threshold
@@ -253,20 +253,29 @@ def test_norm_combos_product_is_the_kernel_denominator(family, alpha, V0):
         k = np.sqrt(kc * kc + p * p)
         plus, minus = eig.norm_combos(md, k, p)
         d = md.hbar * (2 * math.pi * p / k) * eig.npp_analytic(md, k, p)
-        assert np.max(np.abs(md.hbar * plus * minus / d - 1)) < 1e-12
+        assert np.max(np.abs(md.hbar * plus * minus / d - 1)) < 5e-14
 
 
 @pytest.mark.parametrize("k, error", [
     (-3.0, BranchMismatchError), (0.0, BranchMismatchError),
     ([2.0, -1.0], BranchMismatchError), ([2.0, math.nan], ValidationError),
-    ([2.0, math.inf], ValidationError), (-math.inf, ValidationError)])
+    ([2.0, math.inf], ValidationError), (-math.inf, ValidationError),
+    (math.nan, ValidationError), (math.inf, ValidationError)])
 def test_rates_refuse_a_bad_momentum_label(ws_unit, k, error):
-    # checked before any arithmetic: no (1, 0) row for k <= 0, no warning
+    # checked before any arithmetic: no (1, 0) row for k <= 0, no warning.
+    # The asymptote and the eigenstates' companion momentum read the same
+    # check: no (nan, nan) or (0, nan) asymptote, and no warnings before a
+    # 10,000-term series at k = nan
     with pytest.raises(error):
         eig.scatter_rates(ws_unit, k)
     if np.ndim(k) == 0:
         with pytest.raises(error):
             eig.log_reflection_rate(ws_unit, k)
+        with pytest.raises(error):
+            eig.reflection_rate_smallhbar_asymptote(ws_unit, k)
+        for branch in ("c", "plus", "minus"):
+            with pytest.raises(error):
+                eig.eigenstate_ws(ws_unit, branch, k, -1.0)
 
 
 def test_heaviside_orthonormal_closed_forms(heaviside_unit):

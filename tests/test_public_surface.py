@@ -197,18 +197,25 @@ def test_cold_start_check_catches_heavy_imports():
     assert "scipy.optimize" in loaded
 
 
-def _unread_options(parser):
+def _reads(fn):
+    """The dests that fn reads off its first argument as args.<dest>; a
+    vars(args) reads no dest."""
+    (node,) = ast.parse(textwrap.dedent(inspect.getsource(fn))).body
+    args = node.args.args[0].arg
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load)
+            and isinstance(n.value, ast.Name) and n.value.id == args}
+
+
+def _unread_options(parser, runner):
     """(subcommand, dest) of each option that a subcommand's parser adds and
-    its handler, the parser's func default, never reads as args.<dest>."""
+    that neither the runner nor its handler, the parser's func default,
+    reads as args.<dest>."""
     (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
     found = []
     for name, q in sub.choices.items():
-        handler = q.get_default("func")
-        (fn,) = ast.parse(textwrap.dedent(inspect.getsource(handler))).body
-        args = fn.args.args[0].arg
-        reads = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
-                 and isinstance(n.value, ast.Name) and n.value.id == args}
+        reads = _reads(runner) | _reads(q.get_default("func"))
         found += [(name, a.dest) for a in q._actions
                   if a.dest != "help" and a.dest not in reads]
     return found
@@ -216,9 +223,15 @@ def _unread_options(parser):
 
 def test_cli_reads_every_option():
     # an option that its command parses and ignores is a knob that does
-    # nothing; drop it instead
-    from stepprop.cli import build_parser
-    assert _unread_options(build_parser()) == []
+    # nothing; drop it instead.  The runner reads --model, --out and
+    # --format for every command
+    from stepprop.cli import _run, build_parser
+    assert {"model", "out", "format"} <= _reads(_run)
+    assert _unread_options(build_parser(), _run) == []
+
+
+def _synthetic_runner(opts):
+    return opts.func(opts), vars(opts)
 
 
 def _synthetic_handler(opts):
@@ -226,12 +239,13 @@ def _synthetic_handler(opts):
 
 
 def test_option_check_catches_unread_flags():
+    # an option that only the echo, vars(args), sees is still unread
     p = argparse.ArgumentParser()
     q = p.add_subparsers(dest="command").add_parser("run")
     q.set_defaults(func=_synthetic_handler)
     q.add_argument("--kept")
     q.add_argument("--ignored", type=float, default=0.0)
-    assert _unread_options(p) == [("run", "ignored")]
+    assert _unread_options(p, _synthetic_runner) == [("run", "ignored")]
 
 
 def _specfun_violations(tree):

@@ -144,6 +144,11 @@ def test_omega_window_validation():
         sp.OmegaWindow(A=-1.0, B=2.0)
     with pytest.raises(Exception):
         sp.OmegaWindow(A=1.0, B=2.0, n_omega=8)
+    # B = inf once passed, and the sweep ran into its panel budget
+    for A, B in ((1.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0),
+                 (1.0, math.nan)):
+        with pytest.raises(ValidationError):
+            sp.OmegaWindow(A=A, B=B)
 
 
 @pytest.mark.parametrize("kind", ["fourier", "laplace"])

@@ -32,6 +32,15 @@ def test_non_finite_boundary_rejected(x0, x1, T):
         cl.BoundarySpec(x0, x1, T)
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+def test_wkb_refuses_a_bad_hbar(hbar):
+    # hbar = nan once gave a nan sum, and hbar = inf a sum of zeros
+    md = StepModel(Family.HEAVISIDE, 1, 1.0, 1, 1)
+    bvp = cl.BoundarySpec(-4.0, -3.0, 10.0)
+    with pytest.raises(ValidationError, match="finite and positive"):
+        wkb_propagator(md, bvp, cl.heaviside_paths(md, bvp), hbar)
+
+
 def test_hbar_scaling_of_complex_saddle(ws_steep):
     bvp = cl.BoundarySpec(-5.0, -9.25, 10.0)
     sad = cl.find_caustic_saddle(ws_steep, bvp)
